@@ -16,16 +16,16 @@ import json
 import sys
 
 from . import verify
-from .crystals import DomainSizeError
+from .crystals import ColumnPair, DomainSizeError
 from .dynamics import (
     BasicPath,
     InhomPath,
     InvalidWordError,
     carrier_evolution,
     decoding_pass,
-    time_evolution,
+    decoding_pass_traced,
 )
-from .separation import check_commutation, colour_word, separate
+from .separation import separate
 
 
 class CliError(Exception):
@@ -33,10 +33,21 @@ class CliError(Exception):
 
 
 def _read_input(args) -> str:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
+    source = args.input if args.input and args.input != "-" else None
+    try:
+        if source is None:
+            return sys.stdin.read()
+        with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
-    return sys.stdin.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {source or 'stdin'}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{source or 'stdin'} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _input_width(text: str) -> int:
+    """Boxes in an ASCII input row, so evolved rows align with it."""
+    return 0 if text.strip().startswith("{") else len(text.strip().splitlines()[0])
 
 
 def parse_state(text: str, n_override: int | None = None):
@@ -84,39 +95,13 @@ def _state_from_document(doc: dict, n_override: int | None):
         raise CliError(str(exc)) from exc
 
 
-def render_state(p, width: int | None = None) -> str:
-    if isinstance(p, BasicPath):
-        return p.render(width)
-    return p.render()
-
-
-def state_to_json(p):
-    if isinstance(p, BasicPath):
-        return {"n": p.n, "mode": "basic", "state": p.render()}
-    return {
-        "n": p.n,
-        "mode": "inhom",
-        "tail_capacity": p.tail_capacity,
-        "sites": [
-            {"capacity": sum(c), "counts": list(c)} for c in p.sites
-        ],
-    }
-
-
 def _operator(name: str):
     if name == "T":
-        return lambda p: (
-            time_evolution(p) if isinstance(p, BasicPath) else carrier_evolution(p, None)
-        )
+        return lambda p: p.time_step()
     if name == "Tnat":
         return lambda p: decoding_pass(p)[0]
     if name.startswith("Tl:"):
-        try:
-            ell = int(name[3:])
-        except ValueError:
-            raise CliError(f"bad operator {name!r}; want T, Tnat, or Tl:<capacity>")
-        if ell < 1:
-            raise CliError("carrier capacity must be >= 1")
+        ell = _positive(name[3:], "carrier capacity")
         return lambda p: carrier_evolution(p, ell)
     raise CliError(f"bad operator {name!r}; want T, Tnat, or Tl:<capacity>")
 
@@ -128,17 +113,12 @@ def cmd_evolve(args) -> int:
     rows = [state]
     for _ in range(args.steps):
         rows.append(op(rows[-1]))
-    if isinstance(state, BasicPath):
-        # pad every row to the original input width so columns align
-        original = 0 if text.strip().startswith("{") else len(text.strip().splitlines()[0])
-        width = max(original, *(len(r.render()) for r in rows))
-    else:
-        width = None
     if args.json:
-        print(json.dumps({"steps": args.steps, "rows": [state_to_json(r) for r in rows]}))
+        print(json.dumps({"steps": args.steps, "rows": [r.to_json() for r in rows]}))
         return 0
+    width = max(_input_width(text), *(len(r.sites) for r in rows))
     for t, r in enumerate(rows):
-        print(f"t={t:<4} {render_state(r, width)}")
+        print(f"t={t:<4} {r.render(width)}")
     return 0
 
 
@@ -149,39 +129,41 @@ def cmd_separate(args) -> int:
     if args.json:
         print(json.dumps(record.to_json_dict()))
         return 0
-    if isinstance(state, BasicPath):
-        original = 0 if text.strip().startswith("{") else len(text.strip().splitlines()[0])
-        width = max([original] + [len(render_state(s.state)) for s in record.steps])
-    else:
-        width = None
+    width = max(_input_width(text), *(len(s.state.sites) for s in record.steps))
     for step in record.steps:
-        line = f"s={step.index:<4} {render_state(step.state, width)}"
+        line = f"s={step.index:<4} {step.state.render(width)}"
         if step.removed is not None:
             line += f" {step.removed}"
         print(line)
     print("word  " + "".join(str(v) for v in record.word))
     if args.trace:
-        cur = state
-        for s in range(record.n_passes):
-            _, carrier, trace = decoding_pass(cur, want_trace=True)
+        for step in record.steps[:-1]:
+            trace = decoding_pass_traced(step.state)
             tags = " ".join(f"{st.site}:{st.tag}" for st in trace.steps)
-            print(f"trace s={s} ({carrier}) {tags}")
-            cur = trace.after
+            print(f"trace s={step.index} ({ColumnPair(*trace.carrier, state.n)}) {tags}")
     return 0
 
 
+def _positive(part: str, what: str, want: str = "a positive integer") -> int:
+    try:
+        value = int(part)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise CliError(f"bad {what} {part!r}; want {want}")
+    return value
+
+
 def _parse_shapes(text: str):
-    shapes = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "c":
-            shapes.append((1, 1))
-        else:
-            try:
-                shapes.append((int(part),))
-            except ValueError:
-                raise CliError(f"bad shape {part!r}; want integers or 'c'")
-    return shapes
+    parts = [part.strip() for part in text.split(",")]
+    want = "positive integers or 'c'"
+    return [(1, 1) if p == "c" else (_positive(p, "shape", want),) for p in parts]
+
+
+def _parse_capacities(text: str):
+    parts = [part.strip() for part in text.split(",")]
+    want, inf = "positive integers or inf", ("inf", "infinity")
+    return [None if p in inf else _positive(p, "capacity", want) for p in parts]
 
 
 def _emit_reports(reports, as_json: bool) -> int:
@@ -201,16 +183,15 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     reports = []
+    mode = "random" if args.count else "exhaustive"
     if args.check == "braid":
         shapes = _parse_shapes(args.shapes)
-        mode = "random" if args.count else "exhaustive"
         reports.append(
             verify.check_symmetric_group(shapes, args.n, mode, args.seed, args.count)
         )
     elif args.check == "chains":
         reports.append(verify.check_highest_weight_chains())
     elif args.check == "composition":
-        mode = "random" if args.count else "exhaustive"
         reports.append(
             verify.check_carrier_composition(
                 args.l, args.carriers, args.boxes, args.n, mode, args.seed, args.count
@@ -220,55 +201,20 @@ def cmd_verify(args) -> int:
         for fixture in verify.standard_decomposition_fixtures():
             reports.append(verify.check_decomposition(fixture))
     elif args.check in ("theorem", "conservation"):
-        reports.append(_run_path_suite(args))
-    else:
-        raise CliError(f"unknown verify check {args.check!r}")
+        count = 100 if args.count is None else args.count
+        caps = _parse_capacities(args.capacities)
+        rep = verify.check_path_suite(args.check, args.mode, args.n, count, args.seed, caps)
+        reports.append(rep)
     return _emit_reports(reports, args.json)
 
 
-def _parse_capacities(text: str):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part in ("inf", "infinity"):
-            out.append(None)
-        else:
-            out.append(int(part))
-    return out
-
-
-def _run_path_suite(args):
-    import time as _time
-
-    rng = __import__("random").Random(args.seed)
-    capacities = _parse_capacities(args.capacities)
-    t0 = _time.perf_counter()
-    counterexample = None
-    for k in range(args.count):
-        if args.mode == "inhom":
-            p = verify.random_inhom_path(rng, rng.randint(2, args.n))
-        else:
-            p = verify.random_basic_path(rng, rng.randint(2, args.n))
-        record = separate(p)
-        for cap in capacities:
-            if args.check == "theorem":
-                rep = check_commutation(p, cap, record)
-                if not rep.passed:
-                    counterexample = f"path #{k} {p}: {rep.mismatch}"
-                    break
-            else:
-                evolved = carrier_evolution(p, cap)
-                if colour_word(evolved) != record.word:
-                    counterexample = f"path #{k} {p}: word changed under capacity {cap}"
-                    break
-        if counterexample:
-            break
-    return verify.RelationReport(
-        f"{args.check}[mode={args.mode}, n<={args.n}, count={args.count}, seed={args.seed}]",
-        args.count * len(capacities),
-        counterexample,
-        _time.perf_counter() - t0,
-    )
+def _check_flags(args) -> None:
+    """Reject numeric flags below their least value; subcommands without one skip it."""
+    minima = {"n": 2, "steps": 0, "count": 0, "l": 1, "carriers": 0, "boxes": 0}
+    for flag, least in minima.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise CliError(f"--{flag} must be >= {least}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,10 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.check in ("theorem", "conservation"):
-        if args.count is None:
-            args.count = 100
     try:
+        _check_flags(args)
         return args.func(args)
     except (CliError, InvalidWordError, DomainSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,11 @@ class DomainSizeError(RuntimeError):
 
 def domain_cap() -> int:
     """Size cap for exhaustive enumerations (override with BBS_MAX_DOMAIN)."""
-    return int(os.environ.get("BBS_MAX_DOMAIN", _DEFAULT_DOMAIN_CAP))
+    raw = os.environ.get("BBS_MAX_DOMAIN", _DEFAULT_DOMAIN_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainSizeError(f"BBS_MAX_DOMAIN must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ A state is a half-infinite array of boxes holding letters; only a finite
 prefix is stored and the implicit tail is vacuum.  Evolutions are carrier
 sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
-removes one letter per sweep.
+removes one letter per sweep.  Both path kinds run the same sweeps; each
+path class names its vacuum box and the swap cores of its boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Iterator, Union
 
 from .crystals import ColumnPair, CountVector
 from .isomorphisms import (
@@ -35,6 +37,52 @@ def _parse_letter(ch: str, pos: int) -> int:
     raise ValueError(f"bad path character {ch!r} at position {pos}")
 
 
+def _entries(counts: CountVector) -> tuple[int, ...]:
+    out = []
+    for letter, c in enumerate(counts, start=1):
+        out.extend([letter] * c)
+    return tuple(out)
+
+
+def _counts(entries: tuple[int, ...], n: int) -> CountVector:
+    out = [0] * n
+    for v in entries:
+        out[v - 1] += 1
+    return tuple(out)
+
+
+def _trim(p, sites: tuple) -> None:
+    """Store `sites` on the new path `p` without its trailing vacuum boxes."""
+    k = len(sites)
+    while k > 0 and sites[k - 1] == p.vacuum:
+        k -= 1
+    object.__setattr__(p, "sites", sites[:k])
+
+
+def _rebuilt(p, sites: tuple):
+    """A path like `p` over swept `sites`; the cores only emit valid boxes."""
+    q = object.__new__(type(p))
+    q.__dict__.update(p.__dict__)
+    _trim(q, sites)
+    return q
+
+
+# count-vector adapters giving the row cores the call shapes of the box cores
+def _r_core(carrier: CountVector, site: CountVector):
+    new_site, new_carrier = combinatorial_r(carrier, site)
+    return new_site, new_carrier, "R"
+
+
+def _col_row_counts(top: int, bottom: int, counts: CountVector):
+    new, top, bottom, tag = col_row_core(top, bottom, _entries(counts))
+    return _counts(new, len(counts)), top, bottom, tag
+
+
+def _row_col_counts(counts: CountVector, top: int, bottom: int):
+    top, bottom, orig, tag = row_col_core(_entries(counts), top, bottom)
+    return top, bottom, _counts(orig, len(counts)), tag
+
+
 @dataclass(frozen=True)
 class BasicPath:
     """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed."""
@@ -42,16 +90,18 @@ class BasicPath:
     sites: tuple[int, ...]
     n: int
 
+    mode = "basic"
+    vacuum = 1
+    row_core = staticmethod(row_box_core)
+    col_core = staticmethod(col_box_core)
+    inv_col_core = staticmethod(box_col_core)
+
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"alphabet size must be >= 2, got {self.n}")
         if any(not 1 <= v <= self.n for v in self.sites):
             raise ValueError(f"letters must lie in 1..{self.n}: {self.sites}")
-        k = len(self.sites)
-        while k > 0 and self.sites[k - 1] == 1:
-            k -= 1
-        if k != len(self.sites):
-            object.__setattr__(self, "sites", self.sites[:k])
+        _trim(self, self.sites)
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "BasicPath":
@@ -60,14 +110,32 @@ class BasicPath:
             n = max([2, *sites])
         return cls(sites, n)
 
-    def render(self, width: int | None = None) -> str:
-        body = "".join("." if v == 1 else str(v) for v in self.sites)
-        if width is not None and width > len(body):
-            body += "." * (width - len(body))
-        return body
+    def empty_row(self, capacity: int) -> tuple[int, ...]:
+        return (1,) * capacity
 
-    def __str__(self) -> str:
-        return self.render()
+    def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
+        """(site index, letter) for each letter >= `least`, left to right."""
+        return ((k, v) for k, v in enumerate(self.sites) if v >= least)
+
+    def time_step(self) -> "BasicPath":
+        return time_evolution(self)
+
+    def render(self, width: int | None = None) -> str:
+        """'.' for an empty box, padded to `width` boxes; comma-separated when n > 9."""
+        cells = ["." if v == 1 else str(v) for v in self.sites]
+        cells += ["."] * ((width or 0) - len(cells))
+        return ("" if self.n <= 9 else ",").join(cells)
+
+    def json_state(self):
+        return self.render() if self.n <= 9 else list(self.sites)
+
+    def json_extras(self) -> dict:
+        return {}
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "mode": self.mode, "state": self.json_state()}
+
+    __str__ = render
 
 
 @dataclass(frozen=True)
@@ -79,6 +147,11 @@ class InhomPath:
     n: int
     tail_capacity: int = 1
 
+    mode = "inhom"
+    row_core = staticmethod(_r_core)
+    col_core = staticmethod(_col_row_counts)
+    inv_col_core = staticmethod(_row_col_counts)
+
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"alphabet size must be >= 2, got {self.n}")
@@ -88,62 +161,56 @@ class InhomPath:
         for k, c in enumerate(sites):
             if len(c) != self.n or any(v < 0 for v in c) or sum(c) < 1:
                 raise ValueError(f"bad count vector at site {k + 1}: {c}")
-        k = len(sites)
-        vac = _vacuum_counts(self.tail_capacity, self.n)
-        while k > 0 and sites[k - 1] == vac:
-            k -= 1
-        object.__setattr__(self, "sites", sites[:k])
+        _trim(self, sites)
+
+    @property
+    def vacuum(self) -> CountVector:
+        return self.empty_row(self.tail_capacity)
+
+    def empty_row(self, capacity: int) -> CountVector:
+        return (capacity,) + (0,) * (self.n - 1)
 
     @property
     def capacities(self) -> tuple[int, ...]:
         return tuple(sum(c) for c in self.sites)
 
-    def render(self) -> str:
+    def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
+        """(site index, letter) for each letter >= `least`, left to right."""
+        wanted = range(least, self.n + 1)
+        sites = enumerate(self.sites)
+        return ((k, v) for k, c in sites for v in wanted for _ in range(c[v - 1]))
+
+    def time_step(self) -> "InhomPath":
+        """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
+        return carrier_evolution(self, None)
+
+    def render(self, width: int | None = None) -> str:
+        """Count vectors in brackets; only basic rows are padded to `width`."""
         return "".join("[" + ",".join(str(v) for v in c) + "]" for c in self.sites)
 
-    def __str__(self) -> str:
-        return self.render()
+    def json_state(self):
+        return [list(c) for c in self.sites]
+
+    def json_extras(self) -> dict:
+        return {"tail_capacity": self.tail_capacity}
+
+    def to_json(self) -> dict:
+        sites = [{"capacity": sum(c), "counts": list(c)} for c in self.sites]
+        return {"n": self.n, "mode": self.mode, **self.json_extras(), "sites": sites}
+
+    __str__ = render
 
 
 Path = Union[BasicPath, InhomPath]
 
 
-def _vacuum_counts(capacity: int, n: int) -> CountVector:
-    return (capacity,) + (0,) * (n - 1)
-
-
-def _counts_to_entries(counts: CountVector) -> tuple[int, ...]:
-    out = []
-    for letter, c in enumerate(counts, start=1):
-        out.extend([letter] * c)
-    return tuple(out)
-
-
-def _entries_to_counts(entries: tuple[int, ...], n: int) -> CountVector:
-    out = [0] * n
-    for v in entries:
-        out[v - 1] += 1
-    return tuple(out)
-
-
-def _is_vacuum(counts: CountVector) -> bool:
-    return all(v == 0 for v in counts[1:])
-
-
 def front(p: Path) -> int:
-    """1-based position of the rightmost non-vacuum box; 0 for vacuum paths."""
-    if isinstance(p, BasicPath):
-        return len(p.sites)
-    for k in range(len(p.sites), 0, -1):
-        if not _is_vacuum(p.sites[k - 1]):
-            return k
-    return 0
+    """1-based position of the rightmost box holding a ball; 0 for vacuum paths."""
+    return max((k + 1 for k, _ in p.letters(2)), default=0)
 
 
 def ball_count(p: Path) -> int:
-    if isinstance(p, BasicPath):
-        return sum(1 for v in p.sites if v >= 2)
-    return sum(sum(c[1:]) for c in p.sites)
+    return sum(1 for _ in p.letters(2))
 
 
 def initial_carrier(n: int) -> ColumnPair:
@@ -163,17 +230,17 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
+    """One sweep: paths before and after, the carrier leaving the sites, a step per site."""
+
     before: Path
     after: Path
-    steps: tuple[TraceStep, ...] = field(default=())
+    carrier: tuple
+    steps: tuple[TraceStep, ...]
 
 
 def replay_trace(trace: EvolutionTrace) -> Path:
     """Rebuild the output path from the recorded per-site results."""
-    after = [s.site_after for s in trace.steps]
-    if isinstance(trace.before, BasicPath):
-        return BasicPath(tuple(after), trace.before.n)
-    return InhomPath(tuple(after), trace.before.n, trace.before.tail_capacity)
+    return _rebuilt(trace.before, tuple(s.site_after for s in trace.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -208,109 +275,88 @@ def time_evolution(p: BasicPath) -> BasicPath:
 
 # ---------------------------------------------------------------------------
 # carrier sweeps
+#
+# The forward sweeps walk the stored sites and then the vacuum tail; the
+# carrier is tested for having settled only past the stored sites.
 
 
-def carrier_evolution(p: Path, capacity: int | None = None, want_trace: bool = False):
+def _row_sweep(p: Path, capacity: int | None, core) -> tuple[Path, tuple]:
+    if capacity is not None and capacity < 1:
+        raise ValueError("carrier capacity must be >= 1")
+    balls = ball_count(p)
+    carrier = empty = p.empty_row(capacity if capacity is not None else max(1, balls))
+    end = len(p.sites)
+    out = []
+    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
+        if k >= end:
+            if carrier == empty:
+                break
+            if k > end + balls + 2:
+                raise RuntimeError("carrier sweep failed to unload; this is a bug")
+        emitted, carrier, _ = core(carrier, site)
+        out.append(emitted)
+    return _rebuilt(p, tuple(out)), carrier
+
+
+def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
     """Sweep a row carrier of the given capacity across the path.
 
     `capacity=None` means unbounded, realized as the total ball count
-    (beyond which the evolution is stable).  Returns the new path, or
-    (path, trace) when tracing.
-    """
-    if capacity is not None and capacity < 1:
-        raise ValueError("carrier capacity must be >= 1")
-    cap = capacity if capacity is not None else max(1, ball_count(p))
+    (beyond which the evolution is stable)."""
+    return _row_sweep(p, capacity, p.row_core)[0]
+
+
+def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionTrace:
+    """`carrier_evolution` with one trace step per swept site."""
     steps: list[TraceStep] = []
-    if isinstance(p, BasicPath):
-        carrier = (1,) * cap
-        out = []
-        sweep = list(p.sites)
-        guard = len(p.sites) + ball_count(p) + 2
-        k = 0
-        while k < len(sweep) or any(v != 1 for v in carrier):
-            site = sweep[k] if k < len(sweep) else 1
-            emitted, new_carrier, tag = row_box_core(carrier, site)
-            out.append(emitted)
-            if want_trace:
-                steps.append(TraceStep(k + 1, tag, carrier, new_carrier, site, emitted))
-            carrier = new_carrier
-            k += 1
-            if k > guard:
-                raise RuntimeError("carrier sweep failed to unload; this is a bug")
-        result: Path = BasicPath(tuple(out), p.n)
-    else:
-        carrier = _vacuum_counts(cap, p.n)
-        vac = _vacuum_counts(p.tail_capacity, p.n)
-        out = []
-        guard = len(p.sites) + ball_count(p) + 2
-        k = 0
-        while k < len(p.sites) or not _is_vacuum(carrier):
-            site = p.sites[k] if k < len(p.sites) else vac
-            new_site, new_carrier = combinatorial_r(carrier, site)
-            out.append(new_site)
-            if want_trace:
-                steps.append(TraceStep(k + 1, "R", carrier, new_carrier, site, new_site))
-            carrier = new_carrier
-            k += 1
-            if k > guard:
-                raise RuntimeError("carrier sweep failed to unload; this is a bug")
-        result = InhomPath(tuple(out), p.n, p.tail_capacity)
-    if want_trace:
-        return result, EvolutionTrace(p, result, tuple(steps))
-    return result
+
+    def core(carrier, site):
+        emitted, new, tag = p.row_core(carrier, site)
+        steps.append(TraceStep(len(steps) + 1, tag, carrier, new, site, emitted))
+        return emitted, new, tag
+
+    q, carrier = _row_sweep(p, capacity, core)
+    return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
-def decoding_pass(p: Path, want_trace: bool = False):
+def _column_sweep(p: Path, core) -> tuple[Path, tuple[int, int]]:
+    top, bottom = 1, 2
+    end = len(p.sites)
+    out = []
+    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
+        if k >= end:
+            if top == 1:
+                break
+            if k > end:
+                raise RuntimeError("decoding carrier failed to settle; this is a bug")
+        emitted, top, bottom, _ = core(top, bottom, site)
+        out.append(emitted)
+    return _rebuilt(p, tuple(out)), (top, bottom)
+
+
+def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     """One pass of the decoding carrier; returns (path, outgoing carrier).
 
     The carrier starts as (1,2), deposits its 2 somewhere, and leaves with
     the removed letter in its bottom slot.  Beyond the front the carrier
     is inert, so the sweep stops at most one box past it.
     """
+    q, (_, bottom) = _column_sweep(p, p.col_core)
+    return q, ColumnPair(1, bottom, p.n)
+
+
+def decoding_pass_traced(p: Path) -> EvolutionTrace:
+    """`decoding_pass` with one trace step per swept site; the outgoing
+    carrier is `(1, removed letter)`."""
     steps: list[TraceStep] = []
-    top, bottom = 1, 2
-    if isinstance(p, BasicPath):
-        out = []
-        for k, site in enumerate(p.sites):
-            emitted, t2, b2, tag = col_box_core(top, bottom, site)
-            out.append(emitted)
-            if want_trace:
-                steps.append(TraceStep(k + 1, tag, (top, bottom), (t2, b2), site, emitted))
-            top, bottom = t2, b2
-        k = len(p.sites)
-        while top != 1:
-            emitted, t2, b2, tag = col_box_core(top, bottom, 1)
-            out.append(emitted)
-            if want_trace:
-                steps.append(TraceStep(k + 1, tag, (top, bottom), (t2, b2), 1, emitted))
-            top, bottom = t2, b2
-            k += 1
-            if k > len(p.sites) + 1:
-                raise RuntimeError("decoding carrier failed to settle; this is a bug")
-        result: Path = BasicPath(tuple(out), p.n)
-    else:
-        out = []
-        vac = _vacuum_counts(p.tail_capacity, p.n)
-        k = 0
-        while k < len(p.sites) or top != 1:
-            counts = p.sites[k] if k < len(p.sites) else vac
-            entries = _counts_to_entries(counts)
-            new_entries, t2, b2, tag = col_row_core(top, bottom, entries)
-            new_counts = _entries_to_counts(new_entries, p.n)
-            out.append(new_counts)
-            if want_trace:
-                steps.append(
-                    TraceStep(k + 1, tag, (top, bottom), (t2, b2), counts, new_counts)
-                )
-            top, bottom = t2, b2
-            k += 1
-            if k > len(p.sites) + 1:
-                raise RuntimeError("decoding carrier failed to settle; this is a bug")
-        result = InhomPath(tuple(out), p.n, p.tail_capacity)
-    carrier = ColumnPair(1, bottom, p.n)
-    if want_trace:
-        return result, carrier, EvolutionTrace(p, result, tuple(steps))
-    return result, carrier
+
+    def core(top, bottom, site):
+        emitted, t2, b2, tag = p.col_core(top, bottom, site)
+        steps.append(TraceStep(len(steps) + 1, tag, (top, bottom), (t2, b2), site, emitted))
+        return emitted, t2, b2, tag
+
+    q, carrier = _column_sweep(p, core)
+    return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
 def encoding_pass(p: Path, removed_letter: int) -> Path:
@@ -320,26 +366,14 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
     raises InvalidWordError."""
     if not 2 <= removed_letter <= p.n:
         raise InvalidWordError(f"word letters must lie in 2..{p.n}, got {removed_letter}")
+    core = p.inv_col_core
     top, bottom = 1, removed_letter
-    if isinstance(p, BasicPath):
-        out = []
-        for site in reversed(p.sites):
-            t2, b2, orig, _ = box_col_core(site, top, bottom)
-            out.append(orig)
-            top, bottom = t2, b2
-        if (top, bottom) != (1, 2):
-            raise InvalidWordError(
-                f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
-            )
-        return BasicPath(tuple(reversed(out)), p.n)
     out = []
-    for counts in reversed(p.sites):
-        entries = _counts_to_entries(counts)
-        t2, b2, orig_entries, _ = row_col_core(entries, top, bottom)
-        out.append(_entries_to_counts(orig_entries, p.n))
-        top, bottom = t2, b2
+    for site in reversed(p.sites):
+        top, bottom, orig, _ = core(site, top, bottom)
+        out.append(orig)
     if (top, bottom) != (1, 2):
         raise InvalidWordError(
             f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
         )
-    return InhomPath(tuple(reversed(out)), p.n, p.tail_capacity)
+    return _rebuilt(p, tuple(reversed(out)))

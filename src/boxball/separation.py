@@ -7,14 +7,12 @@ from dataclasses import dataclass
 
 from .crystals import ColumnPair
 from .dynamics import (
-    BasicPath,
-    InhomPath,
     InvalidWordError,
     Path,
+    carrier_evolution,
     decoding_pass,
     encoding_pass,
     front,
-    carrier_evolution,
 )
 
 ColourWord = tuple[int, ...]
@@ -22,15 +20,7 @@ ColourWord = tuple[int, ...]
 
 def is_monochrome(p: Path) -> bool:
     """True when no letter exceeds 2."""
-    if isinstance(p, BasicPath):
-        return all(v <= 2 for v in p.sites)
-    return all(all(v == 0 for v in c[2:]) for c in p.sites)
-
-
-def _colour_census(p: Path) -> int:
-    if isinstance(p, BasicPath):
-        return sum(1 for v in p.sites if v >= 3)
-    return sum(sum(c[2:]) for c in p.sites)
+    return next(p.letters(3), None) is None
 
 
 @dataclass(frozen=True)
@@ -64,36 +54,30 @@ class SeparationRecord:
         return tuple(reversed(self.word))
 
     def to_json_dict(self) -> dict:
-        def render(p: Path):
-            return p.render() if isinstance(p, BasicPath) else [list(c) for c in p.sites]
-
-        doc = {
+        return {
             "n": self.source.n,
-            "mode": "basic" if isinstance(self.source, BasicPath) else "inhom",
-            "monochrome": render(self.monochrome),
+            "mode": self.source.mode,
+            "monochrome": self.monochrome.json_state(),
             "word": "".join(str(v) for v in self.word)
             if self.source.n <= 9
             else list(self.word),
             "steps": [
-                {"s": s.index, "state": render(s.state)}
+                {"s": s.index, "state": s.state.json_state()}
                 | ({"removed": s.removed} if s.removed is not None else {})
                 for s in self.steps
             ],
+            **self.source.json_extras(),
         }
-        if isinstance(self.source, InhomPath):
-            doc["tail_capacity"] = self.source.tail_capacity
-        return doc
 
 
 def separate(p: Path) -> SeparationRecord:
     """Run decoding passes until no letter exceeds 2, with the minimal
     number of passes.  Termination is guaranteed; the cap below only trips
     on an implementation bug."""
-    if isinstance(p, BasicPath):
-        window = front(p)
-    else:
-        window = sum(p.capacities[: front(p)])
-    cap = (_colour_census(p) + 1) * (window + _colour_census(p) + 1) + 2
+    census = sum(1 for _ in p.letters(3))
+    end = front(p)
+    window = sum(1 for k, _ in p.letters() if k < end)  # letter slots up to the front
+    cap = (census + 1) * (window + census + 1) + 2
     removed: list[int] = []
     states = [p]
     cur = p

@@ -25,7 +25,9 @@ from .crystals import (
     tensor_size,
     weight_of,
 )
+from .dynamics import BasicPath, InhomPath, carrier_evolution
 from .isomorphisms import apply_word, swap_adjacent, swap_pair
+from .separation import check_commutation, colour_word, separate
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class DecompositionFixture:
 
 
 # ---------------------------------------------------------------------------
-# random element helpers (seeded; shared with the test suite)
+# seeded random elements (shared with the test suite) and the path suites
 
 
 def random_factor(rng: random.Random, shape: Shape, n: int):
@@ -75,8 +77,6 @@ def random_tensor(rng: random.Random, shapes, n: int) -> TensorElement:
 
 
 def random_basic_path(rng: random.Random, n: int, max_len: int = 60, max_balls: int = 25):
-    from .dynamics import BasicPath
-
     length = rng.randint(1, max_len)
     balls = rng.randint(0, min(max_balls, length))
     positions = rng.sample(range(length), balls)
@@ -92,8 +92,6 @@ def random_inhom_path(
     max_sites: int = 14,
     cap_range: tuple[int, int] = (1, 4),
 ):
-    from .dynamics import InhomPath
-
     sites = []
     for _ in range(rng.randint(1, max_sites)):
         cap = rng.randint(*cap_range)
@@ -105,6 +103,37 @@ def random_inhom_path(
             counts[letter - 1] += 1
         sites.append(tuple(counts))
     return InhomPath(tuple(sites), n, rng.randint(*cap_range))
+
+
+def check_path_suite(
+    relation: str, mode: str, n: int, count: int, seed: int, capacities
+) -> RelationReport:
+    """On `count` seeded random paths of `mode` "basic" or "inhom" (alphabets 2..n),
+    evolving by each carrier capacity (None: unbounded) commutes with decoding
+    (`relation` "theorem") or keeps the colour word ("conservation")."""
+    rng = random.Random(seed)
+    random_path = random_inhom_path if mode == "inhom" else random_basic_path
+
+    def counterexamples():
+        for k in range(count):
+            p = random_path(rng, rng.randint(2, n))
+            record = separate(p)
+            for cap in capacities:
+                if relation == "theorem":
+                    rep = check_commutation(p, cap, record)
+                    if not rep.passed:
+                        yield f"path #{k} {p}: {rep.mismatch}"
+                elif colour_word(carrier_evolution(p, cap)) != record.word:
+                    yield f"path #{k} {p}: word changed under capacity {cap}"
+
+    t0 = time.perf_counter()
+    counterexample = next(counterexamples(), None)
+    return RelationReport(
+        f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]",
+        count * len(capacities),
+        counterexample,
+        time.perf_counter() - t0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import boxball.verify
 from boxball.cli import main
 from boxball.separation import combine
@@ -235,19 +237,50 @@ def test_empty_input_rejected(monkeypatch, capsys):
     assert "empty" in err
 
 
+BAD_INPUTS = {
+    "missing-file": (["evolve", "missing.txt"], {}),
+    "file-not-utf8": (["evolve", "binary.txt"], {}),
+    "capacity-not-int": (["verify", "theorem", "--capacities", "1,x"], {}),
+    "capacity-zero": (["verify", "theorem", "--capacities", "0"], {}),
+    "braid-n1": (["verify", "braid", "--n", "1"], {}),
+    "composition-n1": (["verify", "composition", "--n", "1"], {}),
+    "theorem-n1": (["verify", "theorem", "--n", "1"], {}),
+    "conservation-n1": (["verify", "conservation", "--n", "1"], {}),
+    "shape-zero": (["verify", "braid", "--shapes", "0"], {}),
+    "row-capacity-zero": (["verify", "composition", "--l", "0"], {}),
+    "carriers-negative": (["verify", "composition", "--carriers", "-1"], {}),
+    "domain-cap-not-int": (["verify", "braid"], {"BBS_MAX_DOMAIN": "abc"}),
+    "steps-negative": (["evolve", "--steps", "-3"], {}),
+    "count-negative": (["verify", "theorem", "--count", "-5"], {}),
+}
+
+
+@pytest.mark.parametrize("argv, env", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, env):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe.2\n")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(monkeypatch, capsys, argv, ".2.\n")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_state_render_parse_round_trip():
     import random
 
-    from boxball.cli import parse_state, state_to_json
+    from boxball.cli import parse_state
     from boxball.verify import random_basic_path, random_inhom_path
 
     rng = random.Random(5)
     for _ in range(50):
         p = random_basic_path(rng, rng.randint(2, 5), 30, 10)
         assert parse_state(p.render() or ".", p.n) == p
-        assert parse_state(json.dumps(state_to_json(p))) == p
+        assert parse_state(json.dumps(p.to_json())) == p
         q = random_inhom_path(rng, rng.randint(2, 5))
-        assert parse_state(json.dumps(state_to_json(q))) == q
+        assert parse_state(json.dumps(q.to_json())) == q
 
 
 def test_module_entry_point_subprocess():

@@ -223,13 +223,16 @@ def test_inhom_decode_encode_round_trip():
 
 def test_trace_replay():
     p = dyn.BasicPath.from_string(COLOURED_ROWS[0])
-    q, b, trace = dyn.decoding_pass(p, want_trace=True)
+    q, b = dyn.decoding_pass(p)
+    trace = dyn.decoding_pass_traced(p)
     assert dyn.replay_trace(trace) == q
     assert trace.before == p and trace.after == q
     assert all(step.tag for step in trace.steps)
-    r, trace2 = dyn.carrier_evolution(p, 2, want_trace=True)
+    r = dyn.carrier_evolution(p, 2)
+    trace2 = dyn.carrier_evolution_traced(p, 2)
     assert dyn.replay_trace(trace2) == r
     rng = random.Random(17)
     ip = random_inhom_path(rng, 4)
-    iq, ib, itrace = dyn.decoding_pass(ip, want_trace=True)
+    iq, ib = dyn.decoding_pass(ip)
+    itrace = dyn.decoding_pass_traced(ip)
     assert dyn.replay_trace(itrace) == iq

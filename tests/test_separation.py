@@ -1,4 +1,6 @@
+import json
 import random
+from itertools import product
 
 import pytest
 
@@ -195,6 +197,79 @@ def test_record_json_shape():
     assert "removed" not in doc["steps"][-1]
 
 
+def test_record_json_states_for_large_alphabets():
+    p = dyn.BasicPath((12, 3, 1, 1, 2), 12)
+    assert p.render() == "12,3,.,.,2"
+    assert p.render(7) == "12,3,.,.,2,.,."
+    rec = sep.separate(p)
+    doc = json.loads(json.dumps(rec.to_json_dict()))
+    assert doc["monochrome"] == list(rec.monochrome.sites)
+    rebuilt = [dyn.BasicPath(tuple(s["state"]), doc["n"]) for s in doc["steps"]]
+    assert rebuilt == [s.state for s in rec.steps]
+    assert [s.get("removed") for s in doc["steps"]] == [s.removed for s in rec.steps]
+
+
 def test_commutation_report_str():
     rep = sep.CommutationReport(False, 2, (2,), "words differ")
     assert "FAILED" in str(rep)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive small scope
+
+
+def _basic_paths(n, max_len):
+    """Every nonempty basic path over 1..n of length <= max_len, once each."""
+    for length in range(1, max_len + 1):
+        for head in product(range(1, n + 1), repeat=length - 1):
+            for last in range(2, n + 1):
+                yield dyn.BasicPath(head + (last,), n)
+
+
+def _inhom_paths(n, max_sites, capacities, tails):
+    boxes = [
+        c
+        for cap in capacities
+        for c in product(range(cap + 1), repeat=n)
+        if sum(c) == cap
+    ]
+    for tail in tails:
+        for k in range(max_sites + 1):
+            for sites in product(boxes, repeat=k):
+                yield dyn.InhomPath(sites, n, tail)
+
+
+def test_exhaustive_basic_round_trip_time_step_and_traces():
+    paths = [p for n in (2, 3) for p in _basic_paths(n, 7)] + list(_basic_paths(4, 6))
+    assert len(paths) == 6408
+    for p in paths:
+        rec = sep.separate(p)
+        assert sep.combine(rec.monochrome, rec.word) == p
+        evolved = dyn.carrier_evolution(p, None)
+        assert dyn.time_evolution(p) == evolved
+        assert dyn.carrier_evolution_traced(p, None).after == evolved
+        assert dyn.carrier_evolution_traced(p, 2).after == dyn.carrier_evolution(p, 2)
+        assert dyn.decoding_pass_traced(p).after == dyn.decoding_pass(p)[0]
+
+
+def test_exhaustive_basic_commutation():
+    paths = list(_basic_paths(3, 6)) + list(_basic_paths(4, 5))
+    assert len(paths) == 1751
+    for p in paths:
+        rec = sep.separate(p)
+        for cap in (1, 2, 3, None):
+            rep = sep.check_commutation(p, cap, rec)
+            assert rep.passed, (p, rep.mismatch)
+
+
+def test_exhaustive_inhom_round_trip_and_commutation():
+    paths = list(dict.fromkeys(_inhom_paths(3, 3, (1, 2), (1, 2))))
+    assert len(paths) == 1458
+    for p in paths:
+        rec = sep.separate(p)
+        assert sep.combine(rec.monochrome, rec.word) == p
+        assert dyn.decoding_pass_traced(p).after == dyn.decoding_pass(p)[0]
+        assert dyn.carrier_evolution_traced(p, 2).after == dyn.carrier_evolution(p, 2)
+        for cap in (1, 2, 3, None):
+            rep = sep.check_commutation(p, cap, rec)
+            assert rep.passed, (p, rep.mismatch)
