@@ -5,6 +5,7 @@ State documents are either a bare ASCII path ('.'=empty, digits 2..9) or a
 JSON object:
 
     {"n": 5, "mode": "basic", "state": "55432.....542....2"}
+    {"n": 12, "mode": "basic", "state": [12, 3, 1, 1, 2]}
     {"n": 4, "mode": "inhom", "tail_capacity": 1,
      "sites": [{"capacity": 3, "counts": [1, 0, 2, 0]}, ...]}
 """
@@ -30,6 +31,13 @@ from .separation import separate
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other bad input, without the usage."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _read_input(args) -> str:
@@ -74,6 +82,10 @@ def _state_from_document(doc: dict, n_override: int | None):
         mode = doc.get("mode", "basic")
         if mode == "basic":
             state = doc["state"]
+            if isinstance(state, list):
+                if not all(type(v) is int for v in state):
+                    raise CliError(f"state letters must be integers: {state}")
+                return BasicPath(tuple(state), n)
             if n <= 9:
                 return BasicPath.from_string(state, n)
             raise CliError("ASCII payload needs n <= 9")
@@ -218,7 +230,7 @@ def _check_flags(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxball", description="Coloured box-ball evolutions and colour separation"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
     except (CliError, InvalidWordError, DomainSizeError) as exc:

@@ -62,10 +62,7 @@ class RowTableau:
 
     def counts(self) -> CountVector:
         """Multiplicity vector (x_1..x_n) of each letter."""
-        out = [0] * self.n
-        for v in self.entries:
-            out[v - 1] += 1
-        return tuple(out)
+        return entries_to_counts(self.entries, self.n)
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -152,22 +149,31 @@ def tensor(*factors: Factor) -> TensorElement:
     return TensorElement(tuple(factors))
 
 
-def row_to_counts(b: RowTableau) -> CountVector:
-    return b.counts()
+def counts_to_entries(counts: CountVector) -> tuple[int, ...]:
+    """The sorted letters of a count vector (x_1..x_n)."""
+    out = []
+    for letter, c in enumerate(counts, start=1):
+        out.extend([letter] * c)
+    return tuple(out)
+
+
+def entries_to_counts(entries: tuple[int, ...], n: int) -> CountVector:
+    """Multiplicity vector (x_1..x_n) of each letter in `entries`."""
+    out = [0] * n
+    for v in entries:
+        out[v - 1] += 1
+    return tuple(out)
 
 
 def counts_to_row(counts: CountVector, n: int | None = None) -> RowTableau:
-    """Inverse of `row_to_counts`; the vector length fixes the alphabet."""
+    """Inverse of `RowTableau.counts`; the vector length fixes the alphabet."""
     if n is None:
         n = len(counts)
     if len(counts) != n:
         raise ValueError(f"count vector must have length {n}: {counts}")
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be non-negative: {counts}")
-    entries = []
-    for letter, c in enumerate(counts, start=1):
-        entries.extend([letter] * c)
-    return RowTableau(tuple(entries), n)
+    return RowTableau(counts_to_entries(counts), n)
 
 
 def weight_of(x: Factor | TensorElement) -> Weight:
@@ -193,43 +199,24 @@ def _check_index(i: int, n: int) -> None:
         raise ValueError(f"operator index must lie in 1..{n - 1}, got {i}")
 
 
-def _lower_row(i: int, b: RowTableau) -> RowTableau | None:
-    # replace the rightmost i with i+1
-    e = b.entries
-    k = bisect_right(e, i) - 1
-    if k < 0 or e[k] != i:
-        return None
-    return RowTableau(e[:k] + (i + 1,) + e[k + 1 :], b.n)
+def _lowered(i: int, f: Factor) -> Factor:
+    """f_i on one factor whose phi_i is positive: one letter i becomes i+1."""
+    if isinstance(f, RowTableau):
+        k = bisect_right(f.entries, i) - 1  # the rightmost i
+        return RowTableau(f.entries[:k] + (i + 1,) + f.entries[k + 1 :], f.n)
+    if f.top == i:
+        return ColumnPair(i + 1, f.bottom, f.n)
+    return ColumnPair(f.top, i + 1, f.n)
 
 
-def _raise_row(i: int, b: RowTableau) -> RowTableau | None:
-    # replace the leftmost i+1 with i
-    e = b.entries
-    k = bisect_left(e, i + 1)
-    if k == len(e) or e[k] != i + 1:
-        return None
-    return RowTableau(e[:k] + (i,) + e[k + 1 :], b.n)
-
-
-def _lower_col(i: int, b: ColumnPair) -> ColumnPair | None:
-    # i -> i+1, allowed only when i is present and i+1 is not
-    if i + 1 in (b.top, b.bottom):
-        return None
-    if b.top == i:
-        return ColumnPair(i + 1, b.bottom, b.n)
-    if b.bottom == i:
-        return ColumnPair(b.top, i + 1, b.n)
-    return None
-
-
-def _raise_col(i: int, b: ColumnPair) -> ColumnPair | None:
-    if i in (b.top, b.bottom):
-        return None
-    if b.top == i + 1:
-        return ColumnPair(i, b.bottom, b.n)
-    if b.bottom == i + 1:
-        return ColumnPair(b.top, i, b.n)
-    return None
+def _raised(i: int, f: Factor) -> Factor:
+    """e_i on one factor whose epsilon_i is positive: one letter i+1 becomes i."""
+    if isinstance(f, RowTableau):
+        k = bisect_left(f.entries, i + 1)  # the leftmost i+1
+        return RowTableau(f.entries[:k] + (i,) + f.entries[k + 1 :], f.n)
+    if f.bottom == i + 1:
+        return ColumnPair(f.top, i, f.n)
+    return ColumnPair(i, f.bottom, f.n)
 
 
 def _factor_eps_phi(i: int, f: Factor) -> tuple[int, int]:
@@ -240,13 +227,37 @@ def _factor_eps_phi(i: int, f: Factor) -> tuple[int, int]:
     return int(present[1] and not present[0]), int(present[0] and not present[1])
 
 
-def _fold_eps_phi(i: int, factors: tuple[Factor, ...]) -> tuple[int, int]:
-    # left fold of the two-factor combination rules
-    e, p = _factor_eps_phi(i, factors[0])
-    for f in factors[1:]:
+def _signature(i: int, factors) -> tuple[int, int, int | None, int | None]:
+    """The i-signature rule: (epsilon_i, phi_i, factor e_i acts on, factor f_i acts on).
+
+    Each factor reads as epsilon minus signs followed by phi plus signs, and
+    a plus cancels the nearest uncancelled minus to its right.  e_i acts on
+    the factor of the rightmost uncancelled minus, f_i on that of the
+    leftmost uncancelled plus (None when there is no such sign)."""
+    eps = phi = 0
+    e_at = f_at = None
+    for k, f in enumerate(factors):
         ef, pf = _factor_eps_phi(i, f)
-        e, p = max(e, e + ef - p), max(pf, p + pf - ef)
-    return e, p
+        cancelled = min(phi, ef)
+        phi -= cancelled
+        if ef > cancelled:
+            eps += ef - cancelled
+            e_at = k
+        if phi == 0:
+            f_at = k if pf else None
+        phi += pf
+    return eps, phi, e_at, f_at
+
+
+def _factors(x: Factor | TensorElement) -> tuple[Factor, ...]:
+    return x.factors if isinstance(x, TensorElement) else (x,)
+
+
+def _replaced(x: Factor | TensorElement, k: int, y: Factor) -> Factor | TensorElement:
+    """x with factor k replaced by y; a bare factor is its own only factor."""
+    if isinstance(x, TensorElement):
+        return TensorElement(x.factors[:k] + (y,) + x.factors[k + 1 :])
+    return y
 
 
 def epsilon(i: int, x: Factor | TensorElement) -> int:
@@ -259,66 +270,29 @@ def phi(i: int, x: Factor | TensorElement) -> int:
 
 def eps_phi(i: int, x: Factor | TensorElement) -> tuple[int, int]:
     """The (epsilon_i, phi_i) string lengths of x."""
-    if isinstance(x, TensorElement):
-        _check_index(i, x.n)
-        return _fold_eps_phi(i, x.factors)
     _check_index(i, x.n)
-    return _factor_eps_phi(i, x)
-
-
-def _lower_factor(i: int, f: Factor) -> Factor | None:
-    return _lower_row(i, f) if isinstance(f, RowTableau) else _lower_col(i, f)
-
-
-def _raise_factor(i: int, f: Factor) -> Factor | None:
-    return _raise_row(i, f) if isinstance(f, RowTableau) else _raise_col(i, f)
-
-
-def _lower_factors(i: int, fs: tuple[Factor, ...]) -> tuple[Factor, ...] | None:
-    if len(fs) == 1:
-        y = _lower_factor(i, fs[0])
-        return None if y is None else (y,)
-    head, last = fs[:-1], fs[-1]
-    if _fold_eps_phi(i, head)[1] > _factor_eps_phi(i, last)[0]:
-        res = _lower_factors(i, head)
-        return None if res is None else res + (last,)
-    y = _lower_factor(i, last)
-    return None if y is None else head + (y,)
-
-
-def _raise_factors(i: int, fs: tuple[Factor, ...]) -> tuple[Factor, ...] | None:
-    if len(fs) == 1:
-        y = _raise_factor(i, fs[0])
-        return None if y is None else (y,)
-    head, last = fs[:-1], fs[-1]
-    if _fold_eps_phi(i, head)[1] >= _factor_eps_phi(i, last)[0]:
-        res = _raise_factors(i, head)
-        return None if res is None else res + (last,)
-    y = _raise_factor(i, last)
-    return None if y is None else head + (y,)
+    return _signature(i, _factors(x))[:2]
 
 
 def lowering(i: int, x):
     """Lowering operator: move one unit of letter i to i+1, or None."""
     _check_index(i, x.n)
-    if isinstance(x, TensorElement):
-        fs = _lower_factors(i, x.factors)
-        return None if fs is None else TensorElement(fs)
-    return _lower_factor(i, x)
+    fs = _factors(x)
+    k = _signature(i, fs)[3]
+    return None if k is None else _replaced(x, k, _lowered(i, fs[k]))
 
 
 def raising(i: int, x):
     """Raising operator, the partial inverse of `lowering`."""
     _check_index(i, x.n)
-    if isinstance(x, TensorElement):
-        fs = _raise_factors(i, x.factors)
-        return None if fs is None else TensorElement(fs)
-    return _raise_factor(i, x)
+    fs = _factors(x)
+    k = _signature(i, fs)[2]
+    return None if k is None else _replaced(x, k, _raised(i, fs[k]))
 
 
 def is_highest_weight(x: Factor | TensorElement) -> bool:
-    """True iff every raising operator annihilates x."""
-    return all(raising(i, x) is None for i in range(1, x.n))
+    """True iff every raising operator annihilates x, that is every epsilon_i is 0."""
+    return all(_signature(i, _factors(x))[0] == 0 for i in range(1, x.n))
 
 
 def crystal_size(shape: Shape, n: int) -> int:

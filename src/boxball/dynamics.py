@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, Union
 
-from .crystals import ColumnPair, CountVector
+from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
 from .isomorphisms import (
     box_col_core,
     col_box_core,
@@ -35,20 +35,6 @@ def _parse_letter(ch: str, pos: int) -> int:
     if ch.isdigit() and ch != "0" and ch != "1":
         return int(ch)
     raise ValueError(f"bad path character {ch!r} at position {pos}")
-
-
-def _entries(counts: CountVector) -> tuple[int, ...]:
-    out = []
-    for letter, c in enumerate(counts, start=1):
-        out.extend([letter] * c)
-    return tuple(out)
-
-
-def _counts(entries: tuple[int, ...], n: int) -> CountVector:
-    out = [0] * n
-    for v in entries:
-        out[v - 1] += 1
-    return tuple(out)
 
 
 def _trim(p, sites: tuple) -> None:
@@ -74,13 +60,13 @@ def _r_core(carrier: CountVector, site: CountVector):
 
 
 def _col_row_counts(top: int, bottom: int, counts: CountVector):
-    new, top, bottom, tag = col_row_core(top, bottom, _entries(counts))
-    return _counts(new, len(counts)), top, bottom, tag
+    new, top, bottom, tag = col_row_core(top, bottom, counts_to_entries(counts))
+    return entries_to_counts(new, len(counts)), top, bottom, tag
 
 
 def _row_col_counts(counts: CountVector, top: int, bottom: int):
-    top, bottom, orig, tag = row_col_core(_entries(counts), top, bottom)
-    return top, bottom, _counts(orig, len(counts)), tag
+    top, bottom, orig, tag = row_col_core(counts_to_entries(counts), top, bottom)
+    return top, bottom, entries_to_counts(orig, len(counts)), tag
 
 
 @dataclass(frozen=True)

@@ -241,15 +241,11 @@ def swap_pair(left: Factor, right: Factor) -> SwapResult:
 
 def swap_adjacent(t: TensorElement, i: int) -> TensorElement:
     """Swap factors i and i+1 (1-based) by the unique isomorphism."""
-    return swap_adjacent_tagged(t, i)[0]
-
-
-def swap_adjacent_tagged(t: TensorElement, i: int) -> tuple[TensorElement, str]:
     fs = t.factors
     if not 1 <= i <= len(fs) - 1:
         raise ValueError(f"position must lie in 1..{len(fs) - 1}, got {i}")
     res = swap_pair(fs[i - 1], fs[i])
-    return TensorElement(fs[: i - 1] + (res.left, res.right) + fs[i + 1 :]), res.case_tag
+    return TensorElement(fs[: i - 1] + (res.left, res.right) + fs[i + 1 :])
 
 
 def apply_word(t: TensorElement, word) -> TensorElement:

@@ -17,12 +17,17 @@ from .crystals import (
     RowTableau,
     Shape,
     TensorElement,
+    box,
+    col,
     counts_to_row,
     highest_weights,
     is_highest_weight,
     iter_tensor,
     lowering,
+    row,
+    tensor,
     tensor_size,
+    vacuum_row,
     weight_of,
 )
 from .dynamics import BasicPath, InhomPath, carrier_evolution
@@ -58,6 +63,24 @@ class DecompositionFixture:
     shapes: tuple[Shape, ...]
     n: int
     expected: tuple[tuple[Shape, int], ...]
+
+
+def _report(relation: str, domain: int, counterexamples, t0: float) -> RelationReport:
+    """The report on the first of `counterexamples` (pass if there is none),
+    timed from `t0`."""
+    counterexample = next(iter(counterexamples), None)
+    return RelationReport(relation, domain, counterexample, time.perf_counter() - t0)
+
+
+def _words_disagree(elements, pairs):
+    """For each element in turn, the message of every (message, word_a, word_b)
+    row whose two swap words send it to different elements.  A message may
+    name the element `{t}` and the two images `{lhs}`, `{rhs}`."""
+    for t in elements:
+        for message, word_a, word_b in pairs:
+            lhs, rhs = apply_word(t, word_a), apply_word(t, word_b)
+            if lhs != rhs:
+                yield message.format(t=t, lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +149,8 @@ def check_path_suite(
                 elif colour_word(carrier_evolution(p, cap)) != record.word:
                     yield f"path #{k} {p}: word changed under capacity {cap}"
 
-    t0 = time.perf_counter()
-    counterexample = next(counterexamples(), None)
-    return RelationReport(
-        f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]",
-        count * len(capacities),
-        counterexample,
-        time.perf_counter() - t0,
-    )
+    label = f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]"
+    return _report(label, count * len(capacities), counterexamples(), time.perf_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +209,15 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
     """Closed-form swap versus the oracle mapping, on the full pair domain."""
     t0 = time.perf_counter()
     table = isomorphism_table(shape_a, shape_b, n)
-    counterexample = None
-    for t, expected in table.items():
-        res = swap_pair(t.factors[0], t.factors[1])
-        got = TensorElement((res.left, res.right))
-        if got != expected:
-            counterexample = f"{t} -> {got}, oracle says {expected}"
-            break
-    return RelationReport(
-        f"oracle[{shape_a}x{shape_b}, n={n}]",
-        len(table),
-        counterexample,
-        time.perf_counter() - t0,
-    )
+
+    def counterexamples():
+        for t, expected in table.items():
+            res = swap_pair(t.factors[0], t.factors[1])
+            got = TensorElement((res.left, res.right))
+            if got != expected:
+                yield f"{t} -> {got}, oracle says {expected}"
+
+    return _report(f"oracle[{shape_a}x{shape_b}, n={n}]", len(table), counterexamples(), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +242,14 @@ def check_symmetric_group(
     t0 = time.perf_counter()
     elements = _domain(shapes, n, mode, seed, count)
     k = len(tuple(shapes))
-    counterexample = None
-    for t in elements:
-        for i in range(1, k):
-            if swap_adjacent(swap_adjacent(t, i), i) != t:
-                counterexample = f"swap_{i}^2 != id at {t}"
-                break
-        if counterexample:
-            break
-        for i in range(1, k - 1):
-            lhs = apply_word(t, [i, i + 1, i])
-            rhs = apply_word(t, [i + 1, i, i + 1])
-            if lhs != rhs:
-                counterexample = f"braid fails at position {i} on {t}: {lhs} vs {rhs}"
-                break
-        if counterexample:
-            break
-        for i in range(1, k):
-            for j in range(i + 2, k):
-                if apply_word(t, [i, j]) != apply_word(t, [j, i]):
-                    counterexample = f"far commutation fails at ({i},{j}) on {t}"
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
+    pairs = [("swap_%d^2 != id at {t}" % i, [i, i], []) for i in range(1, k)]
+    braid = "braid fails at position %d on {t}: {lhs} vs {rhs}"
+    pairs += [(braid % i, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
+    far = "far commutation fails at (%d,%d) on {t}"
+    pairs += [(far % (i, j), [i, j], [j, i]) for i in range(1, k) for j in range(i + 2, k)]
     label = ",".join(str(tuple(s)) for s in shapes)
-    return RelationReport(
-        f"symmetric-group[{label}; n={n}; {mode}]",
-        len(elements),
-        counterexample,
-        time.perf_counter() - t0,
-    )
+    relation = f"symmetric-group[{label}; n={n}; {mode}]"
+    return _report(relation, len(elements), _words_disagree(elements, pairs), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +258,6 @@ def check_symmetric_group(
 
 
 def _chain_fixtures_row_box_col(n: int = 3, ell: int = 3):
-    from .crystals import box, col, row, tensor, vacuum_row
-
     u = vacuum_row(ell, n)
     chain1 = [
         tensor(u, box(1, n), col(2, 3, n)),
@@ -294,8 +281,6 @@ def _chain_fixtures_row_box_col(n: int = 3, ell: int = 3):
 
 
 def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int, n: int = 3):
-    from .crystals import col, tensor
-
     def rw(c1, c2, c3):
         return counts_to_row((c1, c2, c3) + (0,) * (n - 3), n)
 
@@ -332,26 +317,18 @@ def check_highest_weight_chains() -> RelationReport:
     fixtures = list(_chain_fixtures_row_box_col())
     for x in (0, 1):
         fixtures.extend(_chain_fixtures_two_rows_col(3, 2, x))
-    counterexample = None
-    total = 0
-    for name, chain in fixtures:
-        if not is_highest_weight(chain[0]):
-            counterexample = f"{name}: start {chain[0]} is not highest weight"
-            break
-        cur = chain[0]
-        for step in range(6):
-            cur = swap_adjacent(cur, 1 if step % 2 == 0 else 2)
-            total += 1
-            if cur != chain[step + 1]:
-                counterexample = (
-                    f"{name} step {step + 1}: got {cur}, expected {chain[step + 1]}"
-                )
-                break
-        if counterexample:
-            break
-    return RelationReport(
-        "highest-weight-chains", total, counterexample, time.perf_counter() - t0
-    )
+
+    def counterexamples():
+        for name, chain in fixtures:
+            if not is_highest_weight(chain[0]):
+                yield f"{name}: start {chain[0]} is not highest weight"
+            cur = chain[0]
+            for step in range(6):
+                cur = swap_adjacent(cur, 1 if step % 2 == 0 else 2)
+                if cur != chain[step + 1]:
+                    yield f"{name} step {step + 1}: got {cur}, expected {chain[step + 1]}"
+
+    return _report("highest-weight-chains", 6 * len(fixtures), counterexamples(), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +361,9 @@ def check_carrier_composition(
     t0 = time.perf_counter()
     shapes = [(ell,)] + [(1, 1)] * n_carriers + [(1,)] * n_boxes
     elements = _domain(shapes, n, mode, seed, count)
-    word_x, word_y = composition_words(n_carriers, n_boxes)
-    counterexample = None
-    for t in elements:
-        if apply_word(t, word_x) != apply_word(t, word_y):
-            counterexample = f"compositions differ on {t}"
-            break
-    return RelationReport(
-        f"carrier-composition[l={ell},N={n_carriers},L={n_boxes},n={n};{mode}]",
-        len(elements),
-        counterexample,
-        time.perf_counter() - t0,
-    )
+    pairs = [("compositions differ on {t}", *composition_words(n_carriers, n_boxes))]
+    relation = f"carrier-composition[l={ell},N={n_carriers},L={n_boxes},n={n};{mode}]"
+    return _report(relation, len(elements), _words_disagree(elements, pairs), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +426,12 @@ def check_decomposition(fixture: DecompositionFixture) -> RelationReport:
     grouped = highest_weights(fixture.shapes, fixture.n)
     got = {w: len(elems) for w, elems in grouped.items()}
     expected = {_as_weight(s, fixture.n): m for s, m in fixture.expected}
-    counterexample = None
-    if got != expected:
-        missing = {w: m for w, m in expected.items() if got.get(w) != m}
-        extra = {w: m for w, m in got.items() if expected.get(w) != m}
-        counterexample = f"expected {missing}, found {extra}"
+    missing = {w: m for w, m in expected.items() if got.get(w) != m}
+    extra = {w: m for w, m in got.items() if expected.get(w) != m}
+    counterexamples = [f"expected {missing}, found {extra}"] if missing or extra else []
     label = "x".join(str(tuple(s)) for s in fixture.shapes)
-    return RelationReport(
-        f"decomposition[{label}, n={fixture.n}]",
-        tensor_size(fixture.shapes, fixture.n),
-        counterexample,
-        time.perf_counter() - t0,
-    )
+    size = tensor_size(fixture.shapes, fixture.n)
+    return _report(f"decomposition[{label}, n={fixture.n}]", size, counterexamples, t0)
 
 
 def standard_decomposition_fixtures() -> list[DecompositionFixture]:

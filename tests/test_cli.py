@@ -252,6 +252,9 @@ BAD_INPUTS = {
     "domain-cap-not-int": (["verify", "braid"], {"BBS_MAX_DOMAIN": "abc"}),
     "steps-negative": (["evolve", "--steps", "-3"], {}),
     "count-negative": (["verify", "theorem", "--count", "-5"], {}),
+    "steps-not-int": (["evolve", "--steps", "x"], {}),
+    "unknown-flag": (["evolve", "--bogus"], {}),
+    "shapes-missing-value": (["verify", "braid", "--shapes", "-1,1"], {}),
 }
 
 
@@ -281,6 +284,9 @@ def test_state_render_parse_round_trip():
         assert parse_state(json.dumps(p.to_json())) == p
         q = random_inhom_path(rng, rng.randint(2, 5))
         assert parse_state(json.dumps(q.to_json())) == q
+    for _ in range(20):
+        p = random_basic_path(rng, 12, 30, 10)
+        assert parse_state(json.dumps(p.to_json())) == p
 
 
 def test_module_entry_point_subprocess():

@@ -98,6 +98,7 @@ def test_tensor_raising_examples():
 )
 def test_lowering_raising_mutual_inverse(shapes, n):
     for t in cr.iter_tensor(shapes, n):
+        assert cr.is_highest_weight(t) == all(cr.raising(i, t) is None for i in range(1, n))
         for i in range(1, n):
             ft = cr.lowering(i, t)
             if ft is not None:
@@ -222,11 +223,11 @@ def test_domain_cap_guard(monkeypatch):
 
 
 def test_counts_round_trip():
-    assert cr.row_to_counts(cr.row("112", 3)) == (2, 1, 0)
+    assert cr.row("112", 3).counts() == (2, 1, 0)
     assert cr.counts_to_row((3, 0, 0)) == cr.row("111", 3)
     n = 4
     for b in cr.iter_crystal((4,), n):
-        assert cr.counts_to_row(cr.row_to_counts(b), n) == b
+        assert cr.counts_to_row(b.counts(), n) == b
     with pytest.raises(ValueError):
         cr.counts_to_row((1, -1, 1))
 

@@ -1,6 +1,7 @@
 import pytest
 
 from boxball import crystals as cr
+from boxball import isomorphisms as iso
 from boxball import verify
 
 
@@ -117,3 +118,51 @@ def test_random_paths_are_reproducible():
     ia = verify.random_inhom_path(random.Random(3), 4)
     ib = verify.random_inhom_path(random.Random(3), 4)
     assert ia == ib
+
+
+@pytest.fixture
+def wrong_case_g(monkeypatch):
+    """Case g of `col_box_core` (top > 1, box letter above the column) emits the
+    wrong letter."""
+    real = iso.col_box_core
+
+    def planted(top, bottom, g):
+        if top != 1 and g > bottom:
+            return bottom, top, g, "g"
+        return real(top, bottom, g)
+
+    monkeypatch.setattr(iso, "col_box_core", planted)
+
+
+def test_symmetric_group_reports_planted_fault(wrong_case_g):
+    rep = verify.check_symmetric_group([(1, 1), (1,)], 4)
+    assert not rep.passed and rep.domain == 24
+    assert rep.counterexample == "swap_1^2 != id at [2/3]*<4>"
+
+
+def test_carrier_composition_reports_planted_fault(wrong_case_g):
+    rep = verify.check_carrier_composition(2, 1, 1, 4)
+    assert not rep.passed and rep.domain == 240
+    assert rep.counterexample == "compositions differ on <11>*[2/3]*<4>"
+
+
+def test_oracle_check_reports_planted_fault(wrong_case_g):
+    rep = verify.check_swap_against_oracle((1, 1), (1,), 4)
+    assert not rep.passed and rep.domain == 24
+    assert rep.counterexample == "[2/3]*<4> -> <3>*[2/4], oracle says <2>*[3/4]"
+
+
+def test_highest_weight_chains_report_planted_fault(monkeypatch):
+    real = iso.col_row_core
+
+    def planted(a, b, entries):
+        # case V leaves the pair as it was instead of swapping it
+        res = real(a, b, entries)
+        return (entries, a, b, "V") if res[-1] == "V" else res
+
+    monkeypatch.setattr(iso, "col_row_core", planted)
+    rep = verify.check_highest_weight_chains()
+    assert not rep.passed
+    assert rep.counterexample == (
+        "chain-2 step 5: got <113>*[1/2]*<1>, expected <111>*[2/3]*<1>"
+    )
