@@ -45,14 +45,7 @@ from .isomorphisms import (
     carrier_potential,
     combinatorial_r,
     swap_adjacent,
-    swap_box_col,
-    swap_box_row,
-    swap_col_box,
-    swap_col_row,
     swap_pair,
-    swap_row_box,
-    swap_row_col,
-    swap_rows,
 )
 from .separation import (
     CommutationReport,

@@ -76,30 +76,36 @@ def parse_state(text: str, n_override: int | None = None):
         raise CliError(str(exc)) from exc
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field; floats, strings and booleans are rejected, not coerced."""
+    if type(value) is not int:
+        raise CliError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _state_from_document(doc: dict, n_override: int | None):
     try:
-        n = int(n_override if n_override is not None else doc["n"])
+        n = n_override if n_override is not None else _integer(doc["n"], "n")
         mode = doc.get("mode", "basic")
         if mode == "basic":
             state = doc["state"]
             if isinstance(state, list):
-                if not all(type(v) is int for v in state):
-                    raise CliError(f"state letters must be integers: {state}")
-                return BasicPath(tuple(state), n)
+                return BasicPath(tuple(_integer(v, "state letter") for v in state), n)
             if n <= 9:
                 return BasicPath.from_string(state, n)
             raise CliError("ASCII payload needs n <= 9")
         if mode == "inhom":
             sites = []
             for k, site in enumerate(doc["sites"]):
-                counts = tuple(int(v) for v in site["counts"])
-                if sum(counts) != int(site["capacity"]):
+                counts = tuple(_integer(v, f"site {k + 1} counts") for v in site["counts"])
+                capacity = _integer(site["capacity"], f"site {k + 1} capacity")
+                if sum(counts) != capacity:
                     raise CliError(
-                        f"site {k + 1}: counts {list(counts)} do not sum to "
-                        f"capacity {site['capacity']}"
+                        f"site {k + 1}: counts {list(counts)} do not sum to capacity {capacity}"
                     )
                 sites.append(counts)
-            return InhomPath(tuple(sites), n, int(doc.get("tail_capacity", 1)))
+            tail = _integer(doc.get("tail_capacity", 1), "tail_capacity")
+            return InhomPath(tuple(sites), n, tail)
         raise CliError(f"unknown mode {mode!r}")
     except KeyError as exc:
         raise CliError(f"state document is missing field {exc}") from exc
@@ -147,7 +153,7 @@ def cmd_separate(args) -> int:
         if step.removed is not None:
             line += f" {step.removed}"
         print(line)
-    print("word  " + "".join(str(v) for v in record.word))
+    print("word  " + ("" if state.n <= 9 else ",").join(str(v) for v in record.word))
     if args.trace:
         for step in record.steps[:-1]:
             trace = decoding_pass_traced(step.state)
@@ -195,7 +201,7 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     reports = []
-    mode = "random" if args.count else "exhaustive"
+    mode = "exhaustive" if args.count is None else "random"
     if args.check == "braid":
         shapes = _parse_shapes(args.shapes)
         reports.append(
@@ -222,7 +228,7 @@ def cmd_verify(args) -> int:
 
 def _check_flags(args) -> None:
     """Reject numeric flags below their least value; subcommands without one skip it."""
-    minima = {"n": 2, "steps": 0, "count": 0, "l": 1, "carriers": 0, "boxes": 0}
+    minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 0, "boxes": 0}
     for flag, least in minima.items():
         value = getattr(args, flag, None)
         if value is not None and value < least:

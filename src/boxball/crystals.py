@@ -165,15 +165,11 @@ def entries_to_counts(entries: tuple[int, ...], n: int) -> CountVector:
     return tuple(out)
 
 
-def counts_to_row(counts: CountVector, n: int | None = None) -> RowTableau:
+def counts_to_row(counts: CountVector) -> RowTableau:
     """Inverse of `RowTableau.counts`; the vector length fixes the alphabet."""
-    if n is None:
-        n = len(counts)
-    if len(counts) != n:
-        raise ValueError(f"count vector must have length {n}: {counts}")
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be non-negative: {counts}")
-    return RowTableau(counts_to_entries(counts), n)
+    return RowTableau(counts_to_entries(counts), len(counts))
 
 
 def weight_of(x: Factor | TensorElement) -> Weight:

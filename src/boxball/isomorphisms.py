@@ -2,7 +2,9 @@
 
 Each map is a closed-form case analysis on letters.  The `*_core` functions
 work on plain tuples and ints (the dynamics sweeps call them in tight
-loops); the object-level wrappers attach case tags and feed `swap_adjacent`.
+loops); `swap_pair` is the one object-level entry: it picks the core from
+the factor kinds, rebuilds the factors and keeps the core's case tag in a
+`SwapResult`, which `swap_adjacent` and `apply_word` use.
 
 Conventions making the case conditions exhaustive: a row (a_1..a_l) is
 bordered by a_0 = 0 and a_{l+1} = +infinity, so every letter v has a unique
@@ -177,66 +179,36 @@ def combinatorial_r(x: CountVector, y: CountVector) -> tuple[CountVector, CountV
 # object level
 
 
-def swap_row_box(b: RowTableau, c: RowTableau) -> SwapResult:
-    emitted, new, tag = row_box_core(b.entries, c.entries[0])
-    return SwapResult(RowTableau((emitted,), b.n), RowTableau(new, b.n), tag)
-
-
-def swap_box_row(c: RowTableau, b: RowTableau) -> SwapResult:
-    new, emitted, tag = box_row_core(c.entries[0], b.entries)
-    return SwapResult(RowTableau(new, b.n), RowTableau((emitted,), b.n), tag)
-
-
-def swap_col_box(d: ColumnPair, c: RowTableau) -> SwapResult:
-    emitted, top, bottom, tag = col_box_core(d.top, d.bottom, c.entries[0])
-    return SwapResult(RowTableau((emitted,), d.n), ColumnPair(top, bottom, d.n), tag)
-
-
-def swap_box_col(c: RowTableau, d: ColumnPair) -> SwapResult:
-    top, bottom, emitted, tag = box_col_core(c.entries[0], d.top, d.bottom)
-    return SwapResult(ColumnPair(top, bottom, d.n), RowTableau((emitted,), d.n), tag)
-
-
-def swap_row_col(b: RowTableau, d: ColumnPair) -> SwapResult:
-    top, bottom, new, tag = row_col_core(b.entries, d.top, d.bottom)
-    return SwapResult(ColumnPair(top, bottom, b.n), RowTableau(new, b.n), tag)
-
-
-def swap_col_row(d: ColumnPair, b: RowTableau) -> SwapResult:
-    new, top, bottom, tag = col_row_core(d.top, d.bottom, b.entries)
-    return SwapResult(RowTableau(new, b.n), ColumnPair(top, bottom, b.n), tag)
-
-
-def swap_rows(a: RowTableau, b: RowTableau) -> SwapResult:
-    x2, y2 = combinatorial_r(a.counts(), b.counts())
-    return SwapResult(counts_to_row(x2, a.n), counts_to_row(y2, a.n), "R")
-
-
 def swap_pair(left: Factor, right: Factor) -> SwapResult:
-    """Dispatch on the shape pair; equal shapes swap trivially."""
-    lrow = isinstance(left, RowTableau)
-    rrow = isinstance(right, RowTableau)
-    if not lrow and not isinstance(left, ColumnPair):
-        raise UnsupportedShapeError(f"unsupported factor: {left!r}")
-    if not rrow and not isinstance(right, ColumnPair):
-        raise UnsupportedShapeError(f"unsupported factor: {right!r}")
-    if lrow and rrow:
-        if left.capacity == right.capacity:
-            return SwapResult(left, right, "id")
+    """Swap one adjacent factor pair by calling its core; equal shapes swap trivially."""
+    for f in (left, right):
+        if not isinstance(f, (RowTableau, ColumnPair)):
+            raise UnsupportedShapeError(f"unsupported factor: {f!r}")
+    n = left.n
+    if right.n != n:
+        raise ValueError(f"factors mix alphabets: {sorted((n, right.n))}")
+    if left.shape == right.shape:
+        return SwapResult(left, right, "id")
+    if isinstance(left, RowTableau) and isinstance(right, RowTableau):
         if right.capacity == 1:
-            return swap_row_box(left, right)
+            emitted, new, tag = row_box_core(left.entries, right.entries[0])
+            return SwapResult(RowTableau((emitted,), n), RowTableau(new, n), tag)
         if left.capacity == 1:
-            return swap_box_row(left, right)
-        return swap_rows(left, right)
-    if lrow and not rrow:
+            new, emitted, tag = box_row_core(left.entries[0], right.entries)
+            return SwapResult(RowTableau(new, n), RowTableau((emitted,), n), tag)
+        x2, y2 = combinatorial_r(left.counts(), right.counts())
+        return SwapResult(counts_to_row(x2), counts_to_row(y2), "R")
+    if isinstance(left, RowTableau):  # row (x) column; else column (x) row
         if left.capacity == 1:
-            return swap_box_col(left, right)
-        return swap_row_col(left, right)
-    if not lrow and rrow:
-        if right.capacity == 1:
-            return swap_col_box(left, right)
-        return swap_col_row(left, right)
-    return SwapResult(left, right, "id")
+            top, bottom, emitted, tag = box_col_core(left.entries[0], right.top, right.bottom)
+            return SwapResult(ColumnPair(top, bottom, n), RowTableau((emitted,), n), tag)
+        top, bottom, new, tag = row_col_core(left.entries, right.top, right.bottom)
+        return SwapResult(ColumnPair(top, bottom, n), RowTableau(new, n), tag)
+    if right.capacity == 1:
+        emitted, top, bottom, tag = col_box_core(left.top, left.bottom, right.entries[0])
+        return SwapResult(RowTableau((emitted,), n), ColumnPair(top, bottom, n), tag)
+    new, top, bottom, tag = col_row_core(left.top, left.bottom, right.entries)
+    return SwapResult(RowTableau(new, n), ColumnPair(top, bottom, n), tag)
 
 
 def swap_adjacent(t: TensorElement, i: int) -> TensorElement:

@@ -282,7 +282,7 @@ def _chain_fixtures_row_box_col(n: int = 3, ell: int = 3):
 
 def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int, n: int = 3):
     def rw(c1, c2, c3):
-        return counts_to_row((c1, c2, c3) + (0,) * (n - 3), n)
+        return counts_to_row((c1, c2, c3) + (0,) * (n - 3))
 
     chain1 = [
         tensor(rw(l1, 0, 0), rw(l2 - x, x, 0), col(2, 3, n)),

@@ -158,8 +158,8 @@ def test_criterion_09_oracle_equivalence():
     for b in cr.iter_crystal((3,), 3):
         for c in cr.iter_crystal((1,), 3):
             x2, y2 = iso.combinatorial_r(b.counts(), c.counts())
-            res = iso.swap_row_box(b, c)
-            if cr.counts_to_row(x2, 3) != res.left or cr.counts_to_row(y2, 3) != res.right:
+            res = iso.swap_pair(b, c)
+            if cr.counts_to_row(x2) != res.left or cr.counts_to_row(y2) != res.right:
                 mismatches.append(f"count map disagrees at {b}*{c}")
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 120

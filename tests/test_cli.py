@@ -133,6 +133,20 @@ def test_separate_monochrome_input(monkeypatch, capsys):
     assert out.splitlines() == ["s=0    ..2", "word  "]
 
 
+def test_separate_large_alphabet_word_is_comma_separated(monkeypatch, capsys):
+    doc = json.dumps({"n": 12, "state": [12, 3, 1, 2, 11]})
+    code, out, _ = run_cli(monkeypatch, capsys, ["separate"], doc)
+    assert code == 0
+    assert out.splitlines() == [
+        "s=0    12,3,.,2,11,.,.,. 11",
+        "s=1    .,12,2,3,.,2,.,. 2",
+        "s=2    .,.,2,12,2,3,.,. 3",
+        "s=3    .,.,2,.,2,12,2,. 12",
+        "s=4    .,.,2,.,2,.,2,2",
+        "word  12,3,2,11",
+    ]
+
+
 def test_separate_json_round_trip(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch, capsys, ["separate", "--json"], COLOURED_ROWS[0] + "\n"
@@ -255,6 +269,31 @@ BAD_INPUTS = {
     "steps-not-int": (["evolve", "--steps", "x"], {}),
     "unknown-flag": (["evolve", "--bogus"], {}),
     "shapes-missing-value": (["verify", "braid", "--shapes", "-1,1"], {}),
+    "count-zero-theorem": (["verify", "theorem", "--count", "0"], {}),
+    "count-zero-braid": (["verify", "braid", "--count", "0"], {}),
+    "doc-n-float": (["evolve", "n-float.json"], {}),
+    "doc-n-string": (["evolve", "n-string.json"], {}),
+    "doc-capacity-float": (["evolve", "capacity-float.json"], {}),
+    "doc-counts-float": (["evolve", "counts-float.json"], {}),
+    "doc-counts-string": (["evolve", "counts-string.json"], {}),
+    "doc-tail-float": (["evolve", "tail-float.json"], {}),
+    "doc-tail-bool": (["evolve", "tail-bool.json"], {}),
+}
+
+
+def _inhom_document(capacity=1, counts=(0, 1, 0), tail=1):
+    sites = [{"capacity": capacity, "counts": list(counts)}]
+    return {"n": 3, "mode": "inhom", "tail_capacity": tail, "sites": sites}
+
+
+BAD_DOCUMENTS = {
+    "n-float.json": {"n": 2.7, "state": ".2."},
+    "n-string.json": {"n": "5", "state": ".2."},
+    "capacity-float.json": _inhom_document(capacity=1.0),
+    "counts-float.json": _inhom_document(counts=(0, 1.0, 0)),
+    "counts-string.json": _inhom_document(counts=(0, "1", 0)),
+    "tail-float.json": _inhom_document(tail=2.7),
+    "tail-bool.json": _inhom_document(tail=True),
 }
 
 
@@ -262,6 +301,8 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, env):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe.2\n")
+    for name, doc in BAD_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out, err = run_cli(monkeypatch, capsys, argv, ".2.\n")

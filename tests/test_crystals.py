@@ -227,7 +227,7 @@ def test_counts_round_trip():
     assert cr.counts_to_row((3, 0, 0)) == cr.row("111", 3)
     n = 4
     for b in cr.iter_crystal((4,), n):
-        assert cr.counts_to_row(b.counts(), n) == b
+        assert cr.counts_to_row(b.counts()) == b
     with pytest.raises(ValueError):
         cr.counts_to_row((1, -1, 1))
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxball import crystals as cr
 from boxball import isomorphisms as iso
@@ -18,19 +19,19 @@ def as_pair(res: iso.SwapResult) -> cr.TensorElement:
 
 def test_row_box_examples():
     n = 3
-    res = iso.swap_row_box(cr.row("111", n), cr.box(1, n))
+    res = iso.swap_pair(cr.row("111", n), cr.box(1, n))
     assert (res.left, res.right, res.case_tag) == (cr.box(1, n), cr.row("111", n), "head")
-    res = iso.swap_row_box(cr.row("111", n), cr.box(2, n))
+    res = iso.swap_pair(cr.row("111", n), cr.box(2, n))
     assert (res.left, res.right, res.case_tag) == (cr.box(1, n), cr.row("112", n), "bump")
-    res = iso.swap_row_box(cr.row("223", 4), cr.box(2, 4))
+    res = iso.swap_pair(cr.row("223", 4), cr.box(2, 4))
     assert (res.left, res.right, res.case_tag) == (cr.box(3, 4), cr.row("222", 4), "head")
 
 
 def test_box_row_examples():
     n = 3
-    res = iso.swap_box_row(cr.box(1, n), cr.row("113", n))
+    res = iso.swap_pair(cr.box(1, n), cr.row("113", n))
     assert (res.left, res.right) == (cr.row("111", n), cr.box(3, n))
-    res = iso.swap_box_row(cr.box(1, n), cr.row("111", n))
+    res = iso.swap_pair(cr.box(1, n), cr.row("111", n))
     assert (res.left, res.right) == (cr.row("111", n), cr.box(1, n))
 
 
@@ -39,11 +40,17 @@ def test_box_row_examples():
 def test_row_box_round_trips(n, ell):
     for b in cr.iter_crystal((ell,), n):
         for c in cr.iter_crystal((1,), n):
-            res = iso.swap_row_box(b, c)
-            back = iso.swap_box_row(res.left, res.right)
+            if ell == 1:  # swap_pair answers "id" on two boxes, so check the cores
+                emitted, new, _ = iso.row_box_core(b.entries, c.entries[0])
+                assert iso.box_row_core(emitted, new)[:2] == (b.entries, c.entries[0])
+                new, emitted, _ = iso.box_row_core(c.entries[0], b.entries)
+                assert iso.row_box_core(new, emitted)[:2] == (c.entries[0], b.entries)
+                continue
+            res = iso.swap_pair(b, c)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (b, c)
-            res = iso.swap_box_row(c, b)
-            back = iso.swap_row_box(res.left, res.right)
+            res = iso.swap_pair(c, b)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (c, b)
 
 
@@ -52,29 +59,29 @@ def test_row_box_round_trips(n, ell):
 
 def test_col_box_examples():
     n = 5
-    res = iso.swap_col_box(cr.col(1, 2, n), cr.box(5, n))
+    res = iso.swap_pair(cr.col(1, 2, n), cr.box(5, n))
     assert (res.left, res.right, res.case_tag) == (cr.box(1, n), cr.col(2, 5, n), "d")
-    res = iso.swap_col_box(cr.col(2, 5, n), cr.box(4, n))
+    res = iso.swap_pair(cr.col(2, 5, n), cr.box(4, n))
     assert (res.left, res.right, res.case_tag) == (cr.box(5, n), cr.col(2, 4, n), "f")
-    res = iso.swap_col_box(cr.col(2, 3, n), cr.box(2, n))
+    res = iso.swap_pair(cr.col(2, 3, n), cr.box(2, n))
     assert (res.left, res.right, res.case_tag) == (cr.box(2, n), cr.col(2, 3, n), "e")
 
 
 def test_col_box_process_tags():
     n = 4
-    assert iso.swap_col_box(cr.col(1, 3, n), cr.box(1, n)).case_tag == "a"
-    assert iso.swap_col_box(cr.col(2, 3, n), cr.box(1, n)).case_tag == "b"
-    assert iso.swap_col_box(cr.col(1, 3, n), cr.box(2, n)).case_tag == "c"
-    assert iso.swap_col_box(cr.col(1, 2, n), cr.box(3, n)).case_tag == "d"
-    assert iso.swap_col_box(cr.col(2, 4, n), cr.box(3, n)).case_tag == "f"
-    assert iso.swap_col_box(cr.col(2, 3, n), cr.box(4, n)).case_tag == "g"
+    assert iso.swap_pair(cr.col(1, 3, n), cr.box(1, n)).case_tag == "a"
+    assert iso.swap_pair(cr.col(2, 3, n), cr.box(1, n)).case_tag == "b"
+    assert iso.swap_pair(cr.col(1, 3, n), cr.box(2, n)).case_tag == "c"
+    assert iso.swap_pair(cr.col(1, 2, n), cr.box(3, n)).case_tag == "d"
+    assert iso.swap_pair(cr.col(2, 4, n), cr.box(3, n)).case_tag == "f"
+    assert iso.swap_pair(cr.col(2, 3, n), cr.box(4, n)).case_tag == "g"
 
 
 def test_box_col_examples():
-    res = iso.swap_box_col(cr.box(1, 3), cr.col(1, 2, 3))
+    res = iso.swap_pair(cr.box(1, 3), cr.col(1, 2, 3))
     assert (res.left, res.right) == (cr.col(1, 2, 3), cr.box(1, 3))
     n = 5
-    res = iso.swap_box_col(cr.box(1, n), cr.col(2, 5, n))
+    res = iso.swap_pair(cr.box(1, n), cr.col(2, 5, n))
     assert (res.left, res.right) == (cr.col(1, 2, n), cr.box(5, n))
 
 
@@ -82,11 +89,11 @@ def test_box_col_examples():
 def test_col_box_round_trips(n):
     for d in cr.iter_crystal((1, 1), n):
         for c in cr.iter_crystal((1,), n):
-            res = iso.swap_col_box(d, c)
-            back = iso.swap_box_col(res.left, res.right)
+            res = iso.swap_pair(d, c)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (d, c)
-            res = iso.swap_box_col(c, d)
-            back = iso.swap_col_box(res.left, res.right)
+            res = iso.swap_pair(c, d)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (c, d)
 
 
@@ -95,40 +102,40 @@ def test_col_box_round_trips(n):
 
 def test_row_col_examples():
     n = 3
-    res = iso.swap_row_col(cr.row("111", n), cr.col(2, 3, n))
+    res = iso.swap_pair(cr.row("111", n), cr.col(2, 3, n))
     assert (res.left, res.right, res.case_tag) == (cr.col(1, 2, n), cr.row("113", n), "2")
-    res = iso.swap_row_col(cr.row("112", n), cr.col(1, 3, n))
+    res = iso.swap_pair(cr.row("112", n), cr.col(1, 3, n))
     assert (res.left, res.right, res.case_tag) == (cr.col(2, 3, n), cr.row("111", n), "4")
-    res = iso.swap_row_col(cr.row("11", n), cr.col(1, 3, n))
+    res = iso.swap_pair(cr.row("11", n), cr.col(1, 3, n))
     assert (res.left, res.right, res.case_tag) == (cr.col(1, 3, n), cr.row("11", n), "4")
 
 
 def test_row_col_distinct_gaps_case():
     n = 4
-    res = iso.swap_row_col(cr.row("1134", n), cr.col(2, 4, n))
+    res = iso.swap_pair(cr.row("1134", n), cr.col(2, 4, n))
     # letters 2 and 4 bump entries at distinct gaps
     assert res.case_tag == "1"
-    back = iso.swap_col_row(res.left, res.right)
+    back = iso.swap_pair(res.left, res.right)
     assert (back.left, back.right) == (cr.row("1134", n), cr.col(2, 4, n))
 
 
 def test_row_col_corner_case():
     # both column letters at or below the smallest row entry
-    res = iso.swap_row_col(cr.row("22", 3), cr.col(1, 2, 3))
+    res = iso.swap_pair(cr.row("22", 3), cr.col(1, 2, 3))
     assert (res.left, res.right, res.case_tag) == (cr.col(1, 2, 3), cr.row("22", 3), "5")
-    res = iso.swap_row_col(cr.row("33", 3), cr.col(1, 2, 3))
+    res = iso.swap_pair(cr.row("33", 3), cr.col(1, 2, 3))
     assert (res.left, res.right, res.case_tag) == (cr.col(1, 3, 3), cr.row("23", 3), "5")
 
 
 def test_col_row_examples():
     n = 3
-    res = iso.swap_col_row(cr.col(1, 2, n), cr.row("111", n))
+    res = iso.swap_pair(cr.col(1, 2, n), cr.row("111", n))
     assert (res.left, res.right, res.case_tag) == (cr.row("111", n), cr.col(1, 2, n), "I")
-    res = iso.swap_col_row(cr.col(1, 2, n), cr.row("113", n))
+    res = iso.swap_pair(cr.col(1, 2, n), cr.row("113", n))
     assert (res.left, res.right, res.case_tag) == (cr.row("111", n), cr.col(2, 3, n), "V")
     n = 5
-    res = iso.swap_col_row(cr.col(1, 2, n), cr.row("225", n))
-    back = iso.swap_row_col(res.left, res.right)
+    res = iso.swap_pair(cr.col(1, 2, n), cr.row("225", n))
+    back = iso.swap_pair(res.left, res.right)
     assert (back.left, back.right) == (cr.col(1, 2, n), cr.row("225", n))
 
 
@@ -137,7 +144,7 @@ def test_col_row_hits_all_five_cases():
     seen = set()
     for d in cr.iter_crystal((1, 1), n):
         for b in cr.iter_crystal((3,), n):
-            seen.add(iso.swap_col_row(d, b).case_tag)
+            seen.add(iso.swap_pair(d, b).case_tag)
     assert seen == {"I", "II", "III", "IV", "V"}
 
 
@@ -146,11 +153,17 @@ def test_col_row_hits_all_five_cases():
 def test_row_col_round_trips(n, ell):
     for b in cr.iter_crystal((ell,), n):
         for d in cr.iter_crystal((1, 1), n):
-            res = iso.swap_row_col(b, d)
-            back = iso.swap_col_row(res.left, res.right)
+            if ell == 1:  # swap_pair sends a box to the box cores, so check these cores
+                top, bottom, new, _ = iso.row_col_core(b.entries, d.top, d.bottom)
+                assert iso.col_row_core(top, bottom, new)[:3] == (b.entries, d.top, d.bottom)
+                new, top, bottom, _ = iso.col_row_core(d.top, d.bottom, b.entries)
+                assert iso.row_col_core(new, top, bottom)[:3] == (d.top, d.bottom, b.entries)
+                continue
+            res = iso.swap_pair(b, d)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (b, d)
-            res = iso.swap_col_row(d, b)
-            back = iso.swap_row_col(res.left, res.right)
+            res = iso.swap_pair(d, b)
+            back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (d, b)
 
 
@@ -185,9 +198,9 @@ def test_r_matches_row_box_swap():
     for b in cr.iter_crystal((3,), n):
         for c in cr.iter_crystal((1,), n):
             x2, y2 = iso.combinatorial_r(b.counts(), c.counts())
-            res = iso.swap_row_box(b, c)
-            assert cr.counts_to_row(x2, n) == res.left
-            assert cr.counts_to_row(y2, n) == res.right
+            res = iso.swap_pair(b, c)
+            assert cr.counts_to_row(x2) == res.left
+            assert cr.counts_to_row(y2) == res.right
 
 
 def test_carrier_potential_is_cyclic_max():
@@ -231,6 +244,51 @@ def test_swap_pair_rejects_foreign_objects():
         iso.swap_pair("row", cr.box(1, 3))
     with pytest.raises(iso.UnsupportedShapeError):
         iso.swap_pair(cr.box(1, 3), 7)
+
+
+def test_swap_pair_rejects_mixed_alphabets():
+    pairs = [
+        (cr.box(2, 4), cr.row("12", 3)),
+        (cr.row("12", 3), cr.box(2, 4)),
+        (cr.col(1, 2, 3), cr.col(1, 2, 4)),
+        (cr.row("113", 5), cr.col(2, 3, 3)),
+    ]
+    for left, right in pairs:
+        with pytest.raises(ValueError, match="mix alphabets"):
+            iso.swap_pair(left, right)
+
+
+@st.composite
+def factor_pair(draw):
+    n = draw(st.integers(2, 12))
+
+    def factor():
+        if draw(st.booleans()):
+            ell = draw(st.integers(1, 8))
+            letters = draw(st.lists(st.integers(1, n), min_size=ell, max_size=ell))
+            return cr.RowTableau(tuple(sorted(letters)), n)
+        top, bottom = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)))
+        return cr.ColumnPair(top, bottom, n)
+
+    return factor(), factor()
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_pair())
+def test_swap_pair_is_a_crystal_isomorphism(pair):
+    left, right = pair
+    t = cr.tensor(left, right)
+    swapped = as_pair(iso.swap_pair(left, right))
+    assert swapped.shapes == (right.shape, left.shape)
+    assert as_pair(iso.swap_pair(*swapped.factors)) == t
+    assert cr.weight_of(swapped) == cr.weight_of(t)
+    for i in range(1, t.n):
+        for op in (cr.lowering, cr.raising):
+            moved = op(i, t)
+            if moved is None:
+                assert op(i, swapped) is None
+            else:
+                assert as_pair(iso.swap_pair(*moved.factors)) == op(i, swapped)
 
 
 def test_swap_adjacent_position_contract():
