@@ -76,35 +76,44 @@ def parse_state(text: str, n_override: int | None = None):
         raise CliError(str(exc)) from exc
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer field; floats, strings and booleans are rejected, not coerced."""
-    if type(value) is not int:
-        raise CliError(f"{what} must be an integer, got {json.dumps(value)}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, what: str, *kinds: type):
+    """A JSON field of one of `kinds`; floats and booleans are not integers here."""
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise CliError(f"{what} must be {wanted}, got {json.dumps(value)}")
     return value
 
 
 def _state_from_document(doc: dict, n_override: int | None):
     try:
-        n = n_override if n_override is not None else _integer(doc["n"], "n")
+        n = n_override if n_override is not None else _typed(doc["n"], "n", int)
         mode = doc.get("mode", "basic")
         if mode == "basic":
-            state = doc["state"]
+            state = _typed(doc["state"], "state", str, list)
             if isinstance(state, list):
-                return BasicPath(tuple(_integer(v, "state letter") for v in state), n)
+                return BasicPath(tuple(_typed(v, "state letter", int) for v in state), n)
+            if not state:
+                raise CliError("empty input state")
             if n <= 9:
                 return BasicPath.from_string(state, n)
             raise CliError("ASCII payload needs n <= 9")
         if mode == "inhom":
             sites = []
-            for k, site in enumerate(doc["sites"]):
-                counts = tuple(_integer(v, f"site {k + 1} counts") for v in site["counts"])
-                capacity = _integer(site["capacity"], f"site {k + 1} capacity")
+            for k, site in enumerate(_typed(doc["sites"], "sites", list)):
+                what = f"site {k + 1}"
+                site = _typed(site, what, dict)
+                counts = _typed(site["counts"], f"{what} counts", list)
+                counts = tuple(_typed(v, f"{what} counts", int) for v in counts)
+                capacity = _typed(site["capacity"], f"{what} capacity", int)
                 if sum(counts) != capacity:
                     raise CliError(
-                        f"site {k + 1}: counts {list(counts)} do not sum to capacity {capacity}"
+                        f"{what}: counts {list(counts)} do not sum to capacity {capacity}"
                     )
                 sites.append(counts)
-            tail = _integer(doc.get("tail_capacity", 1), "tail_capacity")
+            tail = _typed(doc.get("tail_capacity", 1), "tail_capacity", int)
             return InhomPath(tuple(sites), n, tail)
         raise CliError(f"unknown mode {mode!r}")
     except KeyError as exc:

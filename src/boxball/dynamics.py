@@ -6,12 +6,14 @@ sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
 removes one letter per sweep.  Both path kinds run the same sweeps; each
 path class names its vacuum box and the swap cores of its boxes.
+
+An idle carrier passes an empty box unchanged, so a pass calls the cores
+O(occupied + unloaded boxes) times, not O(L); traced sweeps visit every site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterator, Union
 
 from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
@@ -45,11 +47,13 @@ def _trim(p, sites: tuple) -> None:
     object.__setattr__(p, "sites", sites[:k])
 
 
-def _rebuilt(p, sites: tuple):
-    """A path like `p` over swept `sites`; the cores only emit valid boxes."""
+def _rebuilt(p, out: list):
+    """A path like `p` over swept boxes `out`, trimmed in place; cores emit valid boxes."""
+    while out and out[-1] == p.vacuum:
+        out.pop()
     q = object.__new__(type(p))
     q.__dict__.update(p.__dict__)
-    _trim(q, sites)
+    object.__setattr__(q, "sites", tuple(out))
     return q
 
 
@@ -103,6 +107,11 @@ class BasicPath:
         """(site index, letter) for each letter >= `least`, left to right."""
         return ((k, v) for k, v in enumerate(self.sites) if v >= least)
 
+    def _occupied(self, ks: range) -> Iterator[int]:
+        """The indices in `ks` of boxes holding a ball, in the order of `ks`."""
+        sites = self.sites
+        return (k for k in ks if sites[k] != 1)
+
     def time_step(self) -> "BasicPath":
         return time_evolution(self)
 
@@ -113,7 +122,7 @@ class BasicPath:
         return ("" if self.n <= 9 else ",").join(cells)
 
     def json_state(self):
-        return self.render() if self.n <= 9 else list(self.sites)
+        return (self.render() or ".") if self.n <= 9 else list(self.sites)
 
     def json_extras(self) -> dict:
         return {}
@@ -165,6 +174,11 @@ class InhomPath:
         wanted = range(least, self.n + 1)
         sites = enumerate(self.sites)
         return ((k, v) for k, c in sites for v in wanted for _ in range(c[v - 1]))
+
+    def _occupied(self, ks: range) -> Iterator[int]:
+        """The indices in `ks` of boxes holding a ball, in the order of `ks`."""
+        sites = self.sites
+        return (k for k in ks if sites[k][0] != sum(sites[k]))
 
     def time_step(self) -> "InhomPath":
         """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
@@ -226,7 +240,7 @@ class EvolutionTrace:
 
 def replay_trace(trace: EvolutionTrace) -> Path:
     """Rebuild the output path from the recorded per-site results."""
-    return _rebuilt(trace.before, tuple(s.site_after for s in trace.steps))
+    return _rebuilt(trace.before, [s.site_after for s in trace.steps])
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +276,32 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # ---------------------------------------------------------------------------
 # carrier sweeps
 #
-# The forward sweeps walk the stored sites and then the vacuum tail; the
-# carrier is tested for having settled only past the stored sites.
+# A sweep rewrites `out`, the sites padded with the vacuum a busy carrier may
+# unload into, visiting the boxes in `order` (all stored sites when traced,
+# else the occupied ones); a busy carrier passes the skipped empty boxes until
+# it is idle.  `out` is copied from a padded tuple freed at once, whose memory
+# the swept tuple reuses: that keeps the peak memory of many passes flat.
 
 
-def _row_sweep(p: Path, capacity: int | None, core) -> tuple[Path, tuple]:
+def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]:
     if capacity is not None and capacity < 1:
         raise ValueError("carrier capacity must be >= 1")
-    balls = ball_count(p)
-    carrier = empty = p.empty_row(capacity if capacity is not None else max(1, balls))
-    end = len(p.sites)
-    out = []
-    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
-        if k >= end:
-            if carrier == empty:
-                break
-            if k > end + balls + 2:
-                raise RuntimeError("carrier sweep failed to unload; this is a bug")
-        emitted, carrier, _ = core(carrier, site)
-        out.append(emitted)
-    return _rebuilt(p, tuple(out)), carrier
+    capacity = max(1, ball_count(p)) if capacity is None else capacity
+    carrier = empty = p.empty_row(capacity)
+    out = list(p.sites + (p.vacuum,) * capacity)  # a busy carrier drops a ball per box
+    gap = 0
+    for k in order:
+        while carrier != empty and gap < k:
+            out[gap], carrier, _ = core(carrier, out[gap])
+            gap += 1
+        out[k], carrier, _ = core(carrier, out[k])
+        gap = k + 1
+    while carrier != empty and gap < len(out):
+        out[gap], carrier, _ = core(carrier, out[gap])
+        gap += 1
+    if carrier != empty:
+        raise RuntimeError("carrier sweep failed to unload; this is a bug")
+    return _rebuilt(p, out), carrier
 
 
 def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
@@ -289,7 +309,7 @@ def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
 
     `capacity=None` means unbounded, realized as the total ball count
     (beyond which the evolution is stable)."""
-    return _row_sweep(p, capacity, p.row_core)[0]
+    return _row_sweep(p, capacity, p.row_core, p._occupied(range(len(p.sites))))[0]
 
 
 def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionTrace:
@@ -301,23 +321,26 @@ def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionT
         steps.append(TraceStep(len(steps) + 1, tag, carrier, new, site, emitted))
         return emitted, new, tag
 
-    q, carrier = _row_sweep(p, capacity, core)
+    q, carrier = _row_sweep(p, capacity, core, range(len(p.sites)))
     return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
-def _column_sweep(p: Path, core) -> tuple[Path, tuple[int, int]]:
+def _column_sweep(p: Path, core, order) -> tuple[Path, tuple[int, int]]:
     top, bottom = 1, 2
-    end = len(p.sites)
-    out = []
-    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
-        if k >= end:
-            if top == 1:
-                break
-            if k > end:
-                raise RuntimeError("decoding carrier failed to settle; this is a bug")
-        emitted, top, bottom, _ = core(top, bottom, site)
-        out.append(emitted)
-    return _rebuilt(p, tuple(out)), (top, bottom)
+    out = list(p.sites + (p.vacuum,))  # a busy carrier settles in the first empty box
+    gap = 0
+    for k in order:
+        while top != 1 and gap < k:
+            out[gap], top, bottom, _ = core(top, bottom, out[gap])
+            gap += 1
+        out[k], top, bottom, _ = core(top, bottom, out[k])
+        gap = k + 1
+    while top != 1 and gap < len(out):
+        out[gap], top, bottom, _ = core(top, bottom, out[gap])
+        gap += 1
+    if top != 1:
+        raise RuntimeError("decoding carrier failed to settle; this is a bug")
+    return _rebuilt(p, out), (top, bottom)
 
 
 def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
@@ -327,7 +350,7 @@ def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     the removed letter in its bottom slot.  Beyond the front the carrier
     is inert, so the sweep stops at most one box past it.
     """
-    q, (_, bottom) = _column_sweep(p, p.col_core)
+    q, (_, bottom) = _column_sweep(p, p.col_core, p._occupied(range(len(p.sites))))
     return q, ColumnPair(1, bottom, p.n)
 
 
@@ -341,7 +364,7 @@ def decoding_pass_traced(p: Path) -> EvolutionTrace:
         steps.append(TraceStep(len(steps) + 1, tag, (top, bottom), (t2, b2), site, emitted))
         return emitted, t2, b2, tag
 
-    q, carrier = _column_sweep(p, core)
+    q, carrier = _column_sweep(p, core, range(len(p.sites)))
     return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
@@ -354,12 +377,19 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
         raise InvalidWordError(f"word letters must lie in 2..{p.n}, got {removed_letter}")
     core = p.inv_col_core
     top, bottom = 1, removed_letter
-    out = []
-    for site in reversed(p.sites):
-        top, bottom, orig, _ = core(site, top, bottom)
-        out.append(orig)
+    out = list(p.sites)
+    gap = len(out) - 1
+    for k in p._occupied(range(len(out) - 1, -1, -1)):
+        while top != 1 and gap > k:
+            top, bottom, out[gap], _ = core(out[gap], top, bottom)
+            gap -= 1
+        top, bottom, out[k], _ = core(out[k], top, bottom)
+        gap = k - 1
+    while top != 1 and gap >= 0:
+        top, bottom, out[gap], _ = core(out[gap], top, bottom)
+        gap -= 1
     if (top, bottom) != (1, 2):
         raise InvalidWordError(
             f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
         )
-    return _rebuilt(p, tuple(reversed(out)))
+    return _rebuilt(p, out)

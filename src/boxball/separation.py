@@ -74,17 +74,18 @@ def separate(p: Path) -> SeparationRecord:
     """Run decoding passes until no letter exceeds 2, with the minimal
     number of passes.  Termination is guaranteed; the cap below only trips
     on an implementation bug."""
-    census = sum(1 for _ in p.letters(3))
+    census = left = sum(1 for _ in p.letters(3))
     end = front(p)
     window = sum(1 for k, _ in p.letters() if k < end)  # letter slots up to the front
     cap = (census + 1) * (window + census + 1) + 2
     removed: list[int] = []
     states = [p]
     cur = p
-    while not is_monochrome(cur):
+    while left:
         cur, carrier = decoding_pass(cur)
         removed.append(carrier.bottom)
         states.append(cur)
+        left -= carrier.bottom >= 3  # the pass turned the removed letter into a 2
         if len(removed) > cap:
             raise RuntimeError("decoding failed to terminate; this is a bug")
     n_passes = len(removed)

@@ -278,6 +278,13 @@ BAD_INPUTS = {
     "doc-counts-string": (["evolve", "counts-string.json"], {}),
     "doc-tail-float": (["evolve", "tail-float.json"], {}),
     "doc-tail-bool": (["evolve", "tail-bool.json"], {}),
+    "doc-sites-object": (["evolve", "sites-object.json"], {}),
+    "doc-sites-string": (["evolve", "sites-string.json"], {}),
+    "doc-site-int": (["evolve", "site-int.json"], {}),
+    "doc-counts-int": (["evolve", "counts-int.json"], {}),
+    "doc-state-object": (["evolve", "state-object.json"], {}),
+    "doc-state-empty": (["evolve", "state-empty.json"], {}),
+    "doc-state-int": (["evolve", "state-int.json"], {}),
 }
 
 
@@ -294,7 +301,34 @@ BAD_DOCUMENTS = {
     "counts-string.json": _inhom_document(counts=(0, "1", 0)),
     "tail-float.json": _inhom_document(tail=2.7),
     "tail-bool.json": _inhom_document(tail=True),
+    "sites-object.json": {"n": 3, "mode": "inhom", "sites": {}},
+    "sites-string.json": {"n": 3, "mode": "inhom", "sites": "ab"},
+    "site-int.json": {"n": 3, "mode": "inhom", "sites": [5]},
+    "counts-int.json": {"n": 3, "mode": "inhom", "sites": [{"capacity": 1, "counts": 5}]},
+    "state-object.json": {"n": 3, "state": {"2": 1}},
+    "state-empty.json": {"n": 3, "state": ""},
+    "state-int.json": {"n": 3, "state": 5},
 }
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("sites-object.json", "sites must be a list, got {}"),
+        ("sites-string.json", 'sites must be a list, got "ab"'),
+        ("site-int.json", "site 1 must be an object, got 5"),
+        ("counts-int.json", "site 1 counts must be a list, got 5"),
+        ("state-object.json", 'state must be a string or a list, got {"2": 1}'),
+        ("state-empty.json", "empty input state"),
+        ("state-int.json", "state must be a string or a list, got 5"),
+    ],
+)
+def test_document_field_types_are_checked(name, message):
+    from boxball.cli import CliError, parse_state
+
+    with pytest.raises(CliError) as exc:
+        parse_state(json.dumps(BAD_DOCUMENTS[name]))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("argv, env", BAD_INPUTS.values(), ids=list(BAD_INPUTS))

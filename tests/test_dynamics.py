@@ -1,7 +1,10 @@
 import random
 from collections import Counter
+from dataclasses import replace
+from itertools import chain, repeat
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxball import crystals as cr
 from boxball import dynamics as dyn
@@ -161,6 +164,10 @@ def test_encoding_rejects_undecodable_pairs():
         dyn.encoding_pass(p, 5)
     with pytest.raises(dyn.InvalidWordError):
         dyn.encoding_pass(p, 1)
+    # a busy carrier unloads into an empty site 1 and leaves as (1, top)
+    with pytest.raises(dyn.InvalidWordError):
+        dyn.encoding_pass(dyn.BasicPath.from_string(".3", 4), 4)
+    assert dyn.encoding_pass(dyn.BasicPath.from_string(".2", 3), 3).render() == "3"
 
 
 def _letter_site(v, n):
@@ -236,3 +243,112 @@ def test_trace_replay():
     iq, ib = dyn.decoding_pass(ip)
     itrace = dyn.decoding_pass_traced(ip)
     assert dyn.replay_trace(itrace) == iq
+
+
+# ---------------------------------------------------------------------------
+# the sweeps against a dense reference that visits every site
+
+
+def _dense_row_sweep(p, capacity):
+    """(evolved path, carrier leaving the sites, one trace step per site)."""
+    balls = dyn.ball_count(p)
+    carrier = empty = p.empty_row(capacity if capacity is not None else max(1, balls))
+    out, steps = [], []
+    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
+        if k >= len(p.sites) and carrier == empty:
+            break
+        assert k <= len(p.sites) + balls + 2, "carrier failed to unload"
+        emitted, new, tag = p.row_core(carrier, site)
+        steps.append(dyn.TraceStep(k + 1, tag, carrier, new, site, emitted))
+        out.append(emitted)
+        carrier = new
+    return replace(p, sites=tuple(out)), carrier, tuple(steps)
+
+
+def _dense_decoding_pass(p):
+    """(path, outgoing carrier, carrier leaving the sites, one trace step per site)."""
+    top, bottom = 1, 2
+    out, steps = [], []
+    for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
+        if k >= len(p.sites) and top == 1:
+            break
+        assert k <= len(p.sites), "decoding carrier failed to settle"
+        emitted, t2, b2, tag = p.col_core(top, bottom, site)
+        steps.append(dyn.TraceStep(k + 1, tag, (top, bottom), (t2, b2), site, emitted))
+        out.append(emitted)
+        top, bottom = t2, b2
+    q = replace(p, sites=tuple(out))
+    return q, cr.ColumnPair(1, bottom, p.n), (top, bottom), tuple(steps)
+
+
+def _dense_encoding_pass(p, letter):
+    """The encoded path, or None when the carrier does not emerge as (1,2)."""
+    top, bottom = 1, letter
+    out = []
+    for site in reversed(p.sites):
+        top, bottom, orig, _ = p.inv_col_core(site, top, bottom)
+        out.append(orig)
+    return replace(p, sites=tuple(reversed(out))) if (top, bottom) == (1, 2) else None
+
+
+def _assert_sweeps_match_dense(p, letter):
+    for cap in (1, 2, 3, None):
+        q, carrier, steps = _dense_row_sweep(p, cap)
+        assert dyn.carrier_evolution(p, cap) == q
+        trace = dyn.carrier_evolution_traced(p, cap)
+        assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
+    q, outgoing, carrier, steps = _dense_decoding_pass(p)
+    assert dyn.decoding_pass(p) == (q, outgoing)
+    trace = dyn.decoding_pass_traced(p)
+    assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
+    assert dyn.encoding_pass(q, outgoing.bottom) == p == _dense_encoding_pass(q, outgoing.bottom)
+    encoded = _dense_encoding_pass(p, letter)
+    if encoded is None:
+        with pytest.raises(dyn.InvalidWordError):
+            dyn.encoding_pass(p, letter)
+    else:
+        assert dyn.encoding_pass(p, letter) == encoded
+
+
+@st.composite
+def sparse_basic_paths(draw):
+    """(path, word letter): up to 200 sites, at most 12 balls, letters at
+    the first and last site."""
+    n = draw(st.integers(2, 12))
+    letter = st.integers(2, n)
+    length = draw(st.integers(1, 200))
+    sites = [1] * length
+    for k, v in draw(st.dictionaries(st.integers(0, length - 1), letter, max_size=10)).items():
+        sites[k] = v
+    sites[0], sites[-1] = draw(letter), draw(letter)
+    return dyn.BasicPath(tuple(sites), n), draw(letter)
+
+
+@st.composite
+def inhom_paths(draw):
+    """(path, word letter): up to 12 sites of capacity 1 to 4, about half of
+    them empty, and a tail capacity of 2 to 4."""
+    n = draw(st.integers(2, 5))
+    empty = st.integers(1, 4).map(lambda c: [1] * c)
+    loaded = st.lists(st.integers(1, n), min_size=1, max_size=4)
+    box = st.one_of(empty, loaded).map(lambda vs: tuple(vs.count(v) for v in range(1, n + 1)))
+    sites = tuple(draw(st.lists(box, max_size=12)))
+    return dyn.InhomPath(sites, n, draw(st.integers(2, 4))), draw(st.integers(2, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_basic_paths())
+# the encoding carrier leaves site 1 busy, or unloads into an empty site 1
+# and leaves as (1, top): valid only when top is 2
+@example((dyn.BasicPath.from_string("2", 5), 5))
+@example((dyn.BasicPath.from_string("22", 3), 3))
+@example((dyn.BasicPath.from_string(".3", 4), 4))
+@example((dyn.BasicPath.from_string(".2", 3), 3))
+def test_sparse_basic_sweeps_match_dense_reference(case):
+    _assert_sweeps_match_dense(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inhom_paths())
+def test_inhom_sweeps_match_dense_reference(case):
+    _assert_sweeps_match_dense(*case)

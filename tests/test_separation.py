@@ -239,12 +239,23 @@ def _inhom_paths(n, max_sites, capacities, tails):
                 yield dyn.InhomPath(sites, n, tail)
 
 
+def _rescan_separate(p):
+    """(monochrome part, word) from passes run until `is_monochrome` holds."""
+    removed, cur = [], p
+    while not sep.is_monochrome(cur):
+        cur, carrier = dyn.decoding_pass(cur)
+        removed.append(carrier.bottom)
+    return cur, tuple(reversed(removed))
+
+
 def test_exhaustive_basic_round_trip_time_step_and_traces():
     paths = [p for n in (2, 3) for p in _basic_paths(n, 7)] + list(_basic_paths(4, 6))
     assert len(paths) == 6408
     for p in paths:
         rec = sep.separate(p)
         assert sep.combine(rec.monochrome, rec.word) == p
+        assert (rec.monochrome, rec.word) == _rescan_separate(p)
+        assert len(rec.steps) == rec.n_passes + 1
         evolved = dyn.carrier_evolution(p, None)
         assert dyn.time_evolution(p) == evolved
         assert dyn.carrier_evolution_traced(p, None).after == evolved
