@@ -128,7 +128,7 @@ def _operator(name: str):
     if name == "Tnat":
         return lambda p: decoding_pass(p)[0]
     if name.startswith("Tl:"):
-        ell = _positive(name[3:], "carrier capacity")
+        ell = _capacity(name[3:])
         return lambda p: carrier_evolution(p, ell)
     raise CliError(f"bad operator {name!r}; want T, Tnat, or Tl:<capacity>")
 
@@ -187,10 +187,11 @@ def _parse_shapes(text: str):
     return [(1, 1) if p == "c" else (_positive(p, "shape", want),) for p in parts]
 
 
-def _parse_capacities(text: str):
-    parts = [part.strip() for part in text.split(",")]
-    want, inf = "positive integers or inf", ("inf", "infinity")
-    return [None if p in inf else _positive(p, "capacity", want) for p in parts]
+def _capacity(part: str) -> int | None:
+    """A positive integer, or None (an unbounded carrier) for inf / infinity."""
+    if part in ("inf", "infinity"):
+        return None
+    return _positive(part, "capacity", "a positive integer or inf")
 
 
 def _emit_reports(reports, as_json: bool) -> int:
@@ -229,7 +230,7 @@ def cmd_verify(args) -> int:
             reports.append(verify.check_decomposition(fixture))
     elif args.check in ("theorem", "conservation"):
         count = 100 if args.count is None else args.count
-        caps = _parse_capacities(args.capacities)
+        caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
         rep = verify.check_path_suite(args.check, args.mode, args.n, count, args.seed, caps)
         reports.append(rep)
     return _emit_reports(reports, args.json)
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evolve", help="apply a time evolution repeatedly")
     ev.add_argument("input", nargs="?", help="state file (default: stdin)")
     ev.add_argument("--steps", type=int, default=1)
-    ev.add_argument("--operator", default="T", help="T, Tnat, or Tl:<capacity>")
+    ev.add_argument("--operator", default="T", help="T, Tnat, or Tl:<capacity or inf>")
     ev.add_argument("--n", type=int, default=None)
     ev.add_argument("--json", action="store_true")
     ev.set_defaults(func=cmd_evolve)

@@ -5,7 +5,8 @@ prefix is stored and the implicit tail is vacuum.  Evolutions are carrier
 sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
 removes one letter per sweep.  Both path kinds run the same sweeps; each
-path class names its vacuum box and the swap cores of its boxes.
+path class names its vacuum box and the swap cores of its boxes.  Row
+carriers, traced ones too, are count vectors: a site costs O(n) at any capacity.
 
 An idle carrier passes an empty box unchanged, so a pass calls the cores
 O(occupied + unloaded boxes) times, not O(L); traced sweeps visit every site.
@@ -22,7 +23,6 @@ from .isomorphisms import (
     col_box_core,
     col_row_core,
     combinatorial_r,
-    row_box_core,
     row_col_core,
 )
 
@@ -58,6 +58,30 @@ def _rebuilt(p, out: list):
 
 
 # count-vector adapters giving the row cores the call shapes of the box cores
+def _row_box_counts(carrier: CountVector, beta: int):
+    """`row_box_core` on a count vector, O(n) at any capacity: the largest
+    letter below `beta` leaves (bump), else the largest letter (head)."""
+    k = beta - 2
+    while k >= 0 and not carrier[k]:
+        k -= 1
+    tag = "bump"
+    if k < 0:
+        k, tag = len(carrier) - 1, "head"
+        while not carrier[k]:
+            k -= 1
+        if k == beta - 1:  # every carrier letter is beta
+            return beta, carrier, tag
+    new = list(carrier)
+    new[k] -= 1
+    new[beta - 1] += 1
+    return k + 1, tuple(new), tag
+
+
+def _empty_row(p, capacity: int) -> CountVector:
+    """The idle row carrier of `capacity`, shared by both path kinds."""
+    return (capacity,) + (0,) * (p.n - 1)
+
+
 def _r_core(carrier: CountVector, site: CountVector):
     new_site, new_carrier = combinatorial_r(carrier, site)
     return new_site, new_carrier, "R"
@@ -82,7 +106,8 @@ class BasicPath:
 
     mode = "basic"
     vacuum = 1
-    row_core = staticmethod(row_box_core)
+    row_core = staticmethod(_row_box_counts)
+    empty_row = _empty_row
     col_core = staticmethod(col_box_core)
     inv_col_core = staticmethod(box_col_core)
 
@@ -99,9 +124,6 @@ class BasicPath:
         if n is None:
             n = max([2, *sites])
         return cls(sites, n)
-
-    def empty_row(self, capacity: int) -> tuple[int, ...]:
-        return (1,) * capacity
 
     def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
         """(site index, letter) for each letter >= `least`, left to right."""
@@ -144,6 +166,7 @@ class InhomPath:
 
     mode = "inhom"
     row_core = staticmethod(_r_core)
+    empty_row = _empty_row
     col_core = staticmethod(_col_row_counts)
     inv_col_core = staticmethod(_row_col_counts)
 
@@ -161,9 +184,6 @@ class InhomPath:
     @property
     def vacuum(self) -> CountVector:
         return self.empty_row(self.tail_capacity)
-
-    def empty_row(self, capacity: int) -> CountVector:
-        return (capacity,) + (0,) * (self.n - 1)
 
     @property
     def capacities(self) -> tuple[int, ...]:

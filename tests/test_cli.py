@@ -63,6 +63,18 @@ def test_evolve_bad_operator(monkeypatch, capsys):
     assert "operator" in err
 
 
+@pytest.mark.parametrize("operator", ["Tl:inf", "Tl:infinity"])
+def test_evolve_unbounded_carrier_is_time_step(monkeypatch, capsys, operator):
+    rows = []
+    for op in ("T", operator):
+        code, out, _ = run_cli(
+            monkeypatch, capsys, ["evolve", "--steps", "3", "--operator", op], COLOURED_ROWS[0]
+        )
+        assert code == 0
+        rows.append(out.splitlines())
+    assert rows[0] == rows[1] == [f"t={t:<4} {row}" for t, row in enumerate(COLOURED_ROWS)]
+
+
 def test_evolve_decoding_operator(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch, capsys, ["evolve", "--steps", "1", "--operator", "Tnat"], "55432..\n"
@@ -265,6 +277,8 @@ BAD_INPUTS = {
     "carriers-negative": (["verify", "composition", "--carriers", "-1"], {}),
     "domain-cap-not-int": (["verify", "braid"], {"BBS_MAX_DOMAIN": "abc"}),
     "steps-negative": (["evolve", "--steps", "-3"], {}),
+    "operator-capacity-zero": (["evolve", "--operator", "Tl:0"], {}),
+    "operator-capacity-not-int": (["evolve", "--operator", "Tl:x"], {}),
     "count-negative": (["verify", "theorem", "--count", "-5"], {}),
     "steps-not-int": (["evolve", "--steps", "x"], {}),
     "unknown-flag": (["evolve", "--bogus"], {}),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from boxball import crystals as cr
 from boxball import dynamics as dyn
+from boxball import isomorphisms as iso
 from boxball.verify import random_basic_path, random_inhom_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
@@ -245,6 +246,21 @@ def test_trace_replay():
     assert dyn.replay_trace(itrace) == iq
 
 
+def test_count_row_core_matches_row_box_core():
+    """The basic paths' count-vector row core is `row_box_core` on counts,
+    case tags included, for every row of capacity 1..5 and every box."""
+    pairs = 0
+    for n in range(2, 7):
+        for capacity in range(1, 6):
+            for row in cr.iter_crystal((capacity,), n):
+                for beta in range(1, n + 1):
+                    emitted, new, tag = dyn.BasicPath.row_core(row.counts(), beta)
+                    got = emitted, cr.counts_to_entries(new), tag
+                    assert got == iso.row_box_core(row.entries, beta), (row, beta)
+                    pairs += 1
+    assert pairs == 4726
+
+
 # ---------------------------------------------------------------------------
 # the sweeps against a dense reference that visits every site
 
@@ -263,6 +279,24 @@ def _dense_row_sweep(p, capacity):
         out.append(emitted)
         carrier = new
     return replace(p, sites=tuple(out)), carrier, tuple(steps)
+
+
+def _tuple_row_sweep(p, capacity):
+    """The basic row sweep with sorted-tuple carriers and `iso.row_box_core`:
+    (evolved path, carrier leaving the sites, (tag, carrier before, carrier
+    after, box, emitted box) per site)."""
+    balls = dyn.ball_count(p)
+    carrier = empty = (1,) * (capacity if capacity is not None else max(1, balls))
+    out, steps = [], []
+    for k, site in enumerate(chain(p.sites, repeat(1))):
+        if k >= len(p.sites) and carrier == empty:
+            break
+        assert k <= len(p.sites) + balls + 2, "carrier failed to unload"
+        emitted, new, tag = iso.row_box_core(carrier, site)
+        steps.append((tag, carrier, new, site, emitted))
+        out.append(emitted)
+        carrier = new
+    return dyn.BasicPath(tuple(out), p.n), carrier, steps
 
 
 def _dense_decoding_pass(p):
@@ -297,6 +331,15 @@ def _assert_sweeps_match_dense(p, letter):
         assert dyn.carrier_evolution(p, cap) == q
         trace = dyn.carrier_evolution_traced(p, cap)
         assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
+        if isinstance(p, dyn.BasicPath):
+            entries = cr.counts_to_entries
+            tuple_q, tuple_carrier, tuple_steps = _tuple_row_sweep(p, cap)
+            assert (q, entries(carrier)) == (tuple_q, tuple_carrier)
+            assert [
+                (s.tag, entries(s.carrier_before), entries(s.carrier_after), s.site_before,
+                 s.site_after)
+                for s in steps
+            ] == tuple_steps
     q, outgoing, carrier, steps = _dense_decoding_pass(p)
     assert dyn.decoding_pass(p) == (q, outgoing)
     trace = dyn.decoding_pass_traced(p)
