@@ -1,8 +1,9 @@
 """Command line front end: evolve states, print separation tables, and run
 the verification suites.
 
-State documents are either a bare ASCII path ('.'=empty, digits 2..9) or a
-JSON object:
+State documents are either a bare ASCII path on one line ('.'=empty, digits
+2..9) or a JSON object; `parse_state` reads them, and `state_document` and
+`separation_document` write the JSON forms:
 
     {"n": 5, "mode": "basic", "state": "55432.....542....2"}
     {"n": 12, "mode": "basic", "state": [12, 3, 1, 1, 2]}
@@ -70,10 +71,47 @@ def parse_state(text: str, n_override: int | None = None):
         return _state_from_document(doc, n_override)
     if n_override is not None and n_override > 9:
         raise CliError("ASCII mode supports n <= 9; use the JSON document form")
+    first, *rest = (line.strip() for line in text.splitlines() if line.strip())
+    if rest:
+        raise CliError(f"ASCII input holds one path, got a second line {rest[0]!r}")
     try:
-        return BasicPath.from_string(text.splitlines()[0].strip(), n_override)
+        return BasicPath.from_string(first, n_override)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _state_json(p):
+    """A path's `state`: letters (a string when n <= 9), or count vectors."""
+    if p.mode == "inhom":
+        return [list(c) for c in p.sites]
+    return (p.render() or ".") if p.n <= 9 else list(p.sites)
+
+
+def state_document(p) -> dict:
+    """The JSON document of `p` that `parse_state` reads back."""
+    if p.mode == "inhom":
+        sites = [{"capacity": sum(c), "counts": c} for c in _state_json(p)]
+        return {"n": p.n, "mode": p.mode, "tail_capacity": p.tail_capacity, "sites": sites}
+    return {"n": p.n, "mode": p.mode, "state": _state_json(p)}
+
+
+def separation_document(record) -> dict:
+    """What `separate --json` prints: the monochrome part, the word and the step table."""
+    p = record.source
+    doc = {
+        "n": p.n,
+        "mode": p.mode,
+        "monochrome": _state_json(record.monochrome),
+        "word": "".join(str(v) for v in record.word) if p.n <= 9 else list(record.word),
+        "steps": [
+            {"s": s.index, "state": _state_json(s.state)}
+            | ({"removed": s.removed} if s.removed is not None else {})
+            for s in record.steps
+        ],
+    }
+    if p.mode == "inhom":
+        doc["tail_capacity"] = p.tail_capacity
+    return doc
 
 
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -141,7 +179,7 @@ def cmd_evolve(args) -> int:
     for _ in range(args.steps):
         rows.append(op(rows[-1]))
     if args.json:
-        print(json.dumps({"steps": args.steps, "rows": [r.to_json() for r in rows]}))
+        print(json.dumps({"steps": args.steps, "rows": [state_document(r) for r in rows]}))
         return 0
     width = max(_input_width(text), *(len(r.sites) for r in rows))
     for t, r in enumerate(rows):
@@ -154,7 +192,7 @@ def cmd_separate(args) -> int:
     state = parse_state(text, args.n)
     record = separate(state)
     if args.json:
-        print(json.dumps(record.to_json_dict()))
+        print(json.dumps(separation_document(record)))
         return 0
     width = max(_input_width(text), *(len(s.state.sites) for s in record.steps))
     for step in record.steps:

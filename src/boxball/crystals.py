@@ -256,14 +256,6 @@ def _replaced(x: Factor | TensorElement, k: int, y: Factor) -> Factor | TensorEl
     return y
 
 
-def epsilon(i: int, x: Factor | TensorElement) -> int:
-    return eps_phi(i, x)[0]
-
-
-def phi(i: int, x: Factor | TensorElement) -> int:
-    return eps_phi(i, x)[1]
-
-
 def eps_phi(i: int, x: Factor | TensorElement) -> tuple[int, int]:
     """The (epsilon_i, phi_i) string lengths of x."""
     _check_index(i, x.n)

@@ -34,7 +34,7 @@ class InvalidWordError(ValueError):
 def _parse_letter(ch: str, pos: int) -> int:
     if ch == ".":
         return 1
-    if ch.isdigit() and ch != "0" and ch != "1":
+    if "2" <= ch <= "9":  # ASCII only: str.isdigit also admits other scripts' digits
         return int(ch)
     raise ValueError(f"bad path character {ch!r} at position {pos}")
 
@@ -143,15 +143,6 @@ class BasicPath:
         cells += ["."] * ((width or 0) - len(cells))
         return ("" if self.n <= 9 else ",").join(cells)
 
-    def json_state(self):
-        return (self.render() or ".") if self.n <= 9 else list(self.sites)
-
-    def json_extras(self) -> dict:
-        return {}
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "mode": self.mode, "state": self.json_state()}
-
     __str__ = render
 
 
@@ -185,10 +176,6 @@ class InhomPath:
     def vacuum(self) -> CountVector:
         return self.empty_row(self.tail_capacity)
 
-    @property
-    def capacities(self) -> tuple[int, ...]:
-        return tuple(sum(c) for c in self.sites)
-
     def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
         """(site index, letter) for each letter >= `least`, left to right."""
         wanted = range(least, self.n + 1)
@@ -208,16 +195,6 @@ class InhomPath:
         """Count vectors in brackets; only basic rows are padded to `width`."""
         return "".join("[" + ",".join(str(v) for v in c) + "]" for c in self.sites)
 
-    def json_state(self):
-        return [list(c) for c in self.sites]
-
-    def json_extras(self) -> dict:
-        return {"tail_capacity": self.tail_capacity}
-
-    def to_json(self) -> dict:
-        sites = [{"capacity": sum(c), "counts": list(c)} for c in self.sites]
-        return {"n": self.n, "mode": self.mode, **self.json_extras(), "sites": sites}
-
     __str__ = render
 
 
@@ -231,11 +208,6 @@ def front(p: Path) -> int:
 
 def ball_count(p: Path) -> int:
     return sum(1 for _ in p.letters(2))
-
-
-def initial_carrier(n: int) -> ColumnPair:
-    """The decoding carrier in its seeded state."""
-    return ColumnPair(1, 2, n)
 
 
 @dataclass(frozen=True)

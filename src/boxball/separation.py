@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystals import ColumnPair
 from .dynamics import (
     InvalidWordError,
     Path,
@@ -44,31 +43,6 @@ class SeparationRecord:
     def n_passes(self) -> int:
         return len(self.word)
 
-    @property
-    def carriers(self) -> tuple[ColumnPair, ...]:
-        n = self.source.n
-        return tuple(ColumnPair(1, y, n) for y in self.word)
-
-    def removals(self) -> tuple[int, ...]:
-        """Removed letters in application order (the word reversed)."""
-        return tuple(reversed(self.word))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.source.n,
-            "mode": self.source.mode,
-            "monochrome": self.monochrome.json_state(),
-            "word": "".join(str(v) for v in self.word)
-            if self.source.n <= 9
-            else list(self.word),
-            "steps": [
-                {"s": s.index, "state": s.state.json_state()}
-                | ({"removed": s.removed} if s.removed is not None else {})
-                for s in self.steps
-            ],
-            **self.source.json_extras(),
-        }
-
 
 def separate(p: Path) -> SeparationRecord:
     """Run decoding passes until no letter exceeds 2, with the minimal
@@ -106,11 +80,6 @@ def combine(monochrome: Path, word: ColourWord) -> Path:
     for y in word:
         cur = encoding_pass(cur, y)
     return cur
-
-
-def colour_word(p: Path) -> ColourWord:
-    """The conserved word of a path."""
-    return separate(p).word
 
 
 @dataclass(frozen=True)

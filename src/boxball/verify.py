@@ -32,7 +32,7 @@ from .crystals import (
 )
 from .dynamics import BasicPath, InhomPath, carrier_evolution
 from .isomorphisms import apply_word, swap_adjacent, swap_pair
-from .separation import check_commutation, colour_word, separate
+from .separation import check_commutation, separate
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def check_path_suite(
                     rep = check_commutation(p, cap, record)
                     if not rep.passed:
                         yield f"path #{k} {p}: {rep.mismatch}"
-                elif colour_word(carrier_evolution(p, cap)) != record.word:
+                elif separate(carrier_evolution(p, cap)).word != record.word:
                     yield f"path #{k} {p}: word changed under capacity {cap}"
 
     label = f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]"

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import boxball.verify
-from boxball.cli import main
+from boxball.cli import main, state_document
 from boxball.separation import combine
 from boxball.dynamics import BasicPath
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
@@ -36,9 +36,10 @@ def test_evolve_coloured_golden(monkeypatch, capsys):
 
 
 def test_evolve_zero_steps_echoes_canonical_input(monkeypatch, capsys):
-    code, out, _ = run_cli(monkeypatch, capsys, ["evolve", "--steps", "0"], ".22..\n")
-    assert code == 0
-    assert out.splitlines() == ["t=0    .22.."]
+    for text in (".22..\n", "\n.22..\n\n  \n"):  # blank lines around the path are ignored
+        code, out, _ = run_cli(monkeypatch, capsys, ["evolve", "--steps", "0"], text)
+        assert code == 0
+        assert out.splitlines() == ["t=0    .22.."]
 
 
 def test_evolve_reads_positional_file(tmp_path, monkeypatch, capsys):
@@ -52,9 +53,12 @@ def test_evolve_reads_positional_file(tmp_path, monkeypatch, capsys):
 
 
 def test_evolve_parse_error_names_character(monkeypatch, capsys):
-    code, _, err = run_cli(monkeypatch, capsys, ["evolve"], "..x.\n")
-    assert code == 2
-    assert "'x'" in err and "position 3" in err
+    # digits of other scripts and superscripts are bad characters, not letters
+    cases = [("..x.", "x", 3), ("\u0663.\u0662", "\u0663", 1), ("2\u00b2", "\u00b2", 2)]
+    for text, char, pos in cases:
+        code, _, err = run_cli(monkeypatch, capsys, ["evolve"], text + "\n")
+        assert code == 2
+        assert err == f"error: bad path character {char!r} at position {pos}\n"
 
 
 def test_evolve_bad_operator(monkeypatch, capsys):
@@ -172,6 +176,55 @@ def test_separate_json_round_trip(monkeypatch, capsys):
     )
     assert rebuilt == BasicPath.from_string(COLOURED_ROWS[0])
     assert doc["steps"][0]["removed"] == 2
+
+
+INHOM_TAIL_2 = {
+    "n": 3,
+    "mode": "inhom",
+    "tail_capacity": 2,
+    "sites": [
+        {"capacity": 2, "counts": [0, 1, 1]},
+        {"capacity": 1, "counts": [0, 0, 1]},
+        {"capacity": 3, "counts": [2, 1, 0]},
+    ],
+}
+
+JSON_GOLDEN = {
+    "separate-inhom": (
+        ["separate", "--json"],
+        INHOM_TAIL_2,
+        '{"n": 3, "mode": "inhom", "monochrome": [[1, 1, 0], [1, 0, 0], [0, 3, 0]], '
+        '"word": "33", "steps": [{"s": 0, "state": [[0, 1, 1], [0, 0, 1], [2, 1, 0]], '
+        '"removed": 3}, {"s": 1, "state": [[1, 1, 0], [0, 0, 1], [1, 2, 0]], "removed": 3}, '
+        '{"s": 2, "state": [[1, 1, 0], [1, 0, 0], [0, 3, 0]]}], "tail_capacity": 2}\n',
+    ),
+    "evolve-inhom": (
+        ["evolve", "--json", "--steps", "2"],
+        INHOM_TAIL_2,
+        '{"steps": 2, "rows": [{"n": 3, "mode": "inhom", "tail_capacity": 2, "sites": '
+        '[{"capacity": 2, "counts": [0, 1, 1]}, {"capacity": 1, "counts": [0, 0, 1]}, '
+        '{"capacity": 3, "counts": [2, 1, 0]}]}, {"n": 3, "mode": "inhom", "tail_capacity": 2, '
+        '"sites": [{"capacity": 2, "counts": [2, 0, 0]}, {"capacity": 1, "counts": [0, 1, 0]}, '
+        '{"capacity": 3, "counts": [1, 0, 2]}, {"capacity": 2, "counts": [1, 1, 0]}]}, '
+        '{"n": 3, "mode": "inhom", "tail_capacity": 2, "sites": [{"capacity": 2, "counts": '
+        '[2, 0, 0]}, {"capacity": 1, "counts": [1, 0, 0]}, {"capacity": 3, "counts": [2, 1, 0]}, '
+        '{"capacity": 2, "counts": [1, 0, 1]}, {"capacity": 2, "counts": [0, 1, 1]}]}]}\n',
+    ),
+    "evolve-n12": (
+        ["evolve", "--json", "--steps", "2"],
+        {"n": 12, "state": [12, 3, 1, 11, 2]},
+        '{"steps": 2, "rows": [{"n": 12, "mode": "basic", "state": [12, 3, 1, 11, 2]}, '
+        '{"n": 12, "mode": "basic", "state": [1, 1, 12, 3, 1, 11, 2]}, '
+        '{"n": 12, "mode": "basic", "state": [1, 1, 1, 1, 12, 3, 1, 11, 2]}]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, doc, expected", JSON_GOLDEN.values(), ids=list(JSON_GOLDEN))
+def test_json_output_golden_bytes(monkeypatch, capsys, argv, doc, expected):
+    code, out, _ = run_cli(monkeypatch, capsys, argv, json.dumps(doc))
+    assert code == 0
+    assert out == expected
 
 
 def test_separate_trace_lists_case_tags(monkeypatch, capsys):
@@ -299,6 +352,16 @@ BAD_INPUTS = {
     "doc-state-object": (["evolve", "state-object.json"], {}),
     "doc-state-empty": (["evolve", "state-empty.json"], {}),
     "doc-state-int": (["evolve", "state-int.json"], {}),
+    "digit-arabic-indic": (["separate", "arabic-indic.txt"], {}),
+    "digit-superscript": (["separate", "superscript.txt"], {}),
+    "ascii-second-line": (["separate", "two-lines.txt"], {}),
+}
+
+# ASCII paths admit only '.' and the ASCII digits 2..9, on one line
+BAD_TEXTS = {
+    "arabic-indic.txt": "\u0663.\u0662\n",
+    "superscript.txt": "2\u00b2\n",
+    "two-lines.txt": "2.3\n4..\n",
 }
 
 
@@ -351,6 +414,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, en
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe.2\n")
     for name, doc in BAD_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    for name, text in BAD_TEXTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out, err = run_cli(monkeypatch, capsys, argv, ".2.\n")
@@ -370,12 +435,12 @@ def test_state_render_parse_round_trip():
     for _ in range(50):
         p = random_basic_path(rng, rng.randint(2, 5), 30, 10)
         assert parse_state(p.render() or ".", p.n) == p
-        assert parse_state(json.dumps(p.to_json())) == p
+        assert parse_state(json.dumps(state_document(p))) == p
         q = random_inhom_path(rng, rng.randint(2, 5))
-        assert parse_state(json.dumps(q.to_json())) == q
+        assert parse_state(json.dumps(state_document(q))) == q
     for _ in range(20):
         p = random_basic_path(rng, 12, 30, 10)
-        assert parse_state(json.dumps(p.to_json())) == p
+        assert parse_state(json.dumps(state_document(p))) == p
 
 
 def test_module_entry_point_subprocess():

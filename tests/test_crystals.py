@@ -60,8 +60,8 @@ def test_eps_phi_examples():
     assert cr.eps_phi(1, cr.row("112", 3)) == (1, 2)
     assert cr.eps_phi(2, cr.col(1, 3, 3)) == (1, 0)
     assert cr.eps_phi(1, cr.col(1, 2, 3)) == (0, 0)
-    assert cr.epsilon(1, cr.row("112", 3)) == 1
-    assert cr.phi(1, cr.row("112", 3)) == 2
+    assert cr.eps_phi(1, cr.row("112", 3))[0] == 1
+    assert cr.eps_phi(1, cr.row("112", 3))[1] == 2
 
 
 def test_operator_index_contract():

@@ -7,6 +7,7 @@ import pytest
 from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import separation as sep
+from boxball.cli import separation_document
 from boxball.verify import random_basic_path, random_inhom_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH, WORD
 
@@ -20,8 +21,7 @@ def test_separation_of_first_coloured_row():
     assert rec.monochrome.render(WIDTH) == MONO_ROWS[0]
     assert [s.state.render(WIDTH) for s in rec.steps] == rows
     assert [s.removed for s in rec.steps] == removals + [None]
-    assert rec.removals() == tuple(removals)
-    assert rec.carriers == tuple(cr.col(1, int(y), 5) for y in WORD)
+    assert tuple(reversed(rec.word)) == tuple(removals)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -76,7 +76,7 @@ def test_monochrome_part_independent_of_extra_passes():
     cur = rec.monochrome
     for _ in range(3):
         cur, b = dyn.decoding_pass(cur)
-        assert b == dyn.initial_carrier(p.n)
+        assert b == cr.col(1, 2, p.n)
         assert cur == rec.monochrome
 
 
@@ -99,7 +99,7 @@ def test_check_commutation_vacuum_trivial():
 def test_conserved_word_across_time_steps():
     rows = [dyn.BasicPath.from_string(r) for r in COLOURED_ROWS]
     for r in rows:
-        assert "".join(map(str, sep.colour_word(r))) == WORD
+        assert "".join(map(str, sep.separate(r).word)) == WORD
 
 
 def test_letter_census():
@@ -124,7 +124,7 @@ def test_minimal_passes_within_window_bound():
         p = random_inhom_path(rng, rng.randint(2, 6))
         if sep.is_monochrome(p):
             continue
-        assert sep.separate(p).n_passes <= sum(p.capacities[: dyn.front(p)])
+        assert sep.separate(p).n_passes <= sum(sum(c) for c in p.sites[: dyn.front(p)])
 
 
 def test_ladder_basic():
@@ -136,7 +136,7 @@ def test_ladder_basic():
         p = random_basic_path(rng, rng.randint(3, 5), 30, 12)
         if sep.is_monochrome(p):
             continue
-        removals = sep.separate(p).removals()
+        removals = tuple(reversed(sep.separate(p).word))
         k = 0
         while k < len(removals) and removals[k] == 2:
             k += 1
@@ -154,12 +154,12 @@ def test_ladder_inhom():
         p = random_inhom_path(rng, rng.randint(3, 5))
         if sep.is_monochrome(p) or dyn.front(p) == 0:
             continue
-        removals = sep.separate(p).removals()
+        removals = tuple(reversed(sep.separate(p).word))
         run = 0
         while run < len(removals) and removals[run] == 2:
             run += 1
         f = dyn.front(p)
-        caps = p.capacities
+        caps = [sum(c) for c in p.sites]
         acc = 0
         for k in range(1, f + 1):
             acc += caps[f - k]
@@ -181,15 +181,15 @@ def test_inhom_conserved_word():
     rng = random.Random(27)
     for _ in range(30):
         p = random_inhom_path(rng, rng.randint(2, 4))
-        word = sep.colour_word(p)
+        word = sep.separate(p).word
         for cap in (1, 3, None):
-            evolved_word = sep.colour_word(dyn.carrier_evolution(p, cap))
+            evolved_word = sep.separate(dyn.carrier_evolution(p, cap)).word
             assert evolved_word == word
 
 
 def test_record_json_shape():
     p = dyn.BasicPath.from_string("55432.....542....2")
-    doc = sep.separate(p).to_json_dict()
+    doc = separation_document(sep.separate(p))
     assert doc["n"] == 5 and doc["mode"] == "basic"
     assert doc["word"] == WORD
     assert doc["monochrome"] == "....22222......222.2"
@@ -202,7 +202,7 @@ def test_record_json_states_for_large_alphabets():
     assert p.render() == "12,3,.,.,2"
     assert p.render(7) == "12,3,.,.,2,.,."
     rec = sep.separate(p)
-    doc = json.loads(json.dumps(rec.to_json_dict()))
+    doc = json.loads(json.dumps(separation_document(rec)))
     assert doc["monochrome"] == list(rec.monochrome.sites)
     rebuilt = [dyn.BasicPath(tuple(s["state"]), doc["n"]) for s in doc["steps"]]
     assert rebuilt == [s.state for s in rec.steps]
