@@ -114,6 +114,19 @@ def separation_document(record) -> dict:
     return doc
 
 
+def report_document(rep) -> dict:
+    """What `verify --json` prints for one `verify.RelationReport`."""
+    doc = {
+        "relation": rep.relation,
+        "domain": rep.domain,
+        "result": "pass" if rep.passed else "fail",
+        "elapsed": round(rep.elapsed, 6),
+    }
+    if rep.counterexample is not None:
+        doc["counterexample"] = rep.counterexample
+    return doc
+
+
 _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
@@ -221,6 +234,8 @@ def _positive(part: str, what: str, want: str = "a positive integer") -> int:
 
 def _parse_shapes(text: str):
     parts = [part.strip() for part in text.split(",")]
+    if len(parts) < 2:
+        raise CliError(f"--shapes {text!r} names one shape; the relations need at least 2")
     want = "positive integers or 'c'"
     return [(1, 1) if p == "c" else (_positive(p, "shape", want),) for p in parts]
 
@@ -232,51 +247,37 @@ def _capacity(part: str) -> int | None:
     return _positive(part, "capacity", "a positive integer or inf")
 
 
-def _emit_reports(reports, as_json: bool) -> int:
-    ok = True
+def cmd_verify(args) -> int:
+    if args.check == "braid":
+        shapes = _parse_shapes(args.shapes)
+        reports = [verify.check_symmetric_group(shapes, args.n, args.seed, args.count)]
+    elif args.check == "composition":
+        sizes = args.l, args.carriers, args.boxes, args.n
+        reports = [verify.check_carrier_composition(*sizes, args.seed, args.count)]
+    elif args.check in ("theorem", "conservation"):
+        caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
+        suite = args.check, args.mode, args.n, args.count, args.seed
+        reports = [verify.check_path_suite(*suite, caps)]
+    elif args.check == "chains":
+        reports = [verify.check_highest_weight_chains()]
+    else:
+        fixtures = verify.standard_decomposition_fixtures()
+        reports = [verify.check_decomposition(fixture) for fixture in fixtures]
     for rep in reports:
-        if as_json:
-            print(json.dumps(rep.to_json_dict()))
+        if args.json:
+            print(json.dumps(report_document(rep)))
         else:
             status = "pass" if rep.passed else "fail"
             line = f"{status}  {rep.relation} (domain {rep.domain}, {rep.elapsed:.3f}s)"
             if rep.counterexample:
                 line += f"\n      {rep.counterexample}"
             print(line)
-        ok = ok and rep.passed
-    return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
-    reports = []
-    mode = "exhaustive" if args.count is None else "random"
-    if args.check == "braid":
-        shapes = _parse_shapes(args.shapes)
-        reports.append(
-            verify.check_symmetric_group(shapes, args.n, mode, args.seed, args.count)
-        )
-    elif args.check == "chains":
-        reports.append(verify.check_highest_weight_chains())
-    elif args.check == "composition":
-        reports.append(
-            verify.check_carrier_composition(
-                args.l, args.carriers, args.boxes, args.n, mode, args.seed, args.count
-            )
-        )
-    elif args.check == "decomposition":
-        for fixture in verify.standard_decomposition_fixtures():
-            reports.append(verify.check_decomposition(fixture))
-    elif args.check in ("theorem", "conservation"):
-        count = 100 if args.count is None else args.count
-        caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
-        rep = verify.check_path_suite(args.check, args.mode, args.n, count, args.seed, caps)
-        reports.append(rep)
-    return _emit_reports(reports, args.json)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _check_flags(args) -> None:
     """Reject numeric flags below their least value; subcommands without one skip it."""
-    minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 0, "boxes": 0}
+    minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 1, "boxes": 1}
     for flag, least in minima.items():
         value = getattr(args, flag, None)
         if value is not None and value < least:
@@ -304,22 +305,30 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--trace", action="store_true", help="print per-site case tags")
     sep.set_defaults(func=cmd_separate)
 
+    # each check takes only the flags it reads
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument(
-        "check",
-        choices=["braid", "chains", "composition", "decomposition", "theorem", "conservation"],
-    )
-    ver.add_argument("--n", type=int, default=3)
-    ver.add_argument("--l", type=int, default=2, help="row capacity for composition")
-    ver.add_argument("--shapes", default="3,1,c", help="e.g. 3,1,c (c = column)")
-    ver.add_argument("--carriers", "--N", type=int, default=1, dest="carriers")
-    ver.add_argument("--boxes", "--L", type=int, default=1, dest="boxes")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--count", type=int, default=None)
-    ver.add_argument("--mode", choices=["basic", "inhom"], default="basic")
-    ver.add_argument("--capacities", default="1,2,3,inf")
-    ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)
+    checks = ver.add_subparsers(dest="check", required=True)
+    json_flag = _Parser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    seeded = _Parser(add_help=False, parents=[json_flag])
+    seeded.add_argument("--n", type=int, default=3)
+    seeded.add_argument("--seed", type=int, default=0)
+    sampled = _Parser(add_help=False, parents=[seeded])
+    sampled.add_argument("--count", type=int, default=None, help="default: every element")
+    braid = checks.add_parser("braid", parents=[sampled])
+    braid.add_argument("--shapes", default="3,1,c", help="e.g. 3,1,c (c = column)")
+    comp = checks.add_parser("composition", parents=[sampled])
+    comp.add_argument("--l", type=int, default=2, help="row capacity")
+    comp.add_argument("--carriers", type=int, default=1)
+    comp.add_argument("--boxes", type=int, default=1)
+    for name in ("theorem", "conservation"):
+        suite = checks.add_parser(name, parents=[seeded])
+        suite.add_argument("--count", type=int, default=100)
+        suite.add_argument("--mode", choices=["basic", "inhom"], default="basic")
+        suite.add_argument("--capacities", default="1,2,3,inf")
+    for name in ("chains", "decomposition"):
+        checks.add_parser(name, parents=[json_flag])
     return parser
 
 

@@ -8,7 +8,6 @@ operator structure that pins down every swap map in `isomorphisms`.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
@@ -19,20 +18,11 @@ Weight = tuple[int, ...]
 CountVector = tuple[int, ...]
 Shape = tuple[int, ...]
 
-_DEFAULT_DOMAIN_CAP = 1_000_000
+MAX_DOMAIN = 1_000_000  # the most elements an exhaustive enumeration may visit
 
 
 class DomainSizeError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured bound."""
-
-
-def domain_cap() -> int:
-    """Size cap for exhaustive enumerations (override with BBS_MAX_DOMAIN)."""
-    raw = os.environ.get("BBS_MAX_DOMAIN", _DEFAULT_DOMAIN_CAP)
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainSizeError(f"BBS_MAX_DOMAIN must be an integer, got {raw!r}") from None
+    """An exhaustive enumeration would exceed `MAX_DOMAIN`."""
 
 
 @dataclass(frozen=True)
@@ -310,10 +300,10 @@ def tensor_size(shapes, n: int) -> int:
 
 
 def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
-    """Every element of the product crystal; guarded by `domain_cap`."""
+    """Every element of the product crystal; guarded by `MAX_DOMAIN`."""
     size = tensor_size(shapes, n)
-    if size > domain_cap():
-        raise DomainSizeError(f"product crystal has {size} elements, cap is {domain_cap()}")
+    if size > MAX_DOMAIN:
+        raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
     pools = [tuple(iter_crystal(s, n)) for s in shapes]
     for fs in product(*pools):
         yield TensorElement(fs)

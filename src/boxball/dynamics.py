@@ -107,7 +107,6 @@ class BasicPath:
     mode = "basic"
     vacuum = 1
     row_core = staticmethod(_row_box_counts)
-    empty_row = _empty_row
     col_core = staticmethod(col_box_core)
     inv_col_core = staticmethod(box_col_core)
 
@@ -157,7 +156,6 @@ class InhomPath:
 
     mode = "inhom"
     row_core = staticmethod(_r_core)
-    empty_row = _empty_row
     col_core = staticmethod(_col_row_counts)
     inv_col_core = staticmethod(_row_col_counts)
 
@@ -174,7 +172,7 @@ class InhomPath:
 
     @property
     def vacuum(self) -> CountVector:
-        return self.empty_row(self.tail_capacity)
+        return _empty_row(self, self.tail_capacity)
 
     def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
         """(site index, letter) for each letter >= `least`, left to right."""
@@ -279,7 +277,7 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
     if capacity is not None and capacity < 1:
         raise ValueError("carrier capacity must be >= 1")
     capacity = max(1, ball_count(p)) if capacity is None else capacity
-    carrier = empty = p.empty_row(capacity)
+    carrier = empty = _empty_row(p, capacity)
     out = list(p.sites + (p.vacuum,) * capacity)  # a busy carrier drops a ball per box
     gap = 0
     for k in order:

@@ -46,17 +46,6 @@ class RelationReport:
     def passed(self) -> bool:
         return self.counterexample is None
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "relation": self.relation,
-            "domain": self.domain,
-            "result": "pass" if self.passed else "fail",
-            "elapsed": round(self.elapsed, 6),
-        }
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
-        return doc
-
 
 @dataclass(frozen=True)
 class DecompositionFixture:
@@ -134,6 +123,8 @@ def check_path_suite(
     """On `count` seeded random paths of `mode` "basic" or "inhom" (alphabets 2..n),
     evolving by each carrier capacity (None: unbounded) commutes with decoding
     (`relation` "theorem") or keeps the colour word ("conservation")."""
+    if count < 1 or not capacities:
+        raise ValueError(f"need >= 1 path and capacity, got {count} and {capacities}")
     rng = random.Random(seed)
     random_path = random_inhom_path if mode == "inhom" else random_basic_path
 
@@ -224,24 +215,26 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
 # symmetric group relations
 
 
-def _domain(shapes, n: int, mode: str, seed: int | None, count: int | None):
-    if mode == "exhaustive":
-        return list(iter_tensor(shapes, n))
+def _domain(shapes, n: int, seed: int, count: int | None):
+    """("exhaustive", every element of the product crystal) when `count` is
+    None, else ("random", `count` elements drawn with `seed`)."""
+    if count is None:
+        return "exhaustive", list(iter_tensor(shapes, n))
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
-    return [random_tensor(rng, shapes, n) for _ in range(count or 100)]
+    return "random", [random_tensor(rng, shapes, n) for _ in range(count)]
 
 
 def check_symmetric_group(
-    shapes,
-    n: int,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    count: int | None = None,
+    shapes, n: int, seed: int = 0, count: int | None = None
 ) -> RelationReport:
     """Involution, far commutation and braid relation for the swaps."""
     t0 = time.perf_counter()
-    elements = _domain(shapes, n, mode, seed, count)
-    k = len(tuple(shapes))
+    k = len(shapes)
+    if k < 2:
+        raise ValueError(f"the relations need at least 2 shapes, got {k}")
+    mode, elements = _domain(shapes, n, seed, count)
     pairs = [("swap_%d^2 != id at {t}" % i, [i, i], []) for i in range(1, k)]
     braid = "braid fails at position %d on {t}: {lhs} vs {rhs}"
     pairs += [(braid % i, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
@@ -354,13 +347,14 @@ def check_carrier_composition(
     n_carriers: int,
     n_boxes: int,
     n: int,
-    mode: str = "exhaustive",
-    seed: int | None = None,
+    seed: int = 0,
     count: int | None = None,
 ) -> RelationReport:
     t0 = time.perf_counter()
+    if n_carriers < 1 or n_boxes < 1:
+        raise ValueError(f"need >= 1 carrier and box, got {n_carriers} and {n_boxes}")
     shapes = [(ell,)] + [(1, 1)] * n_carriers + [(1,)] * n_boxes
-    elements = _domain(shapes, n, mode, seed, count)
+    mode, elements = _domain(shapes, n, seed, count)
     pairs = [("compositions differ on {t}", *composition_words(n_carriers, n_boxes))]
     relation = f"carrier-composition[l={ell},N={n_carriers},L={n_boxes},n={n};{mode}]"
     return _report(relation, len(elements), _words_disagree(elements, pairs), t0)

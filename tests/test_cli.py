@@ -285,6 +285,28 @@ def test_verify_conservation_cli_inhom(monkeypatch, capsys):
     assert code == 0
 
 
+VERIFY_GOLDEN = [
+    ("braid --n 3 --shapes 3,1,c",
+     "symmetric-group[(3,),(1,),(1, 1); n=3; exhaustive]", 90),
+    ("braid --n 4 --shapes 2,2,2 --count 50 --seed 42",
+     "symmetric-group[(2,),(2,),(2,); n=4; random]", 50),
+    ("composition --l 2 --carriers 2 --boxes 2 --n 3",
+     "carrier-composition[l=2,N=2,L=2,n=3;exhaustive]", 486),
+    ("composition --l 2 --carriers 2 --boxes 2 --n 3 --count 30 --seed 7",
+     "carrier-composition[l=2,N=2,L=2,n=3;random]", 30),
+    ("theorem --count 5", "theorem[mode=basic, n<=3, count=5, seed=0]", 20),
+]
+
+
+@pytest.mark.parametrize("args, relation, domain", VERIFY_GOLDEN,
+                         ids=[args for args, _, _ in VERIFY_GOLDEN])
+def test_verify_json_golden(monkeypatch, capsys, args, relation, domain):
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify", *args.split(), "--json"])
+    assert code == 0
+    (doc,) = [json.loads(line) for line in out.splitlines()]
+    assert (doc["relation"], doc["domain"], doc["result"]) == (relation, domain, "pass")
+
+
 def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     stub = boxball.verify.RelationReport("stub", 1, "boom", 0.0)
     monkeypatch.setattr(boxball.verify, "check_highest_weight_chains", lambda: stub)
@@ -294,9 +316,9 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
 
 
 def test_domain_cap_env_is_respected(monkeypatch, capsys):
-    monkeypatch.setenv("BBS_MAX_DOMAIN", "5")
+    # 2,131,746,903 elements, far past crystals.MAX_DOMAIN
     code, _, err = run_cli(
-        monkeypatch, capsys, ["verify", "braid", "--n", "3", "--shapes", "3,1,c"]
+        monkeypatch, capsys, ["verify", "braid", "--n", "9", "--shapes", "5,5,5"]
     )
     assert code == 2
     assert "cap" in err
@@ -328,7 +350,11 @@ BAD_INPUTS = {
     "shape-zero": (["verify", "braid", "--shapes", "0"], {}),
     "row-capacity-zero": (["verify", "composition", "--l", "0"], {}),
     "carriers-negative": (["verify", "composition", "--carriers", "-1"], {}),
-    "domain-cap-not-int": (["verify", "braid"], {"BBS_MAX_DOMAIN": "abc"}),
+    "carriers-zero": (["verify", "composition", "--carriers", "0"], {}),
+    "boxes-zero": (["verify", "composition", "--boxes", "0"], {}),
+    "braid-one-shape": (["verify", "braid", "--shapes", "c"], {}),
+    "chains-reads-no-n": (["verify", "chains", "--n", "3"], {}),
+    "decomposition-reads-no-count": (["verify", "decomposition", "--count", "5"], {}),
     "steps-negative": (["evolve", "--steps", "-3"], {}),
     "operator-capacity-zero": (["evolve", "--operator", "Tl:0"], {}),
     "operator-capacity-not-int": (["evolve", "--operator", "Tl:x"], {}),

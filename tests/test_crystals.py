@@ -215,11 +215,11 @@ def test_crystal_sizes_and_lex_order():
 
 
 def test_domain_cap_guard(monkeypatch):
-    monkeypatch.setenv("BBS_MAX_DOMAIN", "10")
+    monkeypatch.setattr(cr, "MAX_DOMAIN", 10)
     with pytest.raises(cr.DomainSizeError):
         list(cr.iter_tensor([(3,), (3,)], 4))
-    monkeypatch.delenv("BBS_MAX_DOMAIN")
-    assert cr.domain_cap() == 1_000_000
+    monkeypatch.undo()
+    assert cr.MAX_DOMAIN == 1_000_000
 
 
 def test_counts_round_trip():

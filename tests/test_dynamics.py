@@ -268,7 +268,7 @@ def test_count_row_core_matches_row_box_core():
 def _dense_row_sweep(p, capacity):
     """(evolved path, carrier leaving the sites, one trace step per site)."""
     balls = dyn.ball_count(p)
-    carrier = empty = p.empty_row(capacity if capacity is not None else max(1, balls))
+    carrier = empty = dyn._empty_row(p, capacity if capacity is not None else max(1, balls))
     out, steps = [], []
     for k, site in enumerate(chain(p.sites, repeat(p.vacuum))):
         if k >= len(p.sites) and carrier == empty:

@@ -3,6 +3,7 @@ import pytest
 from boxball import crystals as cr
 from boxball import isomorphisms as iso
 from boxball import verify
+from boxball.cli import report_document
 
 
 def test_isomorphism_table_is_a_bijection():
@@ -34,16 +35,14 @@ def test_symmetric_group_exhaustive_fixtures():
 
 
 def test_symmetric_group_random_mode_is_seeded():
-    a = verify.check_symmetric_group([(2,), (2,), (2,)], 4, "random", seed=42, count=100)
-    b = verify.check_symmetric_group([(2,), (2,), (2,)], 4, "random", seed=42, count=100)
+    a = verify.check_symmetric_group([(2,), (2,), (2,)], 4, seed=42, count=100)
+    b = verify.check_symmetric_group([(2,), (2,), (2,)], 4, seed=42, count=100)
     assert a.passed and b.passed
     assert a.domain == b.domain == 100
 
 
 def test_far_commutation_on_longer_products():
-    rep = verify.check_symmetric_group(
-        [(2,), (1,), (1, 1), (1,)], 3, "random", seed=1, count=150
-    )
+    rep = verify.check_symmetric_group([(2,), (1,), (1, 1), (1,)], 3, seed=1, count=150)
     assert rep.passed, rep.counterexample
 
 
@@ -65,10 +64,37 @@ def test_carrier_composition_minimal_exhaustive():
 
 
 def test_carrier_composition_random_cases():
-    rep = verify.check_carrier_composition(2, 3, 3, 3, "random", seed=7, count=200)
+    rep = verify.check_carrier_composition(2, 3, 3, 3, seed=7, count=200)
     assert rep.passed, rep.counterexample
-    rep = verify.check_carrier_composition(3, 2, 4, 4, "random", seed=11, count=100)
+    rep = verify.check_carrier_composition(3, 2, 4, 4, seed=11, count=100)
     assert rep.passed, rep.counterexample
+
+
+def test_count_alone_picks_the_domain():
+    exhaustive = verify.check_symmetric_group([(2,), (1,)], 3)
+    drawn = verify.check_symmetric_group([(2,), (1,)], 3, count=7)
+    assert (exhaustive.domain, drawn.domain) == (18, 7)
+    assert exhaustive.relation.endswith("exhaustive]") and drawn.relation.endswith("random]")
+    again = verify.check_carrier_composition(2, 1, 1, 3, count=7)
+    assert again.domain == 7 and again.relation.endswith(";random]")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify.check_symmetric_group([(2,)], 3),
+        lambda: verify.check_symmetric_group([], 3),
+        lambda: verify.check_symmetric_group([(2,), (1,)], 3, count=0),
+        lambda: verify.check_carrier_composition(2, 0, 1, 3),
+        lambda: verify.check_carrier_composition(2, 1, 0, 3),
+        lambda: verify.check_carrier_composition(2, 1, 1, 3, count=0),
+        lambda: verify.check_path_suite("theorem", "basic", 3, 0, 0, [1]),
+        lambda: verify.check_path_suite("conservation", "basic", 3, 5, 0, []),
+    ],
+)
+def test_a_check_with_nothing_to_check_is_refused(check):
+    with pytest.raises(ValueError):
+        check()
 
 
 def test_decomposition_fixtures_pass():
@@ -100,11 +126,11 @@ def test_decomposition_mismatch_is_reported():
 
 def test_report_json_round_trip():
     rep = verify.check_symmetric_group([(2,), (1,)], 3)
-    doc = rep.to_json_dict()
+    doc = report_document(rep)
     assert doc["result"] == "pass"
     assert "counterexample" not in doc
     bad = verify.RelationReport("stub", 4, "boom", 0.5)
-    doc = bad.to_json_dict()
+    doc = report_document(bad)
     assert doc["result"] == "fail" and doc["counterexample"] == "boom"
     assert not bad.passed
 
