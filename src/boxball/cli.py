@@ -95,8 +95,9 @@ def state_document(p) -> dict:
     return {"n": p.n, "mode": p.mode, "state": _state_json(p)}
 
 
-def separation_document(record) -> dict:
-    """What `separate --json` prints: the monochrome part, the word and the step table."""
+def separation_document(record, steps=None) -> dict:
+    """What `separate --json` prints: the monochrome part, the word and the step
+    table, replayed from the record unless `steps` holds it."""
     p = record.source
     doc = {
         "n": p.n,
@@ -106,7 +107,7 @@ def separation_document(record) -> dict:
         "steps": [
             {"s": s.index, "state": _state_json(s.state)}
             | ({"removed": s.removed} if s.removed is not None else {})
-            for s in record.steps
+            for s in (record.steps if steps is None else steps)
         ],
     }
     if p.mode == "inhom":
@@ -203,19 +204,20 @@ def cmd_evolve(args) -> int:
 def cmd_separate(args) -> int:
     text = _read_input(args)
     state = parse_state(text, args.n)
-    record = separate(state)
+    steps: list = []
+    record = separate(state, steps)  # one decode gives the record and the table
     if args.json:
-        print(json.dumps(separation_document(record)))
+        print(json.dumps(separation_document(record, steps)))
         return 0
-    width = max(_input_width(text), *(len(s.state.sites) for s in record.steps))
-    for step in record.steps:
+    width = max(_input_width(text), *(len(s.state.sites) for s in steps))
+    for step in steps:
         line = f"s={step.index:<4} {step.state.render(width)}"
         if step.removed is not None:
             line += f" {step.removed}"
         print(line)
     print("word  " + ("" if state.n <= 9 else ",").join(str(v) for v in record.word))
     if args.trace:
-        for step in record.steps[:-1]:
+        for step in steps[:-1]:
             trace = decoding_pass_traced(step.state)
             tags = " ".join(f"{st.site}:{st.tag}" for st in trace.steps)
             print(f"trace s={step.index} ({ColumnPair(*trace.carrier, state.n)}) {tags}")

@@ -10,11 +10,16 @@ carriers, traced ones too, are count vectors: a site costs O(n) at any capacity.
 
 An idle carrier passes an empty box unchanged, so a pass calls the cores
 O(occupied + unloaded boxes) times, not O(L); traced sweeps visit every site.
+Untraced sweeps read the path's `occupied` index of boxes holding a ball, and
+every sweep moves the index to its output, rebuilt from the boxes it visits, so
+a pass costs O(B) and only the live state of a chain of sweeps holds an index.
+A path from a constructor, or one swept before, scans its sites on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Union
 
 from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
@@ -47,14 +52,20 @@ def _trim(p, sites: tuple) -> None:
     object.__setattr__(p, "sites", sites[:k])
 
 
-def _rebuilt(p, out: list):
-    """A path like `p` over swept boxes `out`, trimmed in place; cores emit valid boxes."""
+def _rebuilt(p, out: list, occupied: list):
+    """A path like `p` over swept boxes `out`, holding balls at `occupied`.  The
+    index moves off `p`, which rescans if swept again: kept states hold none."""
     while out and out[-1] == p.vacuum:
         out.pop()
+    p.__dict__.pop("occupied", None)
     q = object.__new__(type(p))
-    q.__dict__.update(p.__dict__)
-    object.__setattr__(q, "sites", tuple(out))
+    q.__dict__.update(p.__dict__, sites=tuple(out), occupied=tuple(occupied))
     return q
+
+
+def _scan_occupied(p) -> tuple[int, ...]:
+    """The sorted indices of the boxes of `p` holding a ball."""
+    return tuple(k for k, v in enumerate(p.sites) if p.holds_ball(v))
 
 
 # count-vector adapters giving the row cores the call shapes of the box cores
@@ -109,6 +120,8 @@ class BasicPath:
     row_core = staticmethod(_row_box_counts)
     col_core = staticmethod(col_box_core)
     inv_col_core = staticmethod(box_col_core)
+    holds_ball = staticmethod(lambda v: v != 1)
+    occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -127,11 +140,6 @@ class BasicPath:
     def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
         """(site index, letter) for each letter >= `least`, left to right."""
         return ((k, v) for k, v in enumerate(self.sites) if v >= least)
-
-    def _occupied(self, ks: range) -> Iterator[int]:
-        """The indices in `ks` of boxes holding a ball, in the order of `ks`."""
-        sites = self.sites
-        return (k for k in ks if sites[k] != 1)
 
     def time_step(self) -> "BasicPath":
         return time_evolution(self)
@@ -158,6 +166,8 @@ class InhomPath:
     row_core = staticmethod(_r_core)
     col_core = staticmethod(_col_row_counts)
     inv_col_core = staticmethod(_row_col_counts)
+    holds_ball = staticmethod(lambda c: c[0] != sum(c))
+    occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -180,11 +190,6 @@ class InhomPath:
         sites = enumerate(self.sites)
         return ((k, v) for k, c in sites for v in wanted for _ in range(c[v - 1]))
 
-    def _occupied(self, ks: range) -> Iterator[int]:
-        """The indices in `ks` of boxes holding a ball, in the order of `ks`."""
-        sites = self.sites
-        return (k for k in ks if sites[k][0] != sum(sites[k]))
-
     def time_step(self) -> "InhomPath":
         """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
         return carrier_evolution(self, None)
@@ -201,11 +206,13 @@ Path = Union[BasicPath, InhomPath]
 
 def front(p: Path) -> int:
     """1-based position of the rightmost box holding a ball; 0 for vacuum paths."""
-    return max((k + 1 for k, _ in p.letters(2)), default=0)
+    return p.occupied[-1] + 1 if p.occupied else 0
 
 
 def ball_count(p: Path) -> int:
-    return sum(1 for _ in p.letters(2))
+    if p.mode == "basic":
+        return len(p.occupied)
+    return sum(sum(p.sites[k]) - p.sites[k][0] for k in p.occupied)
 
 
 @dataclass(frozen=True)
@@ -230,7 +237,7 @@ class EvolutionTrace:
 
 def replay_trace(trace: EvolutionTrace) -> Path:
     """Rebuild the output path from the recorded per-site results."""
-    return _rebuilt(trace.before, [s.site_after for s in trace.steps])
+    return replace(trace.before, sites=tuple(s.site_after for s in trace.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +276,7 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # A sweep rewrites `out`, the sites padded with the vacuum a busy carrier may
 # unload into, visiting the boxes in `order` (all stored sites when traced,
 # else the occupied ones); a busy carrier passes the skipped empty boxes until
-# it is idle.  `out` is copied from a padded tuple freed at once, whose memory
-# the swept tuple reuses: that keeps the peak memory of many passes flat.
+# it is idle.  The visited boxes holding a ball form the output's index.
 
 
 def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]:
@@ -279,19 +285,21 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
     capacity = max(1, ball_count(p)) if capacity is None else capacity
     carrier = empty = _empty_row(p, capacity)
     out = list(p.sites + (p.vacuum,) * capacity)  # a busy carrier drops a ball per box
-    gap = 0
-    for k in order:
-        while carrier != empty and gap < k:
-            out[gap], carrier, _ = core(carrier, out[gap])
-            gap += 1
-        out[k], carrier, _ = core(carrier, out[k])
-        gap = k + 1
-    while carrier != empty and gap < len(out):
-        out[gap], carrier, _ = core(carrier, out[gap])
-        gap += 1
+    holds, occupied = p.holds_ball, []
+    j, end = 0, len(out)
+    for k in (*order, end):  # past the last ball a busy carrier unloads until idle
+        while j <= k:
+            if carrier == empty:
+                j = k  # an idle carrier passes the empty boxes before k
+            if j == end:
+                break
+            out[j], carrier, _ = core(carrier, out[j])
+            if holds(out[j]):
+                occupied.append(j)
+            j += 1
     if carrier != empty:
         raise RuntimeError("carrier sweep failed to unload; this is a bug")
-    return _rebuilt(p, out), carrier
+    return _rebuilt(p, out, occupied), carrier
 
 
 def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
@@ -299,7 +307,7 @@ def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
 
     `capacity=None` means unbounded, realized as the total ball count
     (beyond which the evolution is stable)."""
-    return _row_sweep(p, capacity, p.row_core, p._occupied(range(len(p.sites))))[0]
+    return _row_sweep(p, capacity, p.row_core, p.occupied)[0]
 
 
 def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionTrace:
@@ -318,19 +326,21 @@ def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionT
 def _column_sweep(p: Path, core, order) -> tuple[Path, tuple[int, int]]:
     top, bottom = 1, 2
     out = list(p.sites + (p.vacuum,))  # a busy carrier settles in the first empty box
-    gap = 0
-    for k in order:
-        while top != 1 and gap < k:
-            out[gap], top, bottom, _ = core(top, bottom, out[gap])
-            gap += 1
-        out[k], top, bottom, _ = core(top, bottom, out[k])
-        gap = k + 1
-    while top != 1 and gap < len(out):
-        out[gap], top, bottom, _ = core(top, bottom, out[gap])
-        gap += 1
+    holds, occupied = p.holds_ball, []
+    j, end = 0, len(out)
+    for k in (*order, end):  # past the last ball a busy carrier settles
+        while j <= k:
+            if top == 1:
+                j = k  # an idle carrier passes the empty boxes before k
+            if j == end:
+                break
+            out[j], top, bottom, _ = core(top, bottom, out[j])
+            if holds(out[j]):
+                occupied.append(j)
+            j += 1
     if top != 1:
         raise RuntimeError("decoding carrier failed to settle; this is a bug")
-    return _rebuilt(p, out), (top, bottom)
+    return _rebuilt(p, out, occupied), (top, bottom)
 
 
 def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
@@ -340,7 +350,7 @@ def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     the removed letter in its bottom slot.  Beyond the front the carrier
     is inert, so the sweep stops at most one box past it.
     """
-    q, (_, bottom) = _column_sweep(p, p.col_core, p._occupied(range(len(p.sites))))
+    q, (_, bottom) = _column_sweep(p, p.col_core, p.occupied)
     return q, ColumnPair(1, bottom, p.n)
 
 
@@ -368,18 +378,21 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
     core = p.inv_col_core
     top, bottom = 1, removed_letter
     out = list(p.sites)
-    gap = len(out) - 1
-    for k in p._occupied(range(len(out) - 1, -1, -1)):
-        while top != 1 and gap > k:
-            top, bottom, out[gap], _ = core(out[gap], top, bottom)
-            gap -= 1
-        top, bottom, out[k], _ = core(out[k], top, bottom)
-        gap = k - 1
-    while top != 1 and gap >= 0:
-        top, bottom, out[gap], _ = core(out[gap], top, bottom)
-        gap -= 1
+    holds, occupied = p.holds_ball, []
+    j = len(out) - 1
+    for k in (*reversed(p.occupied), -1):  # past the first ball a busy carrier settles
+        while j >= k:
+            if top == 1:
+                j = k  # an idle carrier passes the empty boxes after k
+            if j < 0:
+                break
+            top, bottom, out[j], _ = core(out[j], top, bottom)
+            if holds(out[j]):
+                occupied.append(j)
+            j -= 1
     if (top, bottom) != (1, 2):
         raise InvalidWordError(
             f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
         )
-    return _rebuilt(p, out)
+    occupied.reverse()
+    return _rebuilt(p, out, occupied)

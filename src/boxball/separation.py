@@ -4,6 +4,7 @@ conserved colour word, and recombine them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .dynamics import (
     InvalidWordError,
@@ -31,43 +32,50 @@ class DecodeStep:
 
 @dataclass(frozen=True)
 class SeparationRecord:
-    """The result of decoding a path: its monochrome part, the removed
-    letters in reverse order, and the full step table."""
+    """The result of decoding a path: its monochrome part and the removed
+    letters in reverse order.  The step table is replayed on demand."""
 
     source: Path
     monochrome: Path
     word: ColourWord
-    steps: tuple[DecodeStep, ...]
 
     @property
     def n_passes(self) -> int:
         return len(self.word)
 
+    @property
+    def steps(self) -> tuple[DecodeStep, ...]:
+        return tuple(decode_steps(self.source))
 
-def separate(p: Path) -> SeparationRecord:
-    """Run decoding passes until no letter exceeds 2, with the minimal
-    number of passes.  Termination is guaranteed; the cap below only trips
-    on an implementation bug."""
+
+def decode_steps(p: Path) -> Iterator[DecodeStep]:
+    """Yield each state with the letter its pass removes, holding only the live
+    state, until the monochrome part (the last row) in the minimal number of
+    passes.  Termination is guaranteed; the cap only trips on a bug."""
     census = left = sum(1 for _ in p.letters(3))
     end = front(p)
     window = sum(1 for k, _ in p.letters() if k < end)  # letter slots up to the front
     cap = (census + 1) * (window + census + 1) + 2
-    removed: list[int] = []
-    states = [p]
-    cur = p
+    index = 0
     while left:
-        cur, carrier = decoding_pass(cur)
-        removed.append(carrier.bottom)
-        states.append(cur)
+        nxt, carrier = decoding_pass(p)
+        yield DecodeStep(index, p, carrier.bottom)
+        p, index = nxt, index + 1
         left -= carrier.bottom >= 3  # the pass turned the removed letter into a 2
-        if len(removed) > cap:
+        if index > cap:
             raise RuntimeError("decoding failed to terminate; this is a bug")
-    n_passes = len(removed)
-    steps = tuple(
-        DecodeStep(s, states[s], removed[s] if s < n_passes else None)
-        for s in range(n_passes + 1)
-    )
-    return SeparationRecord(p, cur, tuple(reversed(removed)), steps)
+    yield DecodeStep(index, p, None)
+
+
+def separate(p: Path, steps: list | None = None) -> SeparationRecord:
+    """Decode `p` in O(L) memory.  Each `DecodeStep` is appended to `steps`
+    when given, so a caller that wants the step table decodes once."""
+    removed = []
+    for step in decode_steps(p):
+        removed.append(step.removed)
+        if steps is not None:
+            steps.append(step)
+    return SeparationRecord(p, step.state, tuple(reversed(removed[:-1])))
 
 
 def combine(monochrome: Path, word: ColourWord) -> Path:
@@ -104,9 +112,11 @@ def check_commutation(
 
     Both decodes are padded to a common pass count; a pass on an already
     monochrome path removes a 2 and changes nothing, so padding prepends
-    2s to the word."""
+    2s to the word.  Raises ValueError on a `record` of another path."""
     if record is None:
         record = separate(p)
+    elif record.source is not p and record.source != p:
+        raise ValueError("record was decoded from another path")
     evolved = carrier_evolution(p, capacity)
     evolved_record = separate(evolved)
     n = max(record.n_passes, evolved_record.n_passes)

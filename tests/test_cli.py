@@ -8,7 +8,7 @@ import pytest
 import boxball.verify
 from boxball.cli import main, state_document
 from boxball.separation import combine
-from boxball.dynamics import BasicPath
+from boxball.dynamics import BasicPath, decoding_pass
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
 
 
@@ -478,3 +478,17 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "t=1    ...22"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--trace"]])
+def test_separate_decodes_once(monkeypatch, capsys, flags):
+    passes = []
+
+    def counted(p):
+        passes.append(p)
+        return decoding_pass(p)
+
+    monkeypatch.setattr("boxball.separation.decoding_pass", counted)
+    code, _, _ = run_cli(monkeypatch, capsys, ["separate", *flags], COLOURED_ROWS[0] + "\n")
+    assert code == 0
+    assert len(passes) == len(WORD)

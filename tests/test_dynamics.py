@@ -395,3 +395,52 @@ def test_sparse_basic_sweeps_match_dense_reference(case):
 @given(inhom_paths())
 def test_inhom_sweeps_match_dense_reference(case):
     _assert_sweeps_match_dense(*case)
+
+
+def _fresh_scan(p):
+    """The boxes of `p` holding a ball, read off its sites without the path's index."""
+    if p.mode == "basic":
+        return tuple(k for k, v in enumerate(p.sites) if v != 1)
+    return tuple(k for k, c in enumerate(p.sites) if c[0] != sum(c))
+
+
+def _sweep_outputs(p):
+    """(input, output) of every sweep kind on `p`, untraced and traced; each
+    output is yielded before it is swept itself."""
+    for capacity in (1, 2, 3, None):
+        yield p, dyn.carrier_evolution(p, capacity)
+        yield p, dyn.carrier_evolution_traced(p, capacity).after
+    decoded, carrier = dyn.decoding_pass(p)
+    yield p, decoded
+    yield p, dyn.decoding_pass_traced(p).after
+    yield decoded, dyn.encoding_pass(decoded, carrier.bottom)
+    for letter in range(2, p.n + 1):
+        try:
+            encoded = dyn.encoding_pass(p, letter)
+        except dyn.InvalidWordError:
+            continue
+        yield p, encoded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_basic_paths(), inhom_paths()))
+def test_sweeps_move_the_occupied_index(case):
+    p, _ = case
+    for before, q in _sweep_outputs(p):
+        assert "occupied" not in vars(before)  # moved to the output
+        assert "occupied" in vars(q)  # set by the sweep, not scanned on first use
+        assert q.occupied == _fresh_scan(q)
+        assert dyn.front(q) == max((k + 1 for k, _ in q.letters(2)), default=0)
+        assert dyn.ball_count(q) == sum(1 for _ in q.letters(2))
+
+
+def test_constructed_paths_index_lazily():
+    p = dyn.BasicPath.from_string("..2.3")
+    assert "occupied" not in vars(p)
+    assert p.occupied == (2, 4) and vars(p)["occupied"] == (2, 4)
+    q = dyn.carrier_evolution(p, 1)
+    assert "occupied" not in vars(p) and p.occupied == (2, 4)  # swept: rescanned
+    r = replace(q, sites=(2, 1, 1))
+    assert "occupied" not in vars(r) and r.occupied == (0,)
+    ip = dyn.InhomPath(((2, 0), (1, 1), (3, 0)), 2, 1)
+    assert "occupied" not in vars(ip) and ip.occupied == (1,)

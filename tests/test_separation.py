@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -284,3 +285,39 @@ def test_exhaustive_inhom_round_trip_and_commutation():
         for cap in (1, 2, 3, None):
             rep = sep.check_commutation(p, cap, rec)
             assert rep.passed, (p, rep.mismatch)
+
+
+def test_separate_holds_only_the_live_state():
+    rng = random.Random(4000)
+    sites = [1] * 4000
+    for k in rng.sample(range(4000), 1000):
+        sites[k] = rng.randint(2, 6)
+    p = dyn.BasicPath(tuple(sites), 6)
+    tracemalloc.start()
+    try:
+        rec = sep.separate(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.n_passes > 900
+    assert peak < 4 * 2**20, f"separate peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_steps_replay_the_decoding():
+    p = dyn.BasicPath.from_string(COLOURED_ROWS[0])
+    kept = []
+    rec = sep.separate(p, kept)
+    assert rec.steps == tuple(kept) == tuple(sep.decode_steps(p))
+    assert [s.index for s in kept] == list(range(rec.n_passes + 1))
+    assert kept[-1].state == rec.monochrome
+    # each pass moves the occupied index on, so a kept table holds one
+    assert ["occupied" in vars(s.state) for s in kept] == [False] * rec.n_passes + [True]
+
+
+def test_check_commutation_rejects_a_record_of_another_path():
+    p = dyn.BasicPath.from_string(COLOURED_ROWS[0])
+    other = dyn.BasicPath.from_string(COLOURED_ROWS[1])
+    with pytest.raises(ValueError, match="another path"):
+        sep.check_commutation(p, 2, sep.separate(other))
+    equal = dyn.BasicPath.from_string(COLOURED_ROWS[0])
+    assert sep.check_commutation(p, 2, sep.separate(equal)).passed
