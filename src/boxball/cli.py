@@ -95,9 +95,8 @@ def state_document(p) -> dict:
     return {"n": p.n, "mode": p.mode, "state": _state_json(p)}
 
 
-def separation_document(record, steps=None) -> dict:
-    """What `separate --json` prints: the monochrome part, the word and the step
-    table, replayed from the record unless `steps` holds it."""
+def separation_document(record, steps) -> dict:
+    """What `separate --json` prints for `record` and its step table `steps`."""
     p = record.source
     doc = {
         "n": p.n,
@@ -107,7 +106,7 @@ def separation_document(record, steps=None) -> dict:
         "steps": [
             {"s": s.index, "state": _state_json(s.state)}
             | ({"removed": s.removed} if s.removed is not None else {})
-            for s in (record.steps if steps is None else steps)
+            for s in steps
         ],
     }
     if p.mode == "inhom":

@@ -45,6 +45,7 @@ class SeparationRecord:
 
     @property
     def steps(self) -> tuple[DecodeStep, ...]:
+        """The step table; each access decodes `source` again, O(passes x L)."""
         return tuple(decode_steps(self.source))
 
 

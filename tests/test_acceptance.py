@@ -71,9 +71,10 @@ def test_criterion_03_decoding_table():
     rec = run()
     elapsed = _best_time(run)
     rows, removals = S_TABLES[0]
+    steps = rec.steps
     ok = (
-        [s.state.render(WIDTH) for s in rec.steps] == rows
-        and [s.removed for s in rec.steps[:-1]] == removals
+        [s.state.render(WIDTH) for s in steps] == rows
+        and [s.removed for s in steps[:-1]] == removals
         and "".join(map(str, rec.word)) == WORD
         and rec.monochrome.render(WIDTH) == MONO_ROWS[0]
         and elapsed < 0.001
@@ -86,10 +87,11 @@ def test_criterion_04_tables_for_evolved_rows():
     for t in (1, 2, 3):
         rec = sep.separate(dyn.BasicPath.from_string(COLOURED_ROWS[t]))
         rows, removals = S_TABLES[t]
+        steps = rec.steps
         ok = (
             ok
-            and [s.state.render(WIDTH) for s in rec.steps] == rows
-            and [s.removed for s in rec.steps[:-1]] == removals
+            and [s.state.render(WIDTH) for s in steps] == rows
+            and [s.removed for s in steps[:-1]] == removals
             and "".join(map(str, rec.word)) == WORD
             and rec.monochrome.render(WIDTH) == MONO_ROWS[t]
         )

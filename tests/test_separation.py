@@ -20,8 +20,9 @@ def test_separation_of_first_coloured_row():
     assert "".join(map(str, rec.word)) == WORD
     assert rec.n_passes == 8
     assert rec.monochrome.render(WIDTH) == MONO_ROWS[0]
-    assert [s.state.render(WIDTH) for s in rec.steps] == rows
-    assert [s.removed for s in rec.steps] == removals + [None]
+    steps = rec.steps
+    assert [s.state.render(WIDTH) for s in steps] == rows
+    assert [s.removed for s in steps] == removals + [None]
     assert tuple(reversed(rec.word)) == tuple(removals)
 
 
@@ -31,8 +32,9 @@ def test_separation_of_evolved_rows(t):
     p = dyn.BasicPath.from_string(COLOURED_ROWS[t])
     rec = sep.separate(p)
     rows, removals = S_TABLES[t]
-    assert [s.state.render(WIDTH) for s in rec.steps] == rows
-    assert [s.removed for s in rec.steps] == removals + [None]
+    steps = rec.steps
+    assert [s.state.render(WIDTH) for s in steps] == rows
+    assert [s.removed for s in steps] == removals + [None]
     assert "".join(map(str, rec.word)) == WORD
     assert rec.monochrome.render(WIDTH) == MONO_ROWS[t]
 
@@ -42,7 +44,8 @@ def test_monochrome_separation_is_trivial():
     rec = sep.separate(p)
     assert rec.word == ()
     assert rec.monochrome == p
-    assert len(rec.steps) == 1 and rec.steps[0].removed is None
+    steps = rec.steps
+    assert len(steps) == 1 and steps[0].removed is None
     assert sep.is_monochrome(p)
     assert not sep.is_monochrome(dyn.BasicPath.from_string("2.3"))
 
@@ -190,7 +193,8 @@ def test_inhom_conserved_word():
 
 def test_record_json_shape():
     p = dyn.BasicPath.from_string("55432.....542....2")
-    doc = separation_document(sep.separate(p))
+    rec = sep.separate(p)
+    doc = separation_document(rec, rec.steps)
     assert doc["n"] == 5 and doc["mode"] == "basic"
     assert doc["word"] == WORD
     assert doc["monochrome"] == "....22222......222.2"
@@ -203,11 +207,12 @@ def test_record_json_states_for_large_alphabets():
     assert p.render() == "12,3,.,.,2"
     assert p.render(7) == "12,3,.,.,2,.,."
     rec = sep.separate(p)
-    doc = json.loads(json.dumps(separation_document(rec)))
+    steps = rec.steps
+    doc = json.loads(json.dumps(separation_document(rec, steps)))
     assert doc["monochrome"] == list(rec.monochrome.sites)
     rebuilt = [dyn.BasicPath(tuple(s["state"]), doc["n"]) for s in doc["steps"]]
-    assert rebuilt == [s.state for s in rec.steps]
-    assert [s.get("removed") for s in doc["steps"]] == [s.removed for s in rec.steps]
+    assert rebuilt == [s.state for s in steps]
+    assert [s.get("removed") for s in doc["steps"]] == [s.removed for s in steps]
 
 
 def test_commutation_report_str():
