@@ -8,8 +8,9 @@ removes one letter per sweep.  Both path kinds run the same sweeps; each
 path class names its vacuum box and the swap cores of its boxes.  Row
 carriers, traced ones too, are count vectors: a site costs O(n) at any capacity.
 
-An idle carrier passes an empty box unchanged, so a pass calls the cores
-O(occupied + unloaded boxes) times, not O(L); traced sweeps visit every site.
+An idle carrier passes an empty box unchanged, and the seeded column carrier
+(1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) core
+calls, a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
 Untraced sweeps read the path's `occupied` index of boxes holding a ball, and
 every sweep moves the index to its output, rebuilt from the boxes it visits, so
 a pass costs O(B) and only the live state of a chain of sweeps holds an index.
@@ -121,6 +122,7 @@ class BasicPath:
     col_core = staticmethod(col_box_core)
     inv_col_core = staticmethod(box_col_core)
     holds_ball = staticmethod(lambda v: v != 1)
+    holds_colour = staticmethod(lambda v: v > 2)
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
@@ -167,6 +169,7 @@ class InhomPath:
     col_core = staticmethod(_col_row_counts)
     inv_col_core = staticmethod(_row_col_counts)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
+    holds_colour = staticmethod(lambda c: c[0] + c[1] != sum(c))
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
@@ -274,9 +277,10 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # carrier sweeps
 #
 # A sweep rewrites `out`, the sites padded with the vacuum a busy carrier may
-# unload into, visiting the boxes in `order` (all stored sites when traced,
-# else the occupied ones); a busy carrier passes the skipped empty boxes until
-# it is idle.  The visited boxes holding a ball form the output's index.
+# unload into, visiting the boxes in `order` (all stored sites when traced, else
+# the occupied ones); a busy carrier passes the skipped empty boxes until it is
+# idle, and a (1,2) column carrier passes the boxes not `coloured` uncalled (none
+# when traced).  The visited boxes holding a ball form the output's index.
 
 
 def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]:
@@ -323,7 +327,7 @@ def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionT
     return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
-def _column_sweep(p: Path, core, order) -> tuple[Path, tuple[int, int]]:
+def _column_sweep(p: Path, core, order, coloured) -> tuple[Path, tuple[int, int]]:
     top, bottom = 1, 2
     out = list(p.sites + (p.vacuum,))  # a busy carrier settles in the first empty box
     holds, occupied = p.holds_ball, []
@@ -331,8 +335,13 @@ def _column_sweep(p: Path, core, order) -> tuple[Path, tuple[int, int]]:
     for k in (*order, end):  # past the last ball a busy carrier settles
         while j <= k:
             if top == 1:
+                if k == end:
+                    break
                 j = k  # an idle carrier passes the empty boxes before k
-            if j == end:
+                if bottom == 2 and not coloured(out[k]):
+                    occupied.append(k)  # and the seeded one a box without colour
+                    break
+            elif j == end:
                 break
             out[j], top, bottom, _ = core(top, bottom, out[j])
             if holds(out[j]):
@@ -350,7 +359,7 @@ def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     the removed letter in its bottom slot.  Beyond the front the carrier
     is inert, so the sweep stops at most one box past it.
     """
-    q, (_, bottom) = _column_sweep(p, p.col_core, p.occupied)
+    q, (_, bottom) = _column_sweep(p, p.col_core, p.occupied, p.holds_colour)
     return q, ColumnPair(1, bottom, p.n)
 
 
@@ -364,7 +373,7 @@ def decoding_pass_traced(p: Path) -> EvolutionTrace:
         steps.append(TraceStep(len(steps) + 1, tag, (top, bottom), (t2, b2), site, emitted))
         return emitted, t2, b2, tag
 
-    q, carrier = _column_sweep(p, core, range(len(p.sites)))
+    q, carrier = _column_sweep(p, core, range(len(p.sites)), lambda box: True)
     return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
@@ -378,13 +387,18 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
     core = p.inv_col_core
     top, bottom = 1, removed_letter
     out = list(p.sites)
-    holds, occupied = p.holds_ball, []
+    holds, coloured, occupied = p.holds_ball, p.holds_colour, []
     j = len(out) - 1
     for k in (*reversed(p.occupied), -1):  # past the first ball a busy carrier settles
         while j >= k:
             if top == 1:
+                if k < 0:
+                    break
                 j = k  # an idle carrier passes the empty boxes after k
-            if j < 0:
+                if bottom == 2 and not coloured(out[k]):
+                    occupied.append(k)  # and the seeded one a box without colour
+                    break
+            elif j < 0:
                 break
             top, bottom, out[j], _ = core(out[j], top, bottom)
             if holds(out[j]):

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import chain, repeat
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -316,13 +318,16 @@ def _dense_decoding_pass(p):
 
 
 def _dense_encoding_pass(p, letter):
-    """The encoded path, or None when the carrier does not emerge as (1,2)."""
+    """(the encoded path, or None when the carrier does not emerge as (1,2);
+    the (site, top, bottom) of each step, right to left)."""
     top, bottom = 1, letter
-    out = []
+    out, steps = [], []
     for site in reversed(p.sites):
+        steps.append((site, top, bottom))
         top, bottom, orig, _ = p.inv_col_core(site, top, bottom)
         out.append(orig)
-    return replace(p, sites=tuple(reversed(out))) if (top, bottom) == (1, 2) else None
+    encoded = replace(p, sites=tuple(reversed(out))) if (top, bottom) == (1, 2) else None
+    return encoded, steps
 
 
 def _assert_sweeps_match_dense(p, letter):
@@ -344,8 +349,8 @@ def _assert_sweeps_match_dense(p, letter):
     assert dyn.decoding_pass(p) == (q, outgoing)
     trace = dyn.decoding_pass_traced(p)
     assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
-    assert dyn.encoding_pass(q, outgoing.bottom) == p == _dense_encoding_pass(q, outgoing.bottom)
-    encoded = _dense_encoding_pass(p, letter)
+    assert dyn.encoding_pass(q, outgoing.bottom) == p == _dense_encoding_pass(q, outgoing.bottom)[0]
+    encoded, _ = _dense_encoding_pass(p, letter)
     if encoded is None:
         with pytest.raises(dyn.InvalidWordError):
             dyn.encoding_pass(p, letter)
@@ -365,6 +370,16 @@ def sparse_basic_paths(draw):
         sites[k] = v
     sites[0], sites[-1] = draw(letter), draw(letter)
     return dyn.BasicPath(tuple(sites), n), draw(letter)
+
+
+@st.composite
+def dense_basic_paths(draw):
+    """(path, word letter): up to 80 sites, half of them 2s and the rest empty
+    or coloured, so runs of 2s lie between and after the coloured boxes."""
+    n = draw(st.integers(2, 6))
+    box = st.sampled_from((2, 2, 2, 2, 1, 1, *range(3, n + 1)))
+    sites = tuple(draw(st.lists(box, min_size=1, max_size=80)))
+    return dyn.BasicPath(sites, n), draw(st.integers(2, n))
 
 
 @st.composite
@@ -397,6 +412,62 @@ def test_inhom_sweeps_match_dense_reference(case):
     _assert_sweeps_match_dense(*case)
 
 
+@settings(max_examples=150, deadline=None)
+@given(dense_basic_paths())
+@example((dyn.BasicPath.from_string("32.2", 3), 2))  # (1,3) turns into (1,2) at the last 2
+def test_dense_basic_sweeps_match_dense_reference(case):
+    _assert_sweeps_match_dense(*case)
+
+
+def _holds(p, site, least):
+    """Whether the box `site` of `p` holds a letter >= `least`, read off the box."""
+    return site >= least if p.mode == "basic" else any(site[least - 1 :])
+
+
+def _skipped(p, top, bottom, site):
+    """The idle steps an untraced column sweep skips: an idle carrier at an
+    empty box, and the seeded carrier (1,2) at a box without colour."""
+    return top == 1 and (not _holds(p, site, 2) or bottom == 2 and not _holds(p, site, 3))
+
+
+@contextmanager
+def _recorded(cls, name):
+    """The argument tuples of every call of the swap core `cls.name`."""
+    core, calls = getattr(cls, name), []
+
+    def recorded(*args):
+        calls.append(args)
+        return core(*args)
+
+    with mock.patch.object(cls, name, staticmethod(recorded)):
+        yield calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
+def test_column_sweeps_call_the_core_once_per_busy_step(case):
+    """Untraced decoding and encoding passes call their core once per step
+    of the dense reference, in order and with its arguments, but for the
+    skipped idle steps."""
+    p, letter = case
+    q, outgoing, _, steps = _dense_decoding_pass(p)
+    expected = [
+        (*s.carrier_before, s.site_before)
+        for s in steps
+        if not _skipped(p, *s.carrier_before, s.site_before)
+    ]
+    with _recorded(type(p), "col_core") as calls:
+        dyn.decoding_pass(p)
+    assert calls == expected
+    for path, word_letter in ((q, outgoing.bottom), (p, letter)):
+        _, steps = _dense_encoding_pass(path, word_letter)
+        expected = [(site, top, bottom) for site, top, bottom in steps
+                    if not _skipped(p, top, bottom, site)]
+        with _recorded(type(p), "inv_col_core") as calls, suppress(dyn.InvalidWordError):
+            dyn.encoding_pass(path, word_letter)
+        assert calls == expected
+
+
 def _fresh_scan(p):
     """The boxes of `p` holding a ball, read off its sites without the path's index."""
     if p.mode == "basic":
@@ -423,7 +494,7 @@ def _sweep_outputs(p):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(sparse_basic_paths(), inhom_paths()))
+@given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
 def test_sweeps_move_the_occupied_index(case):
     p, _ = case
     for before, q in _sweep_outputs(p):
