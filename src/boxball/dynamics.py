@@ -11,17 +11,18 @@ carriers, traced ones too, are count vectors: a site costs O(n) at any capacity.
 An idle carrier passes an empty box unchanged, and the seeded column carrier
 (1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) core
 calls, a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
-Untraced sweeps read the path's `occupied` index of boxes holding a ball, and
-every sweep moves the index to its output, rebuilt from the boxes it visits, so
-a pass costs O(B) and only the live state of a chain of sweeps holds an index.
-A path from a constructor, or one swept before, scans its sites on first use.
+Untraced sweeps read the path's `occupied` index of boxes holding a ball; every
+sweep moves it to its output, and a path without one scans its sites on first use.
+A sweep rewrites a working path (list sites and index) in place: a public sweep
+copies a kept path in and out, O(L), but `separate` and `combine` thaw once, so
+a pass there costs O(coloured + busy boxes) and copies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
 from .isomorphisms import (
@@ -53,14 +54,22 @@ def _trim(p, sites: tuple) -> None:
     object.__setattr__(p, "sites", sites[:k])
 
 
-def _rebuilt(p, out: list, occupied: list):
-    """A path like `p` over swept boxes `out`, holding balls at `occupied`.  The
-    index moves off `p`, which rescans if swept again: kept states hold none."""
-    while out and out[-1] == p.vacuum:
-        out.pop()
-    p.__dict__.pop("occupied", None)
-    q = object.__new__(type(p))
-    q.__dict__.update(p.__dict__, sites=tuple(out), occupied=tuple(occupied))
+def _thawed(p):
+    """A working copy of `p` (list sites and index); the index moves off `p`."""
+    w = object.__new__(type(p))
+    w.__dict__.update(p.__dict__, sites=list(p.sites), occupied=list(p.occupied))
+    del p.__dict__["occupied"]
+    return w
+
+
+def _frozen(w, indexed: bool = True):
+    """A kept path with the boxes of the working path `w`, less trailing vacuum."""
+    while w.sites and w.sites[-1] == w.vacuum:
+        w.sites.pop()
+    q = object.__new__(type(w))
+    q.__dict__.update(w.__dict__, sites=tuple(w.sites), occupied=tuple(w.occupied))
+    if not indexed:
+        del q.__dict__["occupied"]
     return q
 
 
@@ -139,10 +148,6 @@ class BasicPath:
             n = max([2, *sites])
         return cls(sites, n)
 
-    def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
-        """(site index, letter) for each letter >= `least`, left to right."""
-        return ((k, v) for k, v in enumerate(self.sites) if v >= least)
-
     def time_step(self) -> "BasicPath":
         return time_evolution(self)
 
@@ -169,7 +174,7 @@ class InhomPath:
     col_core = staticmethod(_col_row_counts)
     inv_col_core = staticmethod(_row_col_counts)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
-    holds_colour = staticmethod(lambda c: c[0] + c[1] != sum(c))
+    holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
@@ -186,12 +191,6 @@ class InhomPath:
     @property
     def vacuum(self) -> CountVector:
         return _empty_row(self, self.tail_capacity)
-
-    def letters(self, least: int = 1) -> Iterator[tuple[int, int]]:
-        """(site index, letter) for each letter >= `least`, left to right."""
-        wanted = range(least, self.n + 1)
-        sites = enumerate(self.sites)
-        return ((k, v) for k, c in sites for v in wanted for _ in range(c[v - 1]))
 
     def time_step(self) -> "InhomPath":
         """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
@@ -276,11 +275,12 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # ---------------------------------------------------------------------------
 # carrier sweeps
 #
-# A sweep rewrites `out`, the sites padded with the vacuum a busy carrier may
-# unload into, visiting the boxes in `order` (all stored sites when traced, else
-# the occupied ones); a busy carrier passes the skipped empty boxes until it is
-# idle, and a (1,2) column carrier passes the boxes not `coloured` uncalled (none
-# when traced).  The visited boxes holding a ball form the output's index.
+# A sweep rewrites a working path (see `_thawed`) in place, visiting its sites,
+# padded with the vacuum a busy carrier may unload into, in `order` (all stored
+# sites when traced, else the occupied ones); a busy carrier passes the skipped
+# empty boxes until it is idle, and a (1,2) column carrier passes the boxes not
+# `coloured` uncalled (none when traced).  The visited boxes holding a ball form
+# the new index; trailing vacuum stays until the path is frozen.
 
 
 def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]:
@@ -288,7 +288,9 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
         raise ValueError("carrier capacity must be >= 1")
     capacity = max(1, ball_count(p)) if capacity is None else capacity
     carrier = empty = _empty_row(p, capacity)
-    out = list(p.sites + (p.vacuum,) * capacity)  # a busy carrier drops a ball per box
+    w = _thawed(p)
+    out = w.sites
+    out += (p.vacuum,) * capacity  # a busy carrier drops a ball per box
     holds, occupied = p.holds_ball, []
     j, end = 0, len(out)
     for k in (*order, end):  # past the last ball a busy carrier unloads until idle
@@ -303,7 +305,8 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
             j += 1
     if carrier != empty:
         raise RuntimeError("carrier sweep failed to unload; this is a bug")
-    return _rebuilt(p, out, occupied), carrier
+    w.__dict__["occupied"] = occupied
+    return _frozen(w), carrier
 
 
 def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
@@ -327,10 +330,12 @@ def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionT
     return EvolutionTrace(p, q, carrier, tuple(steps))
 
 
-def _column_sweep(p: Path, core, order, coloured) -> tuple[Path, tuple[int, int]]:
+def _column_sweep(w, core, order, coloured) -> tuple[int, int]:
     top, bottom = 1, 2
-    out = list(p.sites + (p.vacuum,))  # a busy carrier settles in the first empty box
-    holds, occupied = p.holds_ball, []
+    out = w.sites
+    if out[-1:] != [w.vacuum]:  # a busy carrier settles in the first empty box
+        out.append(w.vacuum)
+    holds, occupied = w.holds_ball, []
     j, end = 0, len(out)
     for k in (*order, end):  # past the last ball a busy carrier settles
         while j <= k:
@@ -349,7 +354,8 @@ def _column_sweep(p: Path, core, order, coloured) -> tuple[Path, tuple[int, int]
             j += 1
     if top != 1:
         raise RuntimeError("decoding carrier failed to settle; this is a bug")
-    return _rebuilt(p, out, occupied), (top, bottom)
+    w.__dict__["occupied"] = occupied
+    return top, bottom
 
 
 def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
@@ -359,13 +365,14 @@ def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     the removed letter in its bottom slot.  Beyond the front the carrier
     is inert, so the sweep stops at most one box past it.
     """
-    q, (_, bottom) = _column_sweep(p, p.col_core, p.occupied, p.holds_colour)
-    return q, ColumnPair(1, bottom, p.n)
+    w = p if type(p.sites) is list else _thawed(p)
+    _, bottom = _column_sweep(w, p.col_core, w.occupied, p.holds_colour)
+    return w if w is p else _frozen(w), ColumnPair(1, bottom, p.n)
 
 
 def decoding_pass_traced(p: Path) -> EvolutionTrace:
     """`decoding_pass` with one trace step per swept site; the outgoing
-    carrier is `(1, removed letter)`."""
+    carrier is `(1, removed letter)`.  `p` must be a kept path."""
     steps: list[TraceStep] = []
 
     def core(top, bottom, site):
@@ -373,8 +380,9 @@ def decoding_pass_traced(p: Path) -> EvolutionTrace:
         steps.append(TraceStep(len(steps) + 1, tag, (top, bottom), (t2, b2), site, emitted))
         return emitted, t2, b2, tag
 
-    q, carrier = _column_sweep(p, core, range(len(p.sites)), lambda box: True)
-    return EvolutionTrace(p, q, carrier, tuple(steps))
+    w = _thawed(p)
+    carrier = _column_sweep(w, core, range(len(p.sites)), lambda box: True)
+    return EvolutionTrace(p, _frozen(w), carrier, tuple(steps))
 
 
 def encoding_pass(p: Path, removed_letter: int) -> Path:
@@ -384,12 +392,13 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
     raises InvalidWordError."""
     if not 2 <= removed_letter <= p.n:
         raise InvalidWordError(f"word letters must lie in 2..{p.n}, got {removed_letter}")
+    w = p if type(p.sites) is list else _thawed(p)
     core = p.inv_col_core
     top, bottom = 1, removed_letter
-    out = list(p.sites)
+    out = w.sites
     holds, coloured, occupied = p.holds_ball, p.holds_colour, []
     j = len(out) - 1
-    for k in (*reversed(p.occupied), -1):  # past the first ball a busy carrier settles
+    for k in (*reversed(w.occupied), -1):  # past the first ball a busy carrier settles
         while j >= k:
             if top == 1:
                 if k < 0:
@@ -409,4 +418,5 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
             f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
         )
     occupied.reverse()
-    return _rebuilt(p, out, occupied)
+    w.__dict__["occupied"] = occupied
+    return w if w is p else _frozen(w)

@@ -9,18 +9,20 @@ from typing import Iterator
 from .dynamics import (
     InvalidWordError,
     Path,
+    _frozen,
+    _thawed,
+    ball_count,
     carrier_evolution,
     decoding_pass,
     encoding_pass,
-    front,
 )
 
 ColourWord = tuple[int, ...]
 
 
 def is_monochrome(p: Path) -> bool:
-    """True when no letter exceeds 2."""
-    return next(p.letters(3), None) is None
+    """True when no letter exceeds 2; reads the occupied boxes only."""
+    return not any(p.holds_colour(p.sites[k]) for k in p.occupied)
 
 
 @dataclass(frozen=True)
@@ -49,30 +51,33 @@ class SeparationRecord:
         return tuple(decode_steps(self.source))
 
 
-def decode_steps(p: Path) -> Iterator[DecodeStep]:
-    """Yield each state with the letter its pass removes, holding only the live
-    state, until the monochrome part (the last row) in the minimal number of
-    passes.  Termination is guaranteed; the cap only trips on a bug."""
-    census = left = sum(1 for _ in p.letters(3))
-    end = front(p)
-    window = sum(1 for k, _ in p.letters() if k < end)  # letter slots up to the front
-    cap = (census + 1) * (window + census + 1) + 2
-    index = 0
-    while left:
-        nxt, carrier = decoding_pass(p)
-        yield DecodeStep(index, p, carrier.bottom)
-        p, index = nxt, index + 1
+def _steps(p: Path, rows: bool) -> Iterator[DecodeStep]:
+    """Decode a working copy of `p`: yield each pass's removed letter with an
+    index-free copy of its state if `rows`, then the monochrome part (<= B passes)."""
+    census = left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
+    w = _thawed(p)
+    for index in range((census + 1) * (ball_count(w) + census + 1) + 3):
+        if not left:
+            yield DecodeStep(index, _frozen(w), None)
+            return
+        row = _frozen(w, indexed=False) if rows else None
+        _, carrier = decoding_pass(w)  # rewrites w in place
+        yield DecodeStep(index, row, carrier.bottom)
         left -= carrier.bottom >= 3  # the pass turned the removed letter into a 2
-        if index > cap:
-            raise RuntimeError("decoding failed to terminate; this is a bug")
-    yield DecodeStep(index, p, None)
+    raise RuntimeError("decoding failed to terminate; this is a bug")
+
+
+def decode_steps(p: Path) -> Iterator[DecodeStep]:
+    """Yield each state with the letter its pass removes, until the monochrome
+    part (the last row), in the minimal number of passes; each row is a copy."""
+    return _steps(p, True)
 
 
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:
-    """Decode `p` in O(L) memory.  Each `DecodeStep` is appended to `steps`
-    when given, so a caller that wants the step table decodes once."""
+    """Decode `p`, copying it once in and once out.  Each `DecodeStep` is appended
+    to `steps` when given, so a caller that wants the step table decodes once."""
     removed = []
-    for step in decode_steps(p):
+    for step in _steps(p, steps is not None):
         removed.append(step.removed)
         if steps is not None:
             steps.append(step)
@@ -81,14 +86,14 @@ def separate(p: Path, steps: list | None = None) -> SeparationRecord:
 
 def combine(monochrome: Path, word: ColourWord) -> Path:
     """Inverse of `separate` on its image: replay the removed letters from
-    the word front backwards through the path.  Raises InvalidWordError if
-    some pass cannot have produced the pair."""
+    the word front backwards through one working copy of the path.  Raises
+    InvalidWordError if some pass cannot have produced the pair."""
     if not is_monochrome(monochrome):
         raise InvalidWordError("recombination must start from a monochrome path")
-    cur = monochrome
+    w = _thawed(monochrome)
     for y in word:
-        cur = encoding_pass(cur, y)
-    return cur
+        encoding_pass(w, y)
+    return _frozen(w)
 
 
 @dataclass(frozen=True)

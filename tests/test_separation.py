@@ -123,12 +123,14 @@ def test_minimal_passes_within_window_bound():
         p = random_basic_path(rng, rng.randint(2, 6), 50, 25)
         if sep.is_monochrome(p):
             continue
-        assert sep.separate(p).n_passes <= dyn.front(p)
+        balls = dyn.ball_count(p)
+        assert sep.separate(p).n_passes <= min(dyn.front(p), balls)
     for _ in range(80):
         p = random_inhom_path(rng, rng.randint(2, 6))
         if sep.is_monochrome(p):
             continue
-        assert sep.separate(p).n_passes <= sum(sum(c) for c in p.sites[: dyn.front(p)])
+        window, balls = sum(sum(c) for c in p.sites[: dyn.front(p)]), dyn.ball_count(p)
+        assert sep.separate(p).n_passes <= min(window, balls)
 
 
 def test_ladder_basic():
@@ -326,3 +328,93 @@ def test_check_commutation_rejects_a_record_of_another_path():
         sep.check_commutation(p, 2, sep.separate(other))
     equal = dyn.BasicPath.from_string(COLOURED_ROWS[0])
     assert sep.check_commutation(p, 2, sep.separate(equal)).passed
+
+
+def _seeded_paths(seed):
+    rng = random.Random(seed)
+    basic = [random_basic_path(rng, rng.randint(2, 6), 60, 25) for _ in range(40)]
+    return basic + [random_inhom_path(rng, rng.randint(2, 5)) for _ in range(40)]
+
+
+def _rebuilt(p):
+    """`p` built again by its constructor, sharing nothing with it."""
+    if p.mode == "basic":
+        return dyn.BasicPath(tuple(p.sites), p.n)
+    return dyn.InhomPath(tuple(p.sites), p.n, p.tail_capacity)
+
+
+def _assert_kept(q):
+    """`q` is a kept path: tuple sites, hashable, equal to its constructor's path."""
+    assert type(q.sites) is tuple
+    assert q == _rebuilt(q) and hash(q) == hash(_rebuilt(q))
+    if "occupied" in vars(q):
+        assert type(q.occupied) is tuple and q.occupied == _rebuilt(q).occupied
+
+
+def test_held_step_rows_match_a_fresh_chain_of_passes():
+    for p in _seeded_paths(41):
+        rows = list(sep.decode_steps(_rebuilt(p)))  # every row held until the end
+        cur = _rebuilt(p)
+        for step in rows[:-1]:
+            _assert_kept(step.state)
+            assert step.state == cur
+            cur, carrier = dyn.decoding_pass(cur)
+            assert step.removed == carrier.bottom
+        _assert_kept(rows[-1].state)
+        assert rows[-1].state == cur and rows[-1].removed is None
+
+
+def test_sweeps_leave_their_input_and_return_kept_paths():
+    for p in _seeded_paths(42):
+        sites = p.sites
+        rec = sep.separate(p)
+        decoded, carrier = dyn.decoding_pass(p)
+        assert p.sites is sites and p == _rebuilt(p)
+        mono, word = rec.monochrome, rec.word
+        mono_sites, decoded_sites = mono.sites, decoded.sites
+        combined = sep.combine(mono, word)
+        encoded = dyn.encoding_pass(decoded, carrier.bottom)
+        assert mono.sites is mono_sites and decoded.sites is decoded_sites
+        assert combined == p and encoded == p
+        for q in (rec.monochrome, combined, decoded, encoded):
+            _assert_kept(q)
+
+
+def test_a_pass_makes_no_whole_path_copy(monkeypatch):
+    copies, passed = [], []
+    thawed, frozen, decoding_pass = dyn._thawed, dyn._frozen, dyn.decoding_pass
+
+    def counted_thawed(p):
+        copies.append("in")
+        return thawed(p)
+
+    def counted_frozen(w, indexed=True):
+        copies.append("out" if indexed else "row")
+        return frozen(w, indexed)
+
+    def watched_pass(w):
+        passed.append(w.sites)
+        return decoding_pass(w)
+
+    for module in (dyn, sep):
+        monkeypatch.setattr(module, "_thawed", counted_thawed)
+        monkeypatch.setattr(module, "_frozen", counted_frozen)
+    monkeypatch.setattr(sep, "decoding_pass", watched_pass)
+    rng = random.Random(43)
+    sites = [1] * 400
+    for k in rng.sample(range(400), 60):
+        sites[k] = rng.randint(2, 6)
+    inhom = [(0, 1, 1, 0, 1), (1, 0, 0, 0, 0), (1, 0, 0, 1, 1), (2, 0, 0, 0, 0), (0, 0, 2, 0, 1)]
+    for p in (dyn.BasicPath(tuple(sites), 6), dyn.InhomPath(tuple(inhom), 5, 2)):
+        copies.clear(), passed.clear()
+        rec = sep.separate(_rebuilt(p))
+        assert rec.n_passes >= 5 and copies == ["in", "out"]
+        assert all(sites is passed[0] for sites in passed)  # one working list
+        copies.clear()
+        assert sep.combine(rec.monochrome, rec.word) == p and copies == ["in", "out"]
+        copies.clear()
+        assert sep.separate(_rebuilt(p), []) == rec
+        assert copies == ["in"] + ["row"] * rec.n_passes + ["out"]
+        copies.clear()
+        dyn.decoding_pass(p)  # a kept path is copied in and out
+        assert copies == ["in", "out"]
