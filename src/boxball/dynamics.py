@@ -16,6 +16,11 @@ sweep moves it to its output, and a path without one scans its sites on first us
 A sweep rewrites a working path (list sites and index) in place: a public sweep
 copies a kept path in and out, O(L), but `separate` and `combine` thaw once, so
 a pass there costs O(coloured + busy boxes) and copies nothing.
+
+The letter-moving step T (`time_evolution`) calls no swap core, so it can
+check them.  It too rewrites one working copy: it buckets the index by letter
+once and moves each ball once, so a step costs one O(L) copy in and out plus
+O(B + n) Python steps, and it moves the index to its output like the sweeps.
 """
 
 from __future__ import annotations
@@ -246,30 +251,36 @@ def replay_trace(trace: EvolutionTrace) -> Path:
 # the letter-moving evolution on basic paths
 
 
+def _moved(p: BasicPath, letters) -> BasicPath:
+    """`p` after moving the balls of each of `letters` in turn (`move_letter`).
+    A ball moves only in its letter's round, so the index, bucketed by letter
+    once, gives every round its positions."""
+    w = _thawed(p)
+    sites = w.sites
+    balls: list[list[int]] = [[] for _ in range(p.n + 1)]
+    for k in w.occupied:
+        balls[sites[k]].append(k)
+    sites += [1] * len(w.occupied)  # each ball moves once: at most B boxes past the end fill
+    for letter in letters:
+        moved = balls[letter]
+        for i, pos in enumerate(moved):
+            j = moved[i] = sites.index(1, pos + 1)
+            sites[j], sites[pos] = letter, 1
+    w.__dict__["occupied"] = sorted(k for ks in balls for k in ks)
+    return _frozen(w)
+
+
 def move_letter(p: BasicPath, letter: int) -> BasicPath:
     """Move every box holding `letter` once, leftmost first, each to its
     nearest empty box on the right; boxes already moved stay frozen."""
     if not 2 <= letter <= p.n:
         raise ValueError(f"letter must lie in 2..{p.n}, got {letter}")
-    sites = list(p.sites)
-    positions = [k for k, v in enumerate(sites) if v == letter]
-    for pos in positions:
-        j = pos + 1
-        while j < len(sites) and sites[j] != 1:
-            j += 1
-        if j == len(sites):
-            sites.append(letter)
-        else:
-            sites[j] = letter
-        sites[pos] = 1
-    return BasicPath(tuple(sites), p.n)
+    return _moved(p, (letter,))
 
 
 def time_evolution(p: BasicPath) -> BasicPath:
     """One time step: move colours from the largest letter down to 2."""
-    for letter in range(p.n, 1, -1):
-        p = move_letter(p, letter)
-    return p
+    return _moved(p, range(p.n, 1, -1))
 
 
 # ---------------------------------------------------------------------------

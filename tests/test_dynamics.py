@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import replace
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from unittest import mock
 
 import pytest
@@ -67,6 +67,60 @@ def test_time_evolution_coloured_rows():
     for expected in COLOURED_ROWS[1:]:
         p = dyn.time_evolution(p)
         assert p.render(WIDTH) == expected
+
+
+def _literal_time_step(p):
+    """Takahashi's rule read literally: for each letter from n down to 2, find
+    its balls by scanning the sites again, then move each, leftmost first, to
+    the nearest empty box on its right."""
+    sites = list(p.sites)
+    for letter in range(p.n, 1, -1):
+        for pos in [k for k, v in enumerate(sites) if v == letter]:
+            j = pos + 1
+            while j < len(sites) and sites[j] != 1:
+                j += 1
+            if j == len(sites):
+                sites.append(1)
+            sites[j], sites[pos] = letter, 1
+    return dyn.BasicPath(tuple(sites), p.n)
+
+
+def _seeded_basic_path(seed, length, balls, n):
+    rng = random.Random(seed)
+    sites = [1] * length
+    for k in rng.sample(range(length), balls):
+        sites[k] = rng.randint(2, n)
+    return dyn.BasicPath(tuple(sites), n)
+
+
+def test_time_evolution_matches_the_literal_rule():
+    for n in range(2, 5):
+        for length in range(8):
+            for sites in product(range(1, n + 1), repeat=length):
+                p = dyn.BasicPath(sites, n)
+                assert dyn.time_evolution(p) == _literal_time_step(p), sites
+    for length, balls in ((4000, 1000), (10000, 100)):
+        p = _seeded_basic_path(length, length, balls, 6)
+        expected = p
+        for _ in range(20):
+            p, expected = dyn.time_evolution(p), _literal_time_step(expected)
+            assert p == expected
+
+
+def test_a_time_step_chain_scans_once(monkeypatch):
+    scans = []
+
+    def counted_scan(p):
+        scans.append(p)
+        return dyn._scan_occupied(p)
+
+    monkeypatch.setattr(vars(dyn.BasicPath)["occupied"], "func", counted_scan)
+    p = _seeded_basic_path(20, 2000, 300, 6)
+    for _ in range(20):
+        p = dyn.time_evolution(p)
+        twin = dyn.BasicPath.from_string(p.render(), p.n)
+        assert type(p.sites) is tuple and p == twin and hash(p) == hash(twin)
+    assert len(scans) == 1
 
 
 def test_small_capacity_carriers():
@@ -483,8 +537,8 @@ def _fresh_balls(p):
 
 
 def _sweep_outputs(p):
-    """(input, output) of every sweep kind on `p`, untraced and traced; each
-    output is yielded before it is swept itself."""
+    """(input, output) of every sweep kind on `p`, untraced and traced, and of
+    T on a basic path; each output is yielded before it is swept itself."""
     for capacity in (1, 2, 3, None):
         yield p, dyn.carrier_evolution(p, capacity)
         yield p, dyn.carrier_evolution_traced(p, capacity).after
@@ -492,6 +546,8 @@ def _sweep_outputs(p):
     yield p, decoded
     yield p, dyn.decoding_pass_traced(p).after
     yield decoded, dyn.encoding_pass(decoded, carrier.bottom)
+    if p.mode == "basic":
+        yield p, dyn.time_evolution(p)
     for letter in range(2, p.n + 1):
         try:
             encoded = dyn.encoding_pass(p, letter)
