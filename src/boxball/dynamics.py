@@ -21,12 +21,20 @@ The letter-moving step T (`time_evolution`) calls no swap core, so it can
 check them.  It too rewrites one working copy: it buckets the index by letter
 once and moves each ball once, so a step costs one O(L) copy in and out plus
 O(B + n) Python steps, and it moves the index to its output like the sweeps.
+
+A count-vector swap is a pure map that a sweep meets at a few hundred distinct
+arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
+`inv_col_core` are memoised, each in a 1024-entry LRU cache (a bound keeps memory
+flat); `col_box_core` / `box_col_core`, whose int case splits cost about a lookup,
+and the `isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
+states hold ints only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
+from operator import lt, ne
 from typing import Union
 
 from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
@@ -69,10 +77,11 @@ def _thawed(p):
 
 def _frozen(w, indexed: bool = True):
     """A kept path with the boxes of the working path `w`, less trailing vacuum."""
-    while w.sites and w.sites[-1] == w.vacuum:
-        w.sites.pop()
+    sites, vacuum = w.sites, w.vacuum
+    while sites and sites[-1] == vacuum:
+        sites.pop()
     q = object.__new__(type(w))
-    q.__dict__.update(w.__dict__, sites=tuple(w.sites), occupied=tuple(w.occupied))
+    q.__dict__.update(w.__dict__, sites=tuple(sites), occupied=tuple(w.occupied))
     if not indexed:
         del q.__dict__["occupied"]
     return q
@@ -123,6 +132,9 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
     return top, bottom, entries_to_counts(orig, len(counts)), tag
 
 
+_memo = lru_cache(maxsize=1024)  # see the module docstring
+
+
 @dataclass(frozen=True)
 class BasicPath:
     """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed."""
@@ -132,18 +144,18 @@ class BasicPath:
 
     mode = "basic"
     vacuum = 1
-    row_core = staticmethod(_row_box_counts)
+    row_core = staticmethod(_memo(_row_box_counts))
     col_core = staticmethod(col_box_core)
     inv_col_core = staticmethod(box_col_core)
-    holds_ball = staticmethod(lambda v: v != 1)
-    holds_colour = staticmethod(lambda v: v > 2)
+    holds_ball = staticmethod(partial(ne, 1))  # 1 != v, with no Python frame per call
+    holds_colour = staticmethod(partial(lt, 2))  # 2 < v
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.n}")
-        if any(not 1 <= v <= self.n for v in self.sites):
-            raise ValueError(f"letters must lie in 1..{self.n}: {self.sites}")
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        if any(type(v) is not int or not 1 <= v <= self.n for v in self.sites):
+            raise ValueError(f"letters must be ints in 1..{self.n}: {self.sites}")
         _trim(self, self.sites)
 
     @classmethod
@@ -175,21 +187,21 @@ class InhomPath:
     tail_capacity: int = 1
 
     mode = "inhom"
-    row_core = staticmethod(_r_core)
-    col_core = staticmethod(_col_row_counts)
-    inv_col_core = staticmethod(_row_col_counts)
+    row_core = staticmethod(_memo(_r_core))
+    col_core = staticmethod(_memo(_col_row_counts))
+    inv_col_core = staticmethod(_memo(_row_col_counts))
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.n}")
-        if self.tail_capacity < 1:
-            raise ValueError("tail capacity must be >= 1")
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        if type(self.tail_capacity) is not int or self.tail_capacity < 1:
+            raise ValueError(f"tail capacity must be an int >= 1, got {self.tail_capacity!r}")
         sites = tuple(tuple(c) for c in self.sites)
         for k, c in enumerate(sites):
-            if len(c) != self.n or any(v < 0 for v in c) or sum(c) < 1:
+            if len(c) != self.n or any(type(v) is not int or v < 0 for v in c) or sum(c) < 1:
                 raise ValueError(f"bad count vector at site {k + 1}: {c}")
         _trim(self, sites)
 
@@ -301,19 +313,24 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
     carrier = empty = _empty_row(p, capacity)
     w = _thawed(p)
     out = w.sites
-    out += (p.vacuum,) * capacity  # a busy carrier drops a ball per box
     holds, occupied = p.holds_ball, []
-    j, end = 0, len(out)
-    for k in (*order, end):  # past the last ball a busy carrier unloads until idle
+    j = 0
+    for k in order:
         while j <= k:
             if carrier == empty:
                 j = k  # an idle carrier passes the empty boxes before k
-            if j == end:
-                break
             out[j], carrier, _ = core(carrier, out[j])
             if holds(out[j]):
                 occupied.append(j)
             j += 1
+    # past the last ball a busy carrier unloads a ball per box until idle, so it
+    # needs as many boxes past j as it holds balls (capacity - carrier[0])
+    out += (p.vacuum,) * (j + capacity - carrier[0] - len(out))
+    while carrier != empty and j < len(out):
+        out[j], carrier, _ = core(carrier, out[j])
+        if holds(out[j]):
+            occupied.append(j)
+        j += 1
     if carrier != empty:
         raise RuntimeError("carrier sweep failed to unload; this is a bug")
     w.__dict__["occupied"] = occupied

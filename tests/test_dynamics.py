@@ -12,6 +12,7 @@ from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball.verify import random_basic_path, random_inhom_path
+from conftest import MEMOISED_CORES, clear_memoised_cores
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
 
@@ -268,6 +269,27 @@ def test_inhom_validation_and_canonical_form():
     kept = dyn.InhomPath(((1, 0, 1), (3, 0, 0)), 3, 2)
     assert len(kept.sites) == 2
     assert tuple(sum(c) for c in kept.sites) == (2, 3)
+
+
+BAD_STATES = {
+    "letter-float": lambda: dyn.BasicPath((1, 2.5), 3),
+    "letter-int-valued-float": lambda: dyn.BasicPath((2.0,), 3),
+    "letter-bool": lambda: dyn.BasicPath((1, True), 3),
+    "letter-str": lambda: dyn.BasicPath(("2",), 3),
+    "n-float": lambda: dyn.BasicPath((1, 2), 3.0),
+    "n-bool": lambda: dyn.BasicPath((1, 2), True),
+    "counts-float": lambda: dyn.InhomPath(((1.5, 0.5),), 2),
+    "counts-bool": lambda: dyn.InhomPath(((True, 0),), 2),
+    "inhom-n-float": lambda: dyn.InhomPath(((1, 1),), 2.0),
+    "tail-float": lambda: dyn.InhomPath(((1, 1),), 2, 2.0),
+    "tail-bool": lambda: dyn.InhomPath(((1, 1),), 2, True),
+}
+
+
+@pytest.mark.parametrize("make", BAD_STATES.values(), ids=list(BAD_STATES))
+def test_states_hold_ints_only(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_inhom_front_and_counts():
@@ -578,3 +600,79 @@ def test_constructed_paths_index_lazily():
     assert "occupied" not in vars(r) and r.occupied == (0,)
     ip = dyn.InhomPath(((2, 0), (1, 1), (3, 0)), 2, 1)
     assert "occupied" not in vars(ip) and ip.occupied == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the memoised count-vector cores
+
+
+def _counts(n, capacities=(1, 2, 3)):
+    return [row.counts() for c in capacities for row in cr.iter_crystal((c,), n)]
+
+
+def _columns(n):
+    return [(col.top, col.bottom) for col in cr.iter_crystal((1, 1), n)]
+
+
+def _core_domains():
+    """(memoised class core, its plain function, every argument tuple) at
+    small scope: carriers and boxes of capacity <= 3, n <= 4."""
+    for n in range(2, 5):
+        rows = _counts(n)
+        yield dyn.BasicPath.row_core, dyn._row_box_counts, [
+            (c, beta) for c in rows for beta in range(1, n + 1)]
+        yield dyn.InhomPath.row_core, dyn._r_core, list(product(rows, rows))
+        yield dyn.InhomPath.col_core, dyn._col_row_counts, [
+            (t, b, c) for t, b in _columns(n) for c in rows]
+        yield dyn.InhomPath.inv_col_core, dyn._row_col_counts, [
+            (c, t, b) for t, b in _columns(n) for c in rows]
+
+
+def test_memoised_cores_match_their_plain_functions_cold_and_warm(fresh_cores):
+    seen = set()
+    for core, plain, domain in _core_domains():
+        assert core.__wrapped__ is plain
+        seen.add(core)
+        core.cache_clear()
+        for args in domain:
+            want = plain(*args)
+            assert core(*args) == want, (plain.__name__, args)  # cold: a miss
+            assert core(*args) == want, (plain.__name__, args)  # warm: a hit
+        assert core.cache_info().hits == len(domain)
+    assert seen == set(MEMOISED_CORES) and len(seen) == 4
+
+
+def test_memos_are_bounded_and_isomorphisms_uncached():
+    for core in MEMOISED_CORES:
+        assert isinstance(core.cache_info().maxsize, int)
+    assert not [name for name, f in vars(iso).items() if hasattr(f, "cache_info")]
+    for core in (dyn.BasicPath.col_core, dyn.BasicPath.inv_col_core):
+        assert not hasattr(core, "cache_info")
+
+
+@pytest.mark.parametrize("capacity", [2, None])
+def test_traced_sweeps_agree_cold_warm_and_uncached(capacity, fresh_cores, monkeypatch):
+    for p in (random_basic_path(random.Random(21), 6), random_inhom_path(random.Random(22), 5)):
+        assert dyn.ball_count(p)
+        clear_memoised_cores()
+        cold = dyn.carrier_evolution_traced(p, capacity)
+        warm = dyn.carrier_evolution_traced(p, capacity)
+        with monkeypatch.context() as m:
+            m.setattr(type(p), "row_core", staticmethod(type(p).row_core.__wrapped__))
+            plain = dyn.carrier_evolution_traced(p, capacity)
+        assert cold == warm == plain
+        assert [s.tag for s in cold.steps] == [s.tag for s in plain.steps]
+        assert dyn.carrier_evolution(p, capacity) == cold.after
+
+
+def test_fresh_cores_expose_a_fault_planted_after_a_warm_sweep(monkeypatch, request):
+    """A wrong `combinatorial_r` planted after a sweep has filled the memo of
+    `InhomPath.row_core` is masked until the `fresh_cores` fixture clears it."""
+    clear_memoised_cores()
+    p = random_inhom_path(random.Random(23), 5)
+    good = dyn.carrier_evolution(p, 2)
+    assert good != p
+    monkeypatch.setattr(dyn, "combinatorial_r", lambda x, y: (y, x))  # the carrier passes by
+    assert dyn.carrier_evolution(p, 2) == good  # masked: every swap is a cache hit
+    request.getfixturevalue("fresh_cores")
+    assert dyn.carrier_evolution(p, 2) == p  # seen: the fault moves no ball
