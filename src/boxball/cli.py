@@ -9,13 +9,20 @@ State documents are either a bare ASCII path on one line ('.'=empty, digits
     {"n": 12, "mode": "basic", "state": [12, 3, 1, 1, 2]}
     {"n": 4, "mode": "inhom", "tail_capacity": 1,
      "sites": [{"capacity": 3, "counts": [1, 0, 2, 0]}, ...]}
+
+`evolve` and `separate` keep each row only as its output text (its table line or
+JSON fragment) and write row by row: O(L) memory per row of text, never the rows
+as paths.  A closed output pipe ends a command quietly, with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import accumulate, chain, repeat
+from types import SimpleNamespace
 
 from . import verify
 from .crystals import ColumnPair, DomainSizeError
@@ -54,11 +61,6 @@ def _read_input(args) -> str:
         raise CliError(f"{source or 'stdin'} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _input_width(text: str) -> int:
-    """Boxes in an ASCII input row, so evolved rows align with it."""
-    return 0 if text.strip().startswith("{") else len(text.strip().splitlines()[0])
-
-
 def parse_state(text: str, n_override: int | None = None):
     text = text.strip()
     if not text:
@@ -95,6 +97,12 @@ def state_document(p) -> dict:
     return {"n": p.n, "mode": p.mode, "state": _state_json(p)}
 
 
+def _step_json(s) -> dict:
+    """One row of the `steps` table of `separation_document`."""
+    row = {"s": s.index, "state": _state_json(s.state)}
+    return row if s.removed is None else row | {"removed": s.removed}
+
+
 def separation_document(record, steps) -> dict:
     """What `separate --json` prints for `record` and its step table `steps`."""
     p = record.source
@@ -103,11 +111,7 @@ def separation_document(record, steps) -> dict:
         "mode": p.mode,
         "monochrome": _state_json(record.monochrome),
         "word": "".join(str(v) for v in record.word) if p.n <= 9 else list(record.word),
-        "steps": [
-            {"s": s.index, "state": _state_json(s.state)}
-            | ({"removed": s.removed} if s.removed is not None else {})
-            for s in steps
-        ],
+        "steps": [_step_json(s) for s in steps],
     }
     if p.mode == "inhom":
         doc["tail_capacity"] = p.tail_capacity
@@ -184,42 +188,64 @@ def _operator(name: str):
     raise CliError(f"bad operator {name!r}; want T, Tnat, or Tl:<capacity>")
 
 
+def _write_json(doc: dict, key: str, fragments) -> None:
+    """Write `json.dumps(doc)`, its empty list `doc[key]` holding the JSON `fragments`,
+    one write each as they are made, to `sys.stdout` as of the call (callers swap it)."""
+    head, tail = json.dumps(doc).split(f'"{key}": []')
+    body = (", " + fragment if k else fragment for k, fragment in enumerate(fragments))
+    sys.stdout.writelines(chain([f'{head}"{key}": ['], body, [f"]{tail}\n"]))
+
+
+def _print_table(state, text: str, rows) -> None:
+    """Print rows `(line, cells, boxes)`, `line` holding `{}` for the state's `cells`
+    padded as `render(width)` pads, to the widest row and the ASCII input `text`."""
+    text = text.strip()  # rows align with an ASCII input, its trailing dots included
+    width = max(0 if text.startswith("{") else len(text.splitlines()[0]), *(r[2] for r in rows))
+    sep = "" if state.n <= 9 else ","
+    for line, cells, boxes in rows:
+        if state.mode == "basic":  # an empty n > 9 row pads to '.,.', with no leading comma
+            cells = sep.join([cells] * (boxes > 0) + ["."] * (width - boxes))
+        print(line.format(cells))
+
+
 def cmd_evolve(args) -> int:
     text = _read_input(args)
     state = parse_state(text, args.n)
-    op = _operator(args.operator)
-    rows = [state]
-    for _ in range(args.steps):
-        rows.append(op(rows[-1]))
+    ops = repeat(_operator(args.operator), args.steps)
+    rows = accumulate(ops, lambda r, op: op(r), initial=state)  # made as they are read
     if args.json:
-        print(json.dumps({"steps": args.steps, "rows": [state_document(r) for r in rows]}))
-        return 0
-    width = max(_input_width(text), *(len(r.sites) for r in rows))
-    for t, r in enumerate(rows):
-        print(f"t={t:<4} {r.render(width)}")
+        docs = (json.dumps(state_document(r)) for r in rows)
+        _write_json({"steps": args.steps, "rows": []}, "rows", docs)
+    else:
+        _print_table(state, text, [(f"t={t:<4} {{}}", r.render(), len(r.sites))
+                                   for t, r in enumerate(rows)])
     return 0
 
 
 def cmd_separate(args) -> int:
     text = _read_input(args)
     state = parse_state(text, args.n)
-    steps: list = []
-    record = separate(state, steps)  # one decode gives the record and the table
-    if args.json:
-        print(json.dumps(separation_document(record, steps)))
-        return 0
-    width = max(_input_width(text), *(len(s.state.sites) for s in steps))
-    for step in steps:
-        line = f"s={step.index:<4} {step.state.render(width)}"
-        if step.removed is not None:
-            line += f" {step.removed}"
-        print(line)
-    print("word  " + ("" if state.n <= 9 else ",").join(str(v) for v in record.word))
-    if args.trace:
-        for step in steps[:-1]:
+    rows, traces = [], []
+
+    def keep(step):  # each row becomes its output text as the decoding makes it
+        if args.json:
+            rows.append(json.dumps(_step_json(step)))
+            return
+        line = f"s={step.index:<4} {{}}" + ("" if step.removed is None else f" {step.removed}")
+        rows.append((line, step.state.render(), len(step.state.sites)))
+        if args.trace and step.removed is not None:
             trace = decoding_pass_traced(step.state)
             tags = " ".join(f"{st.site}:{st.tag}" for st in trace.steps)
-            print(f"trace s={step.index} ({ColumnPair(*trace.carrier, state.n)}) {tags}")
+            traces.append(f"trace s={step.index} ({ColumnPair(*trace.carrier, state.n)}) {tags}\n")
+
+    # one decode gives the record and the table; `separate` appends each row to `steps`
+    record = separate(state, SimpleNamespace(append=keep))
+    if args.json:
+        _write_json(separation_document(record, []), "steps", rows)
+        return 0
+    _print_table(state, text, rows)
+    print("word  " + ("" if state.n <= 9 else ",").join(str(v) for v in record.word))
+    sys.stdout.writelines(traces)
     return 0
 
 
@@ -337,10 +363,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_flags(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        return code
     except (CliError, InvalidWordError, DomainSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: end quietly, and let the final flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

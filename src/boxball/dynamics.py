@@ -32,7 +32,7 @@ states hold ints only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import lt, ne
 from typing import Union
@@ -133,6 +133,7 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
 
 
 _memo = lru_cache(maxsize=1024)  # see the module docstring
+_CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,10 @@ class BasicPath:
 
     def render(self, width: int | None = None) -> str:
         """'.' for an empty box, padded to `width` boxes; comma-separated when n > 9."""
+        if self.n <= 9:  # one C-level translate of the letters' bytes
+            return bytes(self.sites).translate(_CELLS).decode().ljust(width or 0, ".")
         cells = ["." if v == 1 else str(v) for v in self.sites]
-        cells += ["."] * ((width or 0) - len(cells))
-        return ("" if self.n <= 9 else ",").join(cells)
+        return ",".join(cells + ["."] * ((width or 0) - len(cells)))
 
     __str__ = render
 
@@ -252,11 +254,6 @@ class EvolutionTrace:
     after: Path
     carrier: tuple
     steps: tuple[TraceStep, ...]
-
-
-def replay_trace(trace: EvolutionTrace) -> Path:
-    """Rebuild the output path from the recorded per-site results."""
-    return replace(trace.before, sites=tuple(s.site_after for s in trace.steps))
 
 
 # ---------------------------------------------------------------------------

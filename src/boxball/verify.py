@@ -364,10 +364,6 @@ def check_carrier_composition(
 # decomposition fixtures
 
 
-def _as_weight(shape: Shape, n: int) -> tuple[int, ...]:
-    return tuple(shape) + (0,) * (n - len(shape))
-
-
 def _valid_partition(shape: Shape, n: int) -> bool:
     return (
         len(shape) <= n
@@ -392,9 +388,7 @@ def row_box_col_fixture(ell: int, n: int) -> DecompositionFixture:
         ((ell + 1, 1, 1), 2),
     ]
     return DecompositionFixture(
-        ((ell,), (1,), (1, 1)),
-        n,
-        tuple((s, m) for s, m in expected if _valid_partition(s, n)),
+        ((ell,), (1,), (1, 1)), n, tuple((s, m) for s, m in expected if _valid_partition(s, n))
     )
 
 
@@ -408,9 +402,7 @@ def two_rows_col_fixture(l1: int, l2: int, n: int) -> DecompositionFixture:
         expected.append(((l1 + l2 - x, x + 1, 1), 2))
     expected.append(((l1, l2 + 1, 1), 1))
     return DecompositionFixture(
-        ((l1,), (l2,), (1, 1)),
-        n,
-        tuple((s, m) for s, m in expected if _valid_partition(s, n)),
+        ((l1,), (l2,), (1, 1)), n, tuple((s, m) for s, m in expected if _valid_partition(s, n))
     )
 
 
@@ -419,7 +411,7 @@ def check_decomposition(fixture: DecompositionFixture) -> RelationReport:
     t0 = time.perf_counter()
     grouped = highest_weights(fixture.shapes, fixture.n)
     got = {w: len(elems) for w, elems in grouped.items()}
-    expected = {_as_weight(s, fixture.n): m for s, m in fixture.expected}
+    expected = {tuple(s) + (0,) * (fixture.n - len(s)): m for s, m in fixture.expected}
     missing = {w: m for w, m in expected.items() if got.get(w) != m}
     extra = {w: m for w, m in got.items() if expected.get(w) != m}
     counterexamples = [f"expected {missing}, found {extra}"] if missing or extra else []

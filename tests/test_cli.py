@@ -1,14 +1,24 @@
 import io
 import json
+import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 import boxball.verify
-from boxball.cli import main, state_document
-from boxball.separation import combine
-from boxball.dynamics import BasicPath, decoding_pass
+from boxball.cli import (
+    _print_table,
+    main,
+    parse_state,
+    separation_document,
+    state_document,
+)
+from boxball.separation import combine, separate
+from boxball.dynamics import BasicPath, InhomPath, carrier_evolution, decoding_pass
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
 
 
@@ -492,3 +502,149 @@ def test_separate_decodes_once(monkeypatch, capsys, flags):
     code, _, _ = run_cli(monkeypatch, capsys, ["separate", *flags], COLOURED_ROWS[0] + "\n")
     assert code == 0
     assert len(passes) == len(WORD)
+
+
+def _seeded_basic(seed, length, balls, n):
+    rng = random.Random(seed)
+    sites = [1] * length
+    for k in rng.sample(range(length), balls):
+        sites[k] = rng.randint(2, n)
+    return BasicPath(tuple(sites), n)
+
+
+def _seeded_inhom(seed, length, n=5):
+    """`length` boxes of capacity 1..4, each slot holding a ball half the time."""
+    rng = random.Random(seed)
+    sites = []
+    for _ in range(length):
+        counts = [0] * n
+        for _ in range(rng.randint(1, 4)):
+            counts[rng.randint(2, n) - 1 if rng.random() < 0.5 else 0] += 1
+        sites.append(tuple(counts))
+    return InhomPath(tuple(sites), n, 2)
+
+
+def _whole_document(argv, text):
+    """What the CLI printed when it kept every row as a path: one `json.dumps`
+    of the whole document, or a table of `render(width)` rows."""
+    state = parse_state(text)
+    if argv[0] == "separate":
+        steps = []
+        record = separate(state, steps)
+        if "--json" in argv:
+            return json.dumps(separation_document(record, steps)) + "\n"
+        rows = [(f"s={s.index:<4} ", s.state, "" if s.removed is None else f" {s.removed}")
+                for s in steps]
+        tail = "word  " + ("" if state.n <= 9 else ",").join(map(str, record.word)) + "\n"
+    else:
+        steps = int(argv[argv.index("--steps") + 1])
+        ell = 3 if "Tl:3" in argv else None
+        paths = [state]
+        for _ in range(steps):
+            paths.append(carrier_evolution(paths[-1], ell))  # T_inf is T
+        if "--json" in argv:
+            doc = {"steps": steps, "rows": [state_document(r) for r in paths]}
+            return json.dumps(doc) + "\n"
+        rows, tail = [(f"t={t:<4} ", r, "") for t, r in enumerate(paths)], ""
+    ascii_width = 0 if text.startswith("{") else len(text.strip())
+    width = max(ascii_width, *(len(r.sites) for _, r, _ in rows))
+    return "".join(f"{head}{r.render(width)}{end}\n" for head, r, end in rows) + tail
+
+
+STREAM_INPUTS = {
+    # ASCII with trailing dots: every row is padded to the input at first
+    "basic": (_seeded_basic(1, 60, 18, 6).render() or ".") + "......\n",
+    # letters past 9 render comma-separated, and early rows pad with ',.'
+    "n12": json.dumps(state_document(_seeded_basic(2, 40, 12, 12))),
+    "inhom": json.dumps(state_document(_seeded_inhom(3, 30))),
+}
+STREAM_COMMANDS = [
+    ["separate"],
+    ["separate", "--json"],
+    ["evolve", "--steps", "12"],
+    ["evolve", "--steps", "12", "--json"],
+    ["evolve", "--steps", "12", "--operator", "Tl:3"],
+    ["evolve", "--steps", "12", "--operator", "Tl:3", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("kind", list(STREAM_INPUTS))
+def test_streamed_output_equals_the_whole_document(monkeypatch, capsys, kind, argv):
+    text = STREAM_INPUTS[kind]
+    code, out, err = run_cli(monkeypatch, capsys, argv, text)
+    assert code == 0 and err == ""
+    assert out == _whole_document(argv, text)
+    if argv[0] == "evolve" and "--json" not in argv and kind != "inhom":
+        lines = out.splitlines()  # the rows grow past the input, so the first is padded
+        assert lines[0].endswith(",.,." if kind == "n12" else "..")
+        assert kind == "n12" or len(lines[-1]) - len("t=12   ") > len(text.strip())
+
+
+def test_padded_large_alphabet_rows_match_render():
+    paths = [BasicPath((), 12), BasicPath((12,), 12), BasicPath((1, 11, 3), 12)]
+    rows = [("{}", p.render(), len(p.sites)) for p in paths]
+    for text, width in (("{}", 3), ("." * 5, 5)):  # a JSON input, and a wider ASCII one
+        out = io.StringIO()
+        with redirect_stdout(out):
+            _print_table(paths[0], text, rows)
+        assert out.getvalue().splitlines() == [p.render(width) for p in paths]
+    assert BasicPath((), 12).render(3) == ".,.,."
+
+
+PIPE_CASES = {
+    "evolve": (["evolve", "--steps", "300"], 2000),
+    "separate": (["separate"], 2000),
+    # output that fits one buffer meets the closed pipe at the final flush
+    "final-flush": (["evolve", "--steps", "1"], 40),
+}
+
+
+@pytest.mark.parametrize("argv, length", PIPE_CASES.values(), ids=list(PIPE_CASES))
+def test_closed_pipe_ends_quietly(tmp_path, argv, length):
+    path = tmp_path / "long.txt"
+    path.write_text(_seeded_basic(4, length, length // 4, 6).render() + "\n")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a plain shell pipeline
+    command = [sys.executable, "-m", "boxball", *argv, str(path)]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(command, env=env, **pipes) as proc:
+        if length > 1000:  # far past a pipe's buffer: the command is still writing
+            assert proc.stdout.readline()[:2] in (b"t=", b"s=")
+        proc.stdout.close()  # as `| head -n 1` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+MEMORY_CASES = {
+    "separate": ("basic", ["separate"]),
+    "separate-json": ("basic", ["separate", "--json"]),
+    "separate-json-inhom": ("inhom", ["separate", "--json"]),
+    "evolve": ("basic", ["evolve", "--steps", "100"]),
+    "evolve-json": ("basic", ["evolve", "--steps", "100", "--json"]),
+}
+
+
+@pytest.mark.parametrize("kind, argv", MEMORY_CASES.values(), ids=list(MEMORY_CASES))
+def test_cli_memory_stays_bounded(tmp_path, monkeypatch, kind, argv):
+    """The peak traced memory of a command is at most 3x the bytes it prints:
+    rows are held as their text, not as paths.  The command runs once before
+    it is measured, so one-time imports and the bounded core caches are not
+    counted."""
+    p = _seeded_basic(5, 1000, 250, 6) if kind == "basic" else _seeded_inhom(6, 100)
+    path = tmp_path / "state.txt"
+    path.write_text(json.dumps(state_document(p)) if kind == "inhom" else p.render())
+    argv = [*argv, str(path)]
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    assert main(argv) == 0  # the warm-up run
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    printed = len(out.getvalue())
+    assert peak <= 3 * printed, f"peak {peak} bytes for {printed} bytes printed"

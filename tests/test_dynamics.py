@@ -26,6 +26,34 @@ def test_parse_and_render():
     assert dyn.ball_count(p) == 2
 
 
+def _render_per_cell(p, width=None):
+    """`BasicPath.render` as one Python cell at a time."""
+    cells = ["." if v == 1 else str(v) for v in p.sites]
+    cells += ["."] * ((width or 0) - len(cells))
+    return ("" if p.n <= 9 else ",").join(cells)
+
+
+def test_render_matches_the_per_cell_formula():
+    """Every row of up to 3 letters from 1..9, at widths below and above its
+    length, with n <= 9 (the translate path) and n > 9 (the comma form)."""
+    checked = 0
+    for length in range(4):
+        for sites in product(range(1, 10), repeat=length):
+            for n in {max((2, *sites)), 9, 12}:
+                p = dyn.BasicPath(sites, n)
+                for width in (None, *range(length + 3)):
+                    assert p.render(width) == _render_per_cell(p, width), (sites, n, width)
+                    checked += 1
+    assert checked > 15_000
+
+
+@given(st.lists(st.integers(1, 9), max_size=80), st.none() | st.integers(0, 100))
+def test_render_matches_the_per_cell_formula_on_long_rows(sites, width):
+    for n in (9, 10):
+        p = dyn.BasicPath(tuple(sites), n)
+        assert p.render(width) == _render_per_cell(p, width)
+
+
 def test_parse_rejects_bad_characters():
     with pytest.raises(ValueError, match="position 3"):
         dyn.BasicPath.from_string("..x.")
@@ -307,21 +335,26 @@ def test_inhom_decode_encode_round_trip():
         assert dyn.encoding_pass(q, b.bottom) == p
 
 
+def replay_trace(trace):
+    """Rebuild the output path from the recorded per-site results."""
+    return replace(trace.before, sites=tuple(s.site_after for s in trace.steps))
+
+
 def test_trace_replay():
     p = dyn.BasicPath.from_string(COLOURED_ROWS[0])
     q, b = dyn.decoding_pass(p)
     trace = dyn.decoding_pass_traced(p)
-    assert dyn.replay_trace(trace) == q
+    assert replay_trace(trace) == q
     assert trace.before == p and trace.after == q
     assert all(step.tag for step in trace.steps)
     r = dyn.carrier_evolution(p, 2)
     trace2 = dyn.carrier_evolution_traced(p, 2)
-    assert dyn.replay_trace(trace2) == r
+    assert replay_trace(trace2) == r
     rng = random.Random(17)
     ip = random_inhom_path(rng, 4)
     iq, ib = dyn.decoding_pass(ip)
     itrace = dyn.decoding_pass_traced(ip)
-    assert dyn.replay_trace(itrace) == iq
+    assert replay_trace(itrace) == iq
 
 
 def test_count_row_core_matches_row_box_core():
