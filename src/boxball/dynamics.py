@@ -4,13 +4,14 @@ A state is a half-infinite array of boxes holding letters; only a finite
 prefix is stored and the implicit tail is vacuum.  Evolutions are carrier
 sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
-removes one letter per sweep.  Both path kinds run the same sweeps; each
-path class names its vacuum box and the swap cores of its boxes.  Row
-carriers, traced ones too, are count vectors: a site costs O(n) at any capacity.
+removes one letter per sweep.  Each path class names its vacuum box, the swap
+cores of its boxes and its untraced column sweeps: basic ones run the case splits
+of `col_box_core` / `box_col_core` inline, traced and inhomogeneous ones call the
+cores.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
 
 An idle carrier passes an empty box unchanged, and the seeded column carrier
-(1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) core
-calls, a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
+(1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) swaps,
+a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
 Untraced sweeps read the path's `occupied` index of boxes holding a ball; every
 sweep moves it to its output, and a path without one scans its sites on first use.
 A sweep rewrites a working path (list sites and index) in place: a public sweep
@@ -27,7 +28,7 @@ arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
 `inv_col_core` are memoised, each in a 1024-entry LRU cache (a bound keeps memory
 flat); `col_box_core` / `box_col_core`, whose int case splits cost about a lookup,
 and the `isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
-states hold ints only.
+states hold ints only, and a word letter of another type is rejected.
 """
 
 from __future__ import annotations
@@ -132,6 +133,66 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
     return top, bottom, entries_to_counts(orig, len(counts)), tag
 
 
+def _basic_column_sweep(w) -> tuple[int, int]:
+    """The untraced `_column_sweep` of a basic path, `col_box_core` inline.  A
+    busy carrier (top > 1) settles in the first empty box it meets."""
+    top, bottom = 1, 2
+    out, occupied = w.sites, []
+    j = 0  # the box after the last one visited
+    for k in w.occupied:
+        if top != 1 and j < k:  # the empty box j takes top
+            out[j], top = top, 1
+            occupied.append(j)
+        if top == 1 and bottom == 2 and out[k] <= 2:
+            occupied.append(k)
+            continue
+        g = out[k]
+        if g <= top:  # the box takes top, top becomes g
+            out[k], top = top, g
+        elif g <= bottom:  # the box takes bottom, bottom becomes g
+            out[k], bottom = bottom, g
+        else:  # the box takes top, (top, bottom) becomes (bottom, g)
+            out[k], top, bottom = top, bottom, g
+        if out[k] != 1:
+            occupied.append(k)
+        j = k + 1
+    if top != 1:  # past the last ball: box j is trailing vacuum or past the end
+        out[j : j + 1], top = [top], 1
+        occupied.append(j)
+    w.__dict__["occupied"] = occupied
+    return top, bottom
+
+
+def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
+    """`_inv_column_sweep` of a basic path, `box_col_core` inline.  A busy
+    carrier settles in the first empty box it meets, if any is left."""
+    top, bottom = 1, letter
+    out, occupied = w.sites, []
+    j = len(out) - 1  # the box before the last one visited
+    for k in (*reversed(w.occupied), -1):
+        if top != 1 and j > k:  # the empty box j gets bottom, (top, bottom) becomes (1, top)
+            out[j], top, bottom = bottom, 1, top
+            occupied.append(j)
+        if k < 0:
+            break
+        if top == 1 and bottom == 2 and out[k] <= 2:
+            occupied.append(k)
+            continue
+        c = out[k]
+        if c < top:  # the box gets bottom, (top, bottom) becomes (c, top)
+            out[k], top, bottom = bottom, c, top
+        elif c < bottom:  # the box gets top, top becomes c
+            out[k], top = top, c
+        else:  # the box gets bottom, bottom becomes c
+            out[k], bottom = bottom, c
+        if out[k] != 1:
+            occupied.append(k)
+        j = k - 1
+    occupied.reverse()
+    w.__dict__["occupied"] = occupied
+    return top, bottom
+
+
 _memo = lru_cache(maxsize=1024)  # see the module docstring
 _CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
 
@@ -146,8 +207,10 @@ class BasicPath:
     mode = "basic"
     vacuum = 1
     row_core = staticmethod(_memo(_row_box_counts))
-    col_core = staticmethod(col_box_core)
+    col_core = staticmethod(col_box_core)  # traced pass; core-driven reference sweeps
     inv_col_core = staticmethod(box_col_core)
+    col_sweep = staticmethod(_basic_column_sweep)  # the untraced passes, swaps inline
+    inv_col_sweep = staticmethod(_basic_inv_column_sweep)
     holds_ball = staticmethod(partial(ne, 1))  # 1 != v, with no Python frame per call
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
     occupied = cached_property(_scan_occupied)
@@ -192,6 +255,8 @@ class InhomPath:
     row_core = staticmethod(_memo(_r_core))
     col_core = staticmethod(_memo(_col_row_counts))
     inv_col_core = staticmethod(_memo(_row_col_counts))
+    col_sweep = staticmethod(lambda w: _column_sweep(w, w.col_core, w.occupied, w.holds_colour))
+    inv_col_sweep = staticmethod(lambda w, letter: _inv_column_sweep(w, w.inv_col_core, letter))
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
     occupied = cached_property(_scan_occupied)
@@ -275,7 +340,8 @@ def _moved(p: BasicPath, letters) -> BasicPath:
         for i, pos in enumerate(moved):
             j = moved[i] = sites.index(1, pos + 1)
             sites[j], sites[pos] = letter, 1
-    w.__dict__["occupied"] = sorted(k for ks in balls for k in ks)
+    occupied = w.__dict__["occupied"] = sorted(k for ks in balls for k in ks)
+    del sites[occupied[-1] + 1 if occupied else 0 :]  # the trailing vacuum in one slice
     return _frozen(w)
 
 
@@ -391,7 +457,7 @@ def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
     is inert, so the sweep stops at most one box past it.
     """
     w = p if type(p.sites) is list else _thawed(p)
-    _, bottom = _column_sweep(w, p.col_core, w.occupied, p.holds_colour)
+    _, bottom = p.col_sweep(w)
     return w if w is p else _frozen(w), ColumnPair(1, bottom, p.n)
 
 
@@ -410,18 +476,10 @@ def decoding_pass_traced(p: Path) -> EvolutionTrace:
     return EvolutionTrace(p, _frozen(w), carrier, tuple(steps))
 
 
-def encoding_pass(p: Path, removed_letter: int) -> Path:
-    """Inverse of `decoding_pass`: push the carrier (1, letter) back through
-    the path right to left.  The carrier must emerge at the left end in its
-    seeded state (1,2); otherwise the pair is not decodable and the call
-    raises InvalidWordError."""
-    if not 2 <= removed_letter <= p.n:
-        raise InvalidWordError(f"word letters must lie in 2..{p.n}, got {removed_letter}")
-    w = p if type(p.sites) is list else _thawed(p)
-    core = p.inv_col_core
-    top, bottom = 1, removed_letter
-    out = w.sites
-    holds, coloured, occupied = p.holds_ball, p.holds_colour, []
+def _inv_column_sweep(w, core, letter: int) -> tuple[int, int]:
+    holds, coloured = w.holds_ball, w.holds_colour
+    top, bottom = 1, letter
+    out, occupied = w.sites, []
     j = len(out) - 1
     for k in (*reversed(w.occupied), -1):  # past the first ball a busy carrier settles
         while j >= k:
@@ -438,10 +496,22 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
             if holds(out[j]):
                 occupied.append(j)
             j -= 1
+    occupied.reverse()
+    w.__dict__["occupied"] = occupied
+    return top, bottom
+
+
+def encoding_pass(p: Path, removed_letter: int) -> Path:
+    """Inverse of `decoding_pass`: push the carrier (1, letter) back through
+    the path right to left.  The carrier must emerge at the left end in its
+    seeded state (1,2); otherwise the pair is not decodable and the call
+    raises InvalidWordError."""
+    if type(removed_letter) is not int or not 2 <= removed_letter <= p.n:
+        raise InvalidWordError(f"word letters must be ints in 2..{p.n}, got {removed_letter!r}")
+    w = p if type(p.sites) is list else _thawed(p)
+    top, bottom = p.inv_col_sweep(w, removed_letter)
     if (top, bottom) != (1, 2):
         raise InvalidWordError(
             f"carrier emerged as ({top},{bottom}), not (1,2); word is not decodable"
         )
-    occupied.reverse()
-    w.__dict__["occupied"] = occupied
     return w if w is p else _frozen(w)

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import chain, product, repeat
 from unittest import mock
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
+from boxball import separation as sep
 from boxball.verify import random_basic_path, random_inhom_path
 from conftest import MEMOISED_CORES, clear_memoised_cores
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
@@ -555,26 +556,109 @@ def _recorded(cls, name):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
 def test_column_sweeps_call_the_core_once_per_busy_step(case):
-    """Untraced decoding and encoding passes call their core once per step
-    of the dense reference, in order and with its arguments, but for the
-    skipped idle steps."""
+    """Untraced inhomogeneous decoding and encoding passes call their core once
+    per step of the dense reference, in order and with its arguments, but for
+    the skipped idle steps.  Untraced basic passes run the swaps inline: they
+    call neither core.  Both give the dense reference's output."""
     p, letter = case
+    basic = p.mode == "basic"
     q, outgoing, _, steps = _dense_decoding_pass(p)
     expected = [
         (*s.carrier_before, s.site_before)
         for s in steps
         if not _skipped(p, *s.carrier_before, s.site_before)
     ]
-    with _recorded(type(p), "col_core") as calls:
-        dyn.decoding_pass(p)
-    assert calls == expected
+    with _recorded(type(p), "col_core") as calls, _recorded(type(p), "inv_col_core") as inv:
+        assert dyn.decoding_pass(p) == (q, outgoing)
+    assert calls == ([] if basic else expected) and inv == []
     for path, word_letter in ((q, outgoing.bottom), (p, letter)):
-        _, steps = _dense_encoding_pass(path, word_letter)
+        encoded, steps = _dense_encoding_pass(path, word_letter)
         expected = [(site, top, bottom) for site, top, bottom in steps
                     if not _skipped(p, top, bottom, site)]
-        with _recorded(type(p), "inv_col_core") as calls, suppress(dyn.InvalidWordError):
-            dyn.encoding_pass(path, word_letter)
-        assert calls == expected
+        with _recorded(type(p), "inv_col_core") as calls, _recorded(type(p), "col_core") as col:
+            if encoded is None:
+                with pytest.raises(dyn.InvalidWordError):
+                    dyn.encoding_pass(path, word_letter)
+            else:
+                assert dyn.encoding_pass(path, word_letter) == encoded
+        assert calls == ([] if basic else expected) and col == []
+
+
+def _basic_paths(n, length):
+    """Every basic path of alphabet `n` with exactly `length` stored sites."""
+    for sites in product(range(1, n + 1), repeat=length):
+        if not sites or sites[-1] != 1:
+            yield dyn.BasicPath(sites, n)
+
+
+def test_inline_basic_passes_match_the_crystal_maps():
+    """The basic paths' untraced passes, whose swaps are inline, against the
+    dense references driven by `col_box_core` / `box_col_core`, on every path
+    with n <= 4 and L <= 6 (n = 2, 3 up to L = 7): the decoded path, the
+    outgoing carrier and the index, and for every word letter the encoded
+    path, or an InvalidWordError exactly when the reference carrier does not
+    emerge as (1,2)."""
+    paths = 0
+    for n, longest in ((2, 7), (3, 7), (4, 6)):
+        for length in range(longest + 1):
+            for p in _basic_paths(n, length):
+                q, outgoing, _, _ = _dense_decoding_pass(p)
+                decoded, carrier = dyn.decoding_pass(p)
+                assert (decoded, carrier) == (q, outgoing), p
+                assert vars(decoded)["occupied"] == _fresh_scan(q), p
+                for letter in range(2, n + 1):
+                    encoded, _ = _dense_encoding_pass(p, letter)
+                    if encoded is None:
+                        with pytest.raises(dyn.InvalidWordError, match="not decodable"):
+                            dyn.encoding_pass(p, letter)
+                        continue
+                    got = dyn.encoding_pass(p, letter)
+                    assert got == encoded, (p, letter)
+                    assert vars(got)["occupied"] == _fresh_scan(encoded), (p, letter)
+                paths += 1
+    assert paths == 2**7 + 3**7 + 4**6
+
+
+def _core_driven_sweeps():
+    """Give basic paths `InhomPath`'s untraced column sweeps, which call the path's cores."""
+    inhom = vars(dyn.InhomPath)
+    return mock.patch.multiple(
+        dyn.BasicPath, col_sweep=inhom["col_sweep"], inv_col_sweep=inhom["inv_col_sweep"]
+    )
+
+
+def _decoded(p):
+    """(hash of every row, monochrome part, its index, word, recombined path, its index)."""
+    rows = [hash(step.state.sites) for step in sep.decode_steps(p)]
+    rec = sep.separate(p)
+    back = sep.combine(rec.monochrome, rec.word)
+    return rows, rec.monochrome, rec.monochrome.occupied, rec.word, back, back.occupied
+
+
+@pytest.mark.parametrize("length, balls", [(4000, 1000), (10_000, 100)])
+def test_inline_basic_passes_match_the_core_driven_sweep_on_long_paths(length, balls):
+    rng = random.Random(length + balls)
+    sites = [1] * length
+    for k in rng.sample(range(length), balls):
+        sites[k] = rng.randint(2, 6)
+    p = dyn.BasicPath(tuple(sites), 6)
+    got = _decoded(dyn.BasicPath(p.sites, 6))
+    with _core_driven_sweeps():
+        want = _decoded(dyn.BasicPath(p.sites, 6))
+    assert got == want
+    assert got[4] == p and len(got[3]) > balls // 2
+
+
+@pytest.mark.parametrize("letter", [3.0, True, 2.5])
+def test_passes_take_int_letters_only(letter):
+    """A word letter whose type is not int, a bool too, is rejected before it
+    can reach a path, as the path constructors reject it."""
+    for mono in (dyn.BasicPath.from_string("2.22", 3),
+                 dyn.InhomPath(((1, 1, 0), (2, 0, 0), (0, 2, 0)), 3, 2)):
+        with pytest.raises(dyn.InvalidWordError, match="ints in 2..3"):
+            dyn.encoding_pass(mono, letter)
+        with pytest.raises(dyn.InvalidWordError, match="ints in 2..3"):
+            sep.combine(mono, (letter,))
 
 
 def _fresh_scan(p):
