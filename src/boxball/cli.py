@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
     elif args.check == "composition":
         sizes = args.l, args.carriers, args.boxes, args.n
         reports = [verify.check_carrier_composition(*sizes, args.seed, args.count)]
-    elif args.check in ("theorem", "conservation"):
+    elif args.check in verify.PATH_RELATIONS:
         caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
         suite = args.check, args.mode, args.n, args.count, args.seed
         reports = [verify.check_path_suite(*suite, caps)]
@@ -349,10 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--l", type=int, default=2, help="row capacity")
     comp.add_argument("--carriers", type=int, default=1)
     comp.add_argument("--boxes", type=int, default=1)
-    for name in ("theorem", "conservation"):
+    kinds = list(verify.PATH_KINDS)
+    for name in verify.PATH_RELATIONS:  # each relation of the table is a subcommand
         suite = checks.add_parser(name, parents=[seeded])
         suite.add_argument("--count", type=int, default=100)
-        suite.add_argument("--mode", choices=["basic", "inhom"], default="basic")
+        suite.add_argument("--mode", choices=kinds, default=kinds[0])
         suite.add_argument("--capacities", default="1,2,3,inf")
     for name in ("chains", "decomposition"):
         checks.add_parser(name, parents=[json_flag])

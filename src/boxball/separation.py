@@ -54,9 +54,9 @@ class SeparationRecord:
 def _steps(p: Path, rows: bool) -> Iterator[DecodeStep]:
     """Decode a working copy of `p`: yield each pass's removed letter with an
     index-free copy of its state if `rows`, then the monochrome part (<= B passes)."""
-    census = left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
+    left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
     w = _thawed(p)
-    for index in range((census + 1) * (ball_count(w) + census + 1) + 3):
+    for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
         if not left:
             yield DecodeStep(index, _frozen(w), None)
             return

@@ -1,9 +1,10 @@
 """Brute-force oracles and fixture checks for the algebraic identities.
 
-The master oracle builds each pair isomorphism independently of the closed
-forms: match highest weight elements by weight, then propagate along
-lowering edges.  Everything else reduces to exhaustive or seeded-random
-domain scans that report the first counterexample instead of raising.
+The master oracle builds each pair isomorphism independently of the closed forms:
+match highest weight elements by weight, then propagate along lowering edges.  The
+rest scan exhaustive or seeded-random domains and report the first counterexample
+instead of raising; a path suite runs a `PATH_RELATIONS` row, check(path, `separate`
+record, capacity) -> mismatch or None, on seeded paths of a `PATH_KINDS` row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .crystals import (
     vacuum_row,
     weight_of,
 )
-from .dynamics import BasicPath, InhomPath, carrier_evolution
+from .dynamics import BasicPath, InhomPath, InvalidWordError, carrier_evolution
 from .isomorphisms import apply_word, swap_adjacent, swap_pair
 from .separation import check_commutation, separate
 
@@ -117,28 +118,41 @@ def random_inhom_path(
     return InhomPath(tuple(sites), n, rng.randint(*cap_range))
 
 
+def _conserves(p, record, cap):
+    if separate(carrier_evolution(p, cap)).word != record.word:
+        return f"word changed under capacity {cap}"
+
+
+PATH_RELATIONS = {  # check_commutation is looked up per call, so a module wrapper applies
+    "theorem": lambda p, record, cap: check_commutation(p, cap, record).mismatch,
+    "conservation": _conserves,
+}
+PATH_KINDS = {"basic": random_basic_path, "inhom": random_inhom_path}
+
+
 def check_path_suite(
     relation: str, mode: str, n: int, count: int, seed: int, capacities
 ) -> RelationReport:
-    """On `count` seeded random paths of `mode` "basic" or "inhom" (alphabets 2..n),
-    evolving by each carrier capacity (None: unbounded) commutes with decoding
-    (`relation` "theorem") or keeps the colour word ("conservation")."""
+    """On `count` seeded random paths of `PATH_KINDS[mode]` (alphabets 2..n), each
+    carrier capacity (None: unbounded) keeps `PATH_RELATIONS[relation]`; an error
+    that decoding or the check raises on a path is its counterexample."""
     if count < 1 or not capacities:
         raise ValueError(f"need >= 1 path and capacity, got {count} and {capacities}")
+    for name, table in ((relation, PATH_RELATIONS), (mode, PATH_KINDS)):
+        if name not in table:
+            raise ValueError(f"unknown {name!r}; want one of {', '.join(table)}")
     rng = random.Random(seed)
-    random_path = random_inhom_path if mode == "inhom" else random_basic_path
 
     def counterexamples():
         for k in range(count):
-            p = random_path(rng, rng.randint(2, n))
-            record = separate(p)
-            for cap in capacities:
-                if relation == "theorem":
-                    rep = check_commutation(p, cap, record)
-                    if not rep.passed:
-                        yield f"path #{k} {p}: {rep.mismatch}"
-                elif separate(carrier_evolution(p, cap)).word != record.word:
-                    yield f"path #{k} {p}: word changed under capacity {cap}"
+            p = PATH_KINDS[mode](rng, rng.randint(2, n))
+            try:
+                record = separate(p)
+                for cap in capacities:
+                    if (mismatch := PATH_RELATIONS[relation](p, record, cap)) is not None:
+                        yield f"path #{k} {p}: {mismatch}"
+            except (RuntimeError, InvalidWordError) as exc:
+                yield f"path #{k} {p}: raised {type(exc).__name__}: {exc}"
 
     label = f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]"
     return _report(label, count * len(capacities), counterexamples(), time.perf_counter())

@@ -1,6 +1,7 @@
 import pytest
 
 from boxball import dynamics as dyn
+from boxball import isomorphisms as iso
 
 # the swap cores the path classes memoise (see the `dynamics` module docstring)
 MEMOISED_CORES = tuple(
@@ -24,3 +25,15 @@ def fresh_cores():
     clear_memoised_cores()
     yield
     clear_memoised_cores()
+
+
+@pytest.fixture
+def full_carrier_swaps_plainly(monkeypatch, fresh_cores):
+    """`combinatorial_r` returns the plain swap (y, x) when the carrier row x holds
+    no empty slot: a valid pair of rows, but the wrong one."""
+    real = iso.combinatorial_r
+
+    def planted(x, y):
+        return (y, x) if x[0] == 0 else real(x, y)
+
+    monkeypatch.setattr(dyn, "combinatorial_r", planted)

@@ -305,6 +305,10 @@ VERIFY_GOLDEN = [
     ("composition --l 2 --carriers 2 --boxes 2 --n 3 --count 30 --seed 7",
      "carrier-composition[l=2,N=2,L=2,n=3;random]", 30),
     ("theorem --count 5", "theorem[mode=basic, n<=3, count=5, seed=0]", 20),
+    ("conservation --count 5", "conservation[mode=basic, n<=3, count=5, seed=0]", 20),
+    ("theorem --mode inhom --count 5", "theorem[mode=inhom, n<=3, count=5, seed=0]", 20),
+    ("conservation --mode inhom --count 5",
+     "conservation[mode=inhom, n<=3, count=5, seed=0]", 20),
 ]
 
 
@@ -323,6 +327,29 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["verify", "chains"])
     assert code == 1
     assert "fail" in out and "boom" in out
+
+
+def test_a_path_relation_is_a_subcommand(monkeypatch, capsys):
+    def planted(p, record, cap):  # fails on paths of more than 5 boxes
+        return f"{len(p.sites)} boxes" if len(p.sites) > 5 else None
+
+    monkeypatch.setitem(boxball.verify.PATH_RELATIONS, "planted", planted)
+    argv = ["verify", "planted", "--mode", "inhom", "--capacities", "1,inf",
+            "--n", "4", "--count", "20", "--seed", "3"]
+    code, out, _ = run_cli(monkeypatch, capsys, argv)
+    assert code == 1
+    assert out.startswith("fail  planted[mode=inhom, n<=4, count=20, seed=3] (domain 40, ")
+    assert out.splitlines()[1].endswith(" boxes")
+
+
+def test_a_fault_raised_in_a_suite_fails_it(monkeypatch, capsys, full_carrier_swaps_plainly):
+    argv = ["verify", "theorem", "--mode", "inhom", "--n", "4", "--count", "50"]
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert (code, err) == (1, "")
+    assert out.startswith("fail  theorem[mode=inhom, n<=4, count=50, seed=0]")
+    assert out.splitlines()[1].startswith("      path #0 ")
+    assert out.splitlines()[1].endswith(": raised RuntimeError: carrier sweep failed to unload; "
+                                         "this is a bug")
 
 
 def test_domain_cap_env_is_respected(monkeypatch, capsys):

@@ -133,6 +133,25 @@ def test_minimal_passes_within_window_bound():
         assert sep.separate(p).n_passes <= min(window, balls)
 
 
+@pytest.mark.parametrize(
+    "path",
+    [random_basic_path(random.Random(4), 6, 400, 100), random_inhom_path(random.Random(4), 5)],
+    ids=["basic", "inhom"],
+)
+def test_a_sweep_that_removes_no_colour_stops_within_b_plus_2_passes(monkeypatch, path):
+    sweeps = []
+
+    def planted(w):  # leaves the path as it is and removes a 2
+        sweeps.append(w)
+        return 1, 2
+
+    monkeypatch.setattr(type(path), "col_sweep", staticmethod(planted))
+    assert not sep.is_monochrome(path)
+    with pytest.raises(RuntimeError, match="decoding failed to terminate"):
+        sep.separate(path)
+    assert 0 < len(sweeps) <= dyn.ball_count(path) + 2
+
+
 def test_ladder_basic():
     # a run of k leading 2-removals certifies the last k positions held no
     # letter above 2 in the original path

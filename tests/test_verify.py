@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from boxball import crystals as cr
@@ -90,6 +92,8 @@ def test_count_alone_picks_the_domain():
         lambda: verify.check_carrier_composition(2, 1, 1, 3, count=0),
         lambda: verify.check_path_suite("theorem", "basic", 3, 0, 0, [1]),
         lambda: verify.check_path_suite("conservation", "basic", 3, 5, 0, []),
+        lambda: verify.check_path_suite("theorum", "basic", 3, 5, 0, [1]),
+        lambda: verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1]),
     ],
 )
 def test_a_check_with_nothing_to_check_is_refused(check):
@@ -192,3 +196,20 @@ def test_highest_weight_chains_report_planted_fault(monkeypatch):
     assert rep.counterexample == (
         "chain-2 step 5: got <113>*[1/2]*<1>, expected <111>*[2/3]*<1>"
     )
+
+
+def test_a_fault_raised_on_a_path_is_its_counterexample(full_carrier_swaps_plainly):
+    rep = verify.check_path_suite("theorem", "inhom", 4, 50, 0, [1, 2, 3, None])
+    rng = random.Random(0)
+    first = verify.random_inhom_path(rng, rng.randint(2, 4))  # as the suite draws it
+    assert not rep.passed and rep.domain == 200
+    assert rep.counterexample == (
+        f"path #0 {first}: raised RuntimeError: carrier sweep failed to unload; this is a bug"
+    )
+
+
+def test_an_unknown_relation_or_mode_names_the_known_ones():
+    with pytest.raises(ValueError, match="want one of theorem, conservation"):
+        verify.check_path_suite("theorum", "basic", 3, 5, 0, [1])
+    with pytest.raises(ValueError, match="want one of basic, inhom"):
+        verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1])
