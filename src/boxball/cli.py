@@ -25,14 +25,13 @@ from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 
 from . import verify
-from .crystals import ColumnPair, DomainSizeError
+from .crystals import DomainSizeError
 from .dynamics import (
     BasicPath,
     InhomPath,
     InvalidWordError,
     carrier_evolution,
     decoding_pass,
-    decoding_pass_traced,
 )
 from .separation import separate
 
@@ -234,9 +233,10 @@ def cmd_separate(args) -> int:
         line = f"s={step.index:<4} {{}}" + ("" if step.removed is None else f" {step.removed}")
         rows.append((line, step.state.render(), len(step.state.sites)))
         if args.trace and step.removed is not None:
-            trace = decoding_pass_traced(step.state)
-            tags = " ".join(f"{st.site}:{st.tag}" for st in trace.steps)
-            traces.append(f"trace s={step.index} ({ColumnPair(*trace.carrier, state.n)}) {tags}\n")
+            trace = []
+            _, carrier = decoding_pass(step.state, trace)
+            tags = " ".join(f"{st.site}:{st.tag}" for st in trace)
+            traces.append(f"trace s={step.index} ({carrier}) {tags}\n")
 
     # one decode gives the record and the table; `separate` appends each row to `steps`
     record = separate(state, SimpleNamespace(append=keep))

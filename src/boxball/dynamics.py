@@ -6,8 +6,9 @@ sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
 removes one letter per sweep.  Each path class names its vacuum box, the swap
 cores of its boxes and its untraced column sweeps: basic ones run the case splits
-of `col_box_core` / `box_col_core` inline, traced and inhomogeneous ones call the
-cores.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
+of `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given
+a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
+per swap.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
 
 An idle carrier passes an empty box unchanged, and the seeded column carrier
 (1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) swaps,
@@ -28,7 +29,7 @@ arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
 `inv_col_core` are memoised, each in a 1024-entry LRU cache (a bound keeps memory
 flat); `col_box_core` / `box_col_core`, whose int case splits cost about a lookup,
 and the `isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
-states hold ints only, and a word letter of another type is rejected.
+states hold ints only, and so must word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
@@ -311,16 +312,6 @@ class TraceStep:
     site_after: object
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """One sweep: paths before and after, the carrier leaving the sites, a step per site."""
-
-    before: Path
-    after: Path
-    carrier: tuple
-    steps: tuple[TraceStep, ...]
-
-
 # ---------------------------------------------------------------------------
 # the letter-moving evolution on basic paths
 
@@ -348,8 +339,8 @@ def _moved(p: BasicPath, letters) -> BasicPath:
 def move_letter(p: BasicPath, letter: int) -> BasicPath:
     """Move every box holding `letter` once, leftmost first, each to its
     nearest empty box on the right; boxes already moved stay frozen."""
-    if not 2 <= letter <= p.n:
-        raise ValueError(f"letter must lie in 2..{p.n}, got {letter}")
+    if type(letter) is not int or not 2 <= letter <= p.n:
+        raise ValueError(f"letter must be an int in 2..{p.n}, got {letter!r}")
     return _moved(p, (letter,))
 
 
@@ -369,9 +360,23 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # the new index; trailing vacuum stays until the path is frozen.
 
 
-def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]:
-    if capacity is not None and capacity < 1:
-        raise ValueError("carrier capacity must be >= 1")
+# A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
+# length of `trace` before); bound with `partial`, it leaves untraced frames free of cells.
+def _traced_row_core(p, trace, base, carrier, site):
+    emitted, new, tag = p.row_core(carrier, site)
+    trace.append(TraceStep(len(trace) - base, tag, carrier, new, site, emitted))
+    return emitted, new, tag
+
+
+def _traced_col_core(p, trace, base, top, bottom, site):
+    emitted, t2, b2, tag = p.col_core(top, bottom, site)
+    trace.append(TraceStep(len(trace) - base, tag, (top, bottom), (t2, b2), site, emitted))
+    return emitted, t2, b2, tag
+
+
+def _row_sweep(p: Path, capacity: int | None, core, order) -> Path:
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
     capacity = max(1, ball_count(p)) if capacity is None else capacity
     carrier = empty = _empty_row(p, capacity)
     w = _thawed(p)
@@ -397,28 +402,19 @@ def _row_sweep(p: Path, capacity: int | None, core, order) -> tuple[Path, tuple]
     if carrier != empty:
         raise RuntimeError("carrier sweep failed to unload; this is a bug")
     w.__dict__["occupied"] = occupied
-    return _frozen(w), carrier
+    return _frozen(w)
 
 
-def carrier_evolution(p: Path, capacity: int | None = None) -> Path:
+def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None = None) -> Path:
     """Sweep a row carrier of the given capacity across the path.
 
     `capacity=None` means unbounded, realized as the total ball count
-    (beyond which the evolution is stable)."""
-    return _row_sweep(p, capacity, p.row_core, p.occupied)[0]
-
-
-def carrier_evolution_traced(p: Path, capacity: int | None = None) -> EvolutionTrace:
-    """`carrier_evolution` with one trace step per swept site."""
-    steps: list[TraceStep] = []
-
-    def core(carrier, site):
-        emitted, new, tag = p.row_core(carrier, site)
-        steps.append(TraceStep(len(steps) + 1, tag, carrier, new, site, emitted))
-        return emitted, new, tag
-
-    q, carrier = _row_sweep(p, capacity, core, range(len(p.sites)))
-    return EvolutionTrace(p, q, carrier, tuple(steps))
+    (beyond which the evolution is stable).  Given a list `trace`, the sweep
+    visits every stored site and appends one `TraceStep` per swap, numbered from 1."""
+    if trace is None:
+        return _row_sweep(p, capacity, p.row_core, p.occupied)
+    core = partial(_traced_row_core, p, trace, len(trace) - 1)
+    return _row_sweep(p, capacity, core, range(len(p.sites)))
 
 
 def _column_sweep(w, core, order, coloured) -> tuple[int, int]:
@@ -449,31 +445,21 @@ def _column_sweep(w, core, order, coloured) -> tuple[int, int]:
     return top, bottom
 
 
-def decoding_pass(p: Path) -> tuple[Path, ColumnPair]:
+def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]:
     """One pass of the decoding carrier; returns (path, outgoing carrier).
 
     The carrier starts as (1,2), deposits its 2 somewhere, and leaves with
     the removed letter in its bottom slot.  Beyond the front the carrier
-    is inert, so the sweep stops at most one box past it.
+    is inert, so the sweep stops at most one box past it.  A `trace` list
+    is filled as by `carrier_evolution`.
     """
     w = p if type(p.sites) is list else _thawed(p)
-    _, bottom = p.col_sweep(w)
+    if trace is None:
+        _, bottom = p.col_sweep(w)
+    else:
+        core = partial(_traced_col_core, p, trace, len(trace) - 1)
+        _, bottom = _column_sweep(w, core, range(len(p.sites)), lambda box: True)
     return w if w is p else _frozen(w), ColumnPair(1, bottom, p.n)
-
-
-def decoding_pass_traced(p: Path) -> EvolutionTrace:
-    """`decoding_pass` with one trace step per swept site; the outgoing
-    carrier is `(1, removed letter)`.  `p` must be a kept path."""
-    steps: list[TraceStep] = []
-
-    def core(top, bottom, site):
-        emitted, t2, b2, tag = p.col_core(top, bottom, site)
-        steps.append(TraceStep(len(steps) + 1, tag, (top, bottom), (t2, b2), site, emitted))
-        return emitted, t2, b2, tag
-
-    w = _thawed(p)
-    carrier = _column_sweep(w, core, range(len(p.sites)), lambda box: True)
-    return EvolutionTrace(p, _frozen(w), carrier, tuple(steps))
 
 
 def _inv_column_sweep(w, core, letter: int) -> tuple[int, int]:

@@ -48,7 +48,7 @@ class SeparationRecord:
     @property
     def steps(self) -> tuple[DecodeStep, ...]:
         """The step table; each access decodes `source` again, O(passes x L)."""
-        return tuple(decode_steps(self.source))
+        return tuple(_steps(self.source, True))
 
 
 def _steps(p: Path, rows: bool) -> Iterator[DecodeStep]:
@@ -65,12 +65,6 @@ def _steps(p: Path, rows: bool) -> Iterator[DecodeStep]:
         yield DecodeStep(index, row, carrier.bottom)
         left -= carrier.bottom >= 3  # the pass turned the removed letter into a 2
     raise RuntimeError("decoding failed to terminate; this is a bug")
-
-
-def decode_steps(p: Path) -> Iterator[DecodeStep]:
-    """Yield each state with the letter its pass removes, until the monochrome
-    part (the last row), in the minimal number of passes; each row is a copy."""
-    return _steps(p, True)
 
 
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:

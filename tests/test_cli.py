@@ -237,11 +237,72 @@ def test_json_output_golden_bytes(monkeypatch, capsys, argv, doc, expected):
     assert out == expected
 
 
-def test_separate_trace_lists_case_tags(monkeypatch, capsys):
-    code, out, _ = run_cli(monkeypatch, capsys, ["separate", "--trace"], "55432..\n")
+INHOM_TRACE_DOC = (
+    '{"n": 3, "mode": "inhom", "tail_capacity": 2, "sites": [{"capacity": 2, "counts": [0, 1, 1]}]}'
+)
+TRACE_GOLDEN = {
+    "55432..": """\
+s=0    55432.... 3
+s=1    .55422... 4
+s=2    ..55222.. 5
+s=3    ...52222. 5
+s=4    ....22222
+word  5543
+trace s=0 ([1/3]) 1:d 2:f 3:f 4:f 5:e 6:b
+trace s=1 ([1/4]) 1:a 2:d 3:f 4:f 5:e 6:e 7:b
+trace s=2 ([1/5]) 1:a 2:a 3:d 4:f 5:e 6:e 7:e 8:b
+trace s=3 ([1/5]) 1:a 2:a 3:a 4:d 5:e 6:e 7:e 8:e 9:b
+""",
+    "55432.....542....2": """\
+s=0    55432.....542....2.. 2
+s=1    .55422.....532...4.. 4
+s=2    ..55222.....432..5.. 5
+s=3    ...52222....543...2. 2
+s=4    ....22222...554...3. 3
+s=5    ....22222....552..4. 4
+s=6    ....22222.....522.5. 5
+s=7    ....22222......2225. 5
+s=8    ....22222......222.2
+word  55432542
+trace s=0 ([1/2]) 1:d 2:f 3:f 4:f 5:e 6:b 7:a 8:a 9:a 10:a 11:d 12:f 13:e 14:b 15:a 16:a 17:a 18:c
+trace s=1 ([1/4]) 1:a 2:d 3:f 4:f 5:e 6:e 7:b 8:a 9:a 10:a 11:a 12:d 13:e 14:e 15:b 16:a 17:a 18:c
+trace s=2 ([1/5]) 1:a 2:a 3:d 4:f 5:e 6:e 7:e 8:b 9:a 10:a 11:a 12:a 13:c 14:c 15:c 16:a 17:a 18:d 19:b
+trace s=3 ([1/2]) 1:a 2:a 3:a 4:d 5:e 6:e 7:e 8:e 9:b 10:a 11:a 12:a 13:c 14:c 15:c 16:a 17:a 18:a 19:c
+trace s=4 ([1/3]) 1:a 2:a 3:a 4:a 5:c 6:c 7:c 8:c 9:c 10:a 11:a 12:a 13:d 14:f 15:f 16:b 17:a 18:a 19:c
+trace s=5 ([1/4]) 1:a 2:a 3:a 4:a 5:c 6:c 7:c 8:c 9:c 10:a 11:a 12:a 13:a 14:d 15:f 16:e 17:b 18:a 19:c
+trace s=6 ([1/5]) 1:a 2:a 3:a 4:a 5:c 6:c 7:c 8:c 9:c 10:a 11:a 12:a 13:a 14:a 15:d 16:e 17:e 18:b 19:c
+trace s=7 ([1/5]) 1:a 2:a 3:a 4:a 5:c 6:c 7:c 8:c 9:c 10:a 11:a 12:a 13:a 14:a 15:a 16:c 17:c 18:c 19:d 20:b
+""",
+    '{"n": 12, "state": [12, 3, 1, 11, 2]}': """\
+s=0    12,3,.,11,2,.,.,. 11
+s=1    .,12,2,.,3,2,.,. 2
+s=2    .,.,2,2,12,3,.,. 3
+s=3    .,.,2,2,.,12,2,. 12
+s=4    .,.,2,2,.,.,2,2
+word  12,3,2,11
+trace s=0 ([1/11]) 1:d 2:f 3:b 4:d 5:e 6:b
+trace s=1 ([1/2]) 1:a 2:d 3:e 4:b 5:c 6:c
+trace s=2 ([1/3]) 1:a 2:a 3:c 4:c 5:d 6:f 7:b
+trace s=3 ([1/12]) 1:a 2:a 3:c 4:c 5:a 6:d 7:e 8:b
+""",
+    INHOM_TRACE_DOC: """\
+s=0    [0,1,1] 3
+s=1    [1,1,0][1,1,0]
+word  3
+trace s=0 ([1/3]) 1:IV 2:I
+""",
+}
+
+
+@pytest.mark.parametrize("text, expected", TRACE_GOLDEN.items(),
+                         ids=["short", "basic", "n12-json", "inhom-json"])
+def test_separate_trace_lists_case_tags(monkeypatch, capsys, text, expected):
+    code, out, _ = run_cli(monkeypatch, capsys, ["separate", "--trace"], text + "\n")
     assert code == 0
     trace_lines = [line for line in out.splitlines() if line.startswith("trace")]
-    assert trace_lines and "1:d" in trace_lines[0]
+    first = "1:IV" if "inhom" in text else "1:d"
+    assert trace_lines and first in trace_lines[0]
+    assert out == expected
 
 
 def test_verify_chains_cli(monkeypatch, capsys):

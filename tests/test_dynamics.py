@@ -3,6 +3,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import chain, product, repeat
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -336,26 +337,31 @@ def test_inhom_decode_encode_round_trip():
         assert dyn.encoding_pass(q, b.bottom) == p
 
 
-def replay_trace(trace):
-    """Rebuild the output path from the recorded per-site results."""
-    return replace(trace.before, sites=tuple(s.site_after for s in trace.steps))
+def replay_trace(p, trace):
+    """Rebuild the output path of a sweep of `p` from the recorded per-site results."""
+    return replace(p, sites=tuple(s.site_after for s in trace))
 
 
 def test_trace_replay():
     p = dyn.BasicPath.from_string(COLOURED_ROWS[0])
     q, b = dyn.decoding_pass(p)
-    trace = dyn.decoding_pass_traced(p)
-    assert replay_trace(trace) == q
-    assert trace.before == p and trace.after == q
-    assert all(step.tag for step in trace.steps)
+    trace = []
+    assert dyn.decoding_pass(p, trace) == (q, b)
+    assert replay_trace(p, trace) == q
+    assert all(step.tag for step in trace)
     r = dyn.carrier_evolution(p, 2)
-    trace2 = dyn.carrier_evolution_traced(p, 2)
-    assert replay_trace(trace2) == r
+    trace2 = []
+    assert dyn.carrier_evolution(p, 2, trace2) == r
+    assert replay_trace(p, trace2) == r
+    both = list(trace)
+    dyn.carrier_evolution(p, 2, both)
+    assert both[len(trace):] == trace2  # each sweep numbers its steps from 1
     rng = random.Random(17)
     ip = random_inhom_path(rng, 4)
     iq, ib = dyn.decoding_pass(ip)
-    itrace = dyn.decoding_pass_traced(ip)
-    assert replay_trace(itrace) == iq
+    itrace = []
+    assert dyn.decoding_pass(ip, itrace) == (iq, ib)
+    assert replay_trace(ip, itrace) == iq
 
 
 def test_count_row_core_matches_row_box_core():
@@ -443,9 +449,10 @@ def _dense_encoding_pass(p, letter):
 def _assert_sweeps_match_dense(p, letter):
     for cap in (1, 2, 3, None):
         q, carrier, steps = _dense_row_sweep(p, cap)
+        assert carrier == dyn._empty_row(p, cap or max(1, dyn.ball_count(p)))  # idle
         assert dyn.carrier_evolution(p, cap) == q
-        trace = dyn.carrier_evolution_traced(p, cap)
-        assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
+        trace = []
+        assert (dyn.carrier_evolution(p, cap, trace), tuple(trace)) == (q, steps)
         if isinstance(p, dyn.BasicPath):
             entries = cr.counts_to_entries
             tuple_q, tuple_carrier, tuple_steps = _tuple_row_sweep(p, cap)
@@ -456,9 +463,10 @@ def _assert_sweeps_match_dense(p, letter):
                 for s in steps
             ] == tuple_steps
     q, outgoing, carrier, steps = _dense_decoding_pass(p)
+    assert carrier == (1, outgoing.bottom)
     assert dyn.decoding_pass(p) == (q, outgoing)
-    trace = dyn.decoding_pass_traced(p)
-    assert (trace.after, trace.carrier, trace.steps) == (q, carrier, steps)
+    trace = []
+    assert (dyn.decoding_pass(p, trace), tuple(trace)) == ((q, outgoing), steps)
     assert dyn.encoding_pass(q, outgoing.bottom) == p == _dense_encoding_pass(q, outgoing.bottom)[0]
     encoded, _ = _dense_encoding_pass(p, letter)
     if encoded is None:
@@ -629,8 +637,8 @@ def _core_driven_sweeps():
 
 def _decoded(p):
     """(hash of every row, monochrome part, its index, word, recombined path, its index)."""
-    rows = [hash(step.state.sites) for step in sep.decode_steps(p)]
-    rec = sep.separate(p)
+    rows = []
+    rec = sep.separate(p, SimpleNamespace(append=lambda step: rows.append(hash(step.state.sites))))
     back = sep.combine(rec.monochrome, rec.word)
     return rows, rec.monochrome, rec.monochrome.occupied, rec.word, back, back.occupied
 
@@ -661,6 +669,27 @@ def test_passes_take_int_letters_only(letter):
             sep.combine(mono, (letter,))
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_sweeps_take_int_capacities_and_letters_only(bad, fresh_cores):
+    """A carrier capacity or `move_letter` letter whose type is not int, a bool
+    too, is rejected before any core runs: a float carrier would enter the
+    memoised row cores, where 2.0 hits 2, and break every later int call."""
+    basic = dyn.BasicPath.from_string("55432.....542....2")
+    inhom = dyn.InhomPath(((1, 1, 0), (2, 0, 0), (0, 1, 1)), 3, 2)
+    want = [dyn.carrier_evolution(p, 2) for p in (basic, inhom)]  # on cleared caches
+    clear_memoised_cores()
+    for p, q in zip((basic, inhom), want):
+        trace = []
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            dyn.carrier_evolution(p, bad)
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            dyn.carrier_evolution(p, bad, trace)
+        assert trace == []
+        assert dyn.carrier_evolution(p, 2) == q
+    with pytest.raises(ValueError, match="letter must be an int"):
+        dyn.move_letter(basic, bad)
+
+
 def _fresh_scan(p):
     """The boxes of `p` holding a ball, read off its sites without the path's index."""
     if p.mode == "basic":
@@ -680,10 +709,10 @@ def _sweep_outputs(p):
     T on a basic path; each output is yielded before it is swept itself."""
     for capacity in (1, 2, 3, None):
         yield p, dyn.carrier_evolution(p, capacity)
-        yield p, dyn.carrier_evolution_traced(p, capacity).after
+        yield p, dyn.carrier_evolution(p, capacity, [])
     decoded, carrier = dyn.decoding_pass(p)
     yield p, decoded
-    yield p, dyn.decoding_pass_traced(p).after
+    yield p, dyn.decoding_pass(p, [])[0]
     yield decoded, dyn.encoding_pass(decoded, carrier.bottom)
     if p.mode == "basic":
         yield p, dyn.time_evolution(p)
@@ -767,19 +796,25 @@ def test_memos_are_bounded_and_isomorphisms_uncached():
         assert not hasattr(core, "cache_info")
 
 
+def _traced_evolution(p, capacity):
+    """(evolved path, its trace) of one traced row sweep."""
+    trace = []
+    return dyn.carrier_evolution(p, capacity, trace), trace
+
+
 @pytest.mark.parametrize("capacity", [2, None])
 def test_traced_sweeps_agree_cold_warm_and_uncached(capacity, fresh_cores, monkeypatch):
     for p in (random_basic_path(random.Random(21), 6), random_inhom_path(random.Random(22), 5)):
         assert dyn.ball_count(p)
         clear_memoised_cores()
-        cold = dyn.carrier_evolution_traced(p, capacity)
-        warm = dyn.carrier_evolution_traced(p, capacity)
+        cold = _traced_evolution(p, capacity)
+        warm = _traced_evolution(p, capacity)
         with monkeypatch.context() as m:
             m.setattr(type(p), "row_core", staticmethod(type(p).row_core.__wrapped__))
-            plain = dyn.carrier_evolution_traced(p, capacity)
+            plain = _traced_evolution(p, capacity)
         assert cold == warm == plain
-        assert [s.tag for s in cold.steps] == [s.tag for s in plain.steps]
-        assert dyn.carrier_evolution(p, capacity) == cold.after
+        assert [s.tag for s in cold[1]] == [s.tag for s in plain[1]]
+        assert dyn.carrier_evolution(p, capacity) == cold[0]
 
 
 def test_fresh_cores_expose_a_fault_planted_after_a_warm_sweep(monkeypatch, request):
