@@ -13,16 +13,14 @@ per swap.  Row carriers, traced ones too, are count vectors: O(n) a site at any 
 An idle carrier passes an empty box unchanged, and the seeded column carrier
 (1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) swaps,
 a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
-Untraced sweeps read the path's `occupied` index of boxes holding a ball; every
-sweep moves it to its output, and a path without one scans its sites on first use.
-A sweep rewrites a working path (list sites and index) in place: a public sweep
-copies a kept path in and out, O(L), but `separate` and `combine` thaw once, so
-a pass there costs O(coloured + busy boxes) and copies nothing.
+Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans
+for it once, on first use, and keeps it, and a sweep gives its output a new one.  No
+public function changes a path it is given; constructors store any iterable of ints
+as a tuple.  A sweep rewrites a working copy (list sites and index) in place: a public
+sweep copies in and out, O(L), but `separate` / `combine` thaw once for all passes.
 
-The letter-moving step T (`time_evolution`) calls no swap core, so it can
-check them.  It too rewrites one working copy: it buckets the index by letter
-once and moves each ball once, so a step costs one O(L) copy in and out plus
-O(B + n) Python steps, and it moves the index to its output like the sweeps.
+T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
+check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps.
 
 A count-vector swap is a pure map that a sweep meets at a few hundred distinct
 arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
@@ -70,10 +68,9 @@ def _trim(p, sites: tuple) -> None:
 
 
 def _thawed(p):
-    """A working copy of `p` (list sites and index); the index moves off `p`."""
+    """A working copy of `p` (list sites and index)."""
     w = object.__new__(type(p))
     w.__dict__.update(p.__dict__, sites=list(p.sites), occupied=list(p.occupied))
-    del p.__dict__["occupied"]
     return w
 
 
@@ -219,9 +216,10 @@ class BasicPath:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 2:
             raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
-        if any(type(v) is not int or not 1 <= v <= self.n for v in self.sites):
-            raise ValueError(f"letters must be ints in 1..{self.n}: {self.sites}")
-        _trim(self, self.sites)
+        sites = tuple(self.sites)
+        if any(type(v) is not int or not 1 <= v <= self.n for v in sites):
+            raise ValueError(f"letters must be ints in 1..{self.n}: {sites}")
+        _trim(self, sites)
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "BasicPath":
@@ -320,6 +318,8 @@ def _moved(p: BasicPath, letters) -> BasicPath:
     """`p` after moving the balls of each of `letters` in turn (`move_letter`).
     A ball moves only in its letter's round, so the index, bucketed by letter
     once, gives every round its positions."""
+    if p.mode != "basic":
+        raise ValueError("mixed capacities move no letters; their T is InhomPath.time_step")
     w = _thawed(p)
     sites = w.sites
     balls: list[list[int]] = [[] for _ in range(p.n + 1)]

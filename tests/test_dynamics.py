@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from itertools import chain, product, repeat
 from types import SimpleNamespace
 from unittest import mock
@@ -726,10 +727,13 @@ def _sweep_outputs(p):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
-def test_sweeps_move_the_occupied_index(case):
+def test_sweeps_keep_the_input_index_and_index_the_output(case):
     p, _ = case
+    p.occupied  # a constructed path scans for its index on first use
+    held = {id(p): dict(vars(p))}  # each input's vars() as it was before its sweeps
     for before, q in _sweep_outputs(p):
-        assert "occupied" not in vars(before)  # moved to the output
+        assert vars(before) == held[id(before)]  # the input is unchanged, index included
+        held[id(q)] = dict(vars(q))
         assert "occupied" in vars(q)  # set by the sweep, not scanned on first use
         assert q.occupied == _fresh_scan(q)
         assert dyn.front(q) == max((k + 1 for k in _fresh_scan(q)), default=0)
@@ -741,11 +745,88 @@ def test_constructed_paths_index_lazily():
     assert "occupied" not in vars(p)
     assert p.occupied == (2, 4) and vars(p)["occupied"] == (2, 4)
     q = dyn.carrier_evolution(p, 1)
-    assert "occupied" not in vars(p) and p.occupied == (2, 4)  # swept: rescanned
+    assert vars(p)["occupied"] == (2, 4) and p.occupied == (2, 4)  # swept: kept
     r = replace(q, sites=(2, 1, 1))
     assert "occupied" not in vars(r) and r.occupied == (0,)
     ip = dyn.InhomPath(((2, 0), (1, 1), (3, 0)), 2, 1)
     assert "occupied" not in vars(ip) and ip.occupied == (1,)
+
+
+def _path_calls(n, word):
+    """(name, call on a path) of every public function that takes a path, on paths
+    over 1..n; `combine` recombines its path with `word`."""
+    for cap in (1, 2, 3, None):
+        evolve = partial(dyn.carrier_evolution, capacity=cap)
+        yield f"carrier_evolution {cap}", evolve
+        yield f"carrier_evolution {cap} traced", partial(evolve, trace=[])
+        yield f"check_commutation {cap}", partial(sep.check_commutation, capacity=cap)
+    yield "decoding_pass", dyn.decoding_pass
+    yield "decoding_pass traced", partial(dyn.decoding_pass, trace=[])
+    for letter in range(2, n + 1):
+        yield f"encoding_pass {letter}", partial(dyn.encoding_pass, removed_letter=letter)
+        yield f"move_letter {letter}", partial(dyn.move_letter, letter=letter)
+    yield "time_evolution", dyn.time_evolution
+    yield "separate", sep.separate
+    yield "separate rows", partial(sep.separate, steps=[])
+    yield "combine", partial(sep.combine, word=word)
+
+
+def _built(p, build):
+    """`p` built again by its constructor from `build` (tuple, list or iter) of its sites."""
+    if p.mode == "basic":
+        return dyn.BasicPath(build(p.sites), p.n)
+    return dyn.InhomPath(build(build(c) for c in p.sites), p.n, p.tail_capacity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()),
+       st.sampled_from((tuple, list, iter)), st.booleans())
+def test_no_public_function_changes_a_path_it_is_given(case, build, indexed):
+    """Each call, on a coloured path and on its monochrome part, leaves its input's
+    `sites` object and, if it had one, its index object in place, and returns a new
+    path; a path without an index may only gain a right one."""
+    source, _ = case
+    record = sep.separate(source)
+    for subject in (source, record.monochrome):
+        for name, call in _path_calls(source.n, record.word):
+            p = _built(subject, build)
+            if indexed:
+                p.occupied
+            sites, index = p.sites, vars(p).get("occupied")
+            try:
+                out = call(p)
+            except ValueError as exc:  # a word the path cannot take, or T on mixed boxes
+                moves = name.startswith(("move_letter", "time_evolution"))
+                assert type(exc) is dyn.InvalidWordError or moves and p.mode == "inhom", name
+                out = None
+            assert type(p.sites) is tuple and p.sites is sites, name
+            if index is not None:
+                assert vars(p)["occupied"] is index, name
+            assert p == subject and hash(p) == hash(subject), name
+            assert p.occupied == _fresh_scan(p), name
+            assert (out[0] if isinstance(out, tuple) else out) is not p, name
+
+
+def test_constructors_store_any_iterable_of_ints_as_a_tuple():
+    p, want = dyn.BasicPath([3, 2, 1, 1], 3), dyn.BasicPath((3, 2), 3)
+    assert p == want and type(p.sites) is tuple and hash(p) == hash(want)
+    q, _ = dyn.decoding_pass(p)
+    assert q is not p and p.render() == "32" and q.render() == ".22"
+    assert dyn.BasicPath(iter([3, 2]), 3).sites == (3, 2)
+    for sites in ((1, 4), [1, 4], iter([1, 4])):
+        with pytest.raises(ValueError) as exc:
+            dyn.BasicPath(sites, 3)
+        assert str(exc.value) == "letters must be ints in 1..3: (1, 4)"
+
+
+def test_letter_moves_reject_mixed_capacities():
+    p = dyn.InhomPath(((1, 1, 0), (2, 0, 0), (0, 1, 1)), 3, 2)
+    sites, index = p.sites, p.occupied
+    for call in (partial(dyn.time_evolution, p), partial(dyn.move_letter, p, 2)):
+        with pytest.raises(ValueError, match="their T is InhomPath.time_step"):
+            call()
+        assert p.sites is sites and vars(p)["occupied"] is index
+    assert p.time_step() == dyn.carrier_evolution(p, None)
 
 
 # ---------------------------------------------------------------------------

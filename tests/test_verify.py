@@ -3,6 +3,7 @@ import random
 import pytest
 
 from boxball import crystals as cr
+from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import verify
 from boxball.cli import report_document
@@ -213,3 +214,28 @@ def test_an_unknown_relation_or_mode_names_the_known_ones():
         verify.check_path_suite("theorum", "basic", 3, 5, 0, [1])
     with pytest.raises(ValueError, match="want one of basic, inhom"):
         verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1])
+
+
+@pytest.mark.parametrize("mode", ["basic", "inhom"])
+@pytest.mark.parametrize("relation", ["theorem", "conservation"])
+def test_a_path_suite_scans_each_path_once(monkeypatch, relation, mode):
+    """A path computes its index once and keeps it, so however many times the
+    suite sweeps a generated path, only the path itself is scanned: its sweeps'
+    outputs are indexed as they are made."""
+    generated, scans = [], []
+    make = verify.PATH_KINDS[mode]
+
+    def counted_scan(p):
+        scans.append(p)
+        return dyn._scan_occupied(p)
+
+    def kept(rng, n):
+        generated.append(make(rng, n))
+        return generated[-1]
+
+    for cls in (dyn.BasicPath, dyn.InhomPath):
+        monkeypatch.setattr(vars(cls)["occupied"], "func", counted_scan)
+    monkeypatch.setitem(verify.PATH_KINDS, mode, kept)
+    rep = verify.check_path_suite(relation, mode, 3, 20, 0, [1, 2, 3, None])
+    assert rep.passed and len(generated) == 20
+    assert len(scans) == 20 and all(s is p for s, p in zip(scans, generated))
