@@ -33,12 +33,12 @@ class RowTableau:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.n}")
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
         if not self.entries:
             raise ValueError("row must have at least one entry")
-        if any(not 1 <= v <= self.n for v in self.entries):
-            raise ValueError(f"entries must lie in 1..{self.n}: {self.entries}")
+        if any(type(v) is not int or not 1 <= v <= self.n for v in self.entries):
+            raise ValueError(f"entries must be ints in 1..{self.n}: {self.entries}")
         if any(a > b for a, b in zip(self.entries, self.entries[1:])):
             raise ValueError(f"entries must be weakly increasing: {self.entries}")
 
@@ -69,10 +69,11 @@ class ColumnPair:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.n}")
-        if not 1 <= self.top < self.bottom <= self.n:
-            raise ValueError(f"need 1 <= top < bottom <= n, got ({self.top},{self.bottom})")
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        top, bottom = self.top, self.bottom
+        if type(top) is not int or type(bottom) is not int or not 1 <= top < bottom <= self.n:
+            raise ValueError(f"need ints 1 <= top < bottom <= n, got ({top!r},{bottom!r})")
 
     @property
     def shape(self) -> Shape:

@@ -25,8 +25,9 @@ check them: it moves each ball of a working copy once, O(L) copying plus O(B + n
 A count-vector swap is a pure map that a sweep meets at a few hundred distinct
 arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
 `inv_col_core` are memoised, each in a 1024-entry LRU cache (a bound keeps memory
-flat); `col_box_core` / `box_col_core`, whose int case splits cost about a lookup,
-and the `isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
+flat), as is a decoding pass's outgoing carrier, so it is a shared frozen value;
+`col_box_core` / `box_col_core`, whose int case splits cost about a lookup, and the
+`isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
 states hold ints only, and so must word letters, capacities and `move_letter` letters.
 """
 
@@ -192,6 +193,7 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
 
 
 _memo = lru_cache(maxsize=1024)  # see the module docstring
+_outgoing = _memo(ColumnPair)  # a decoding pass's outgoing carrier (1, bottom)
 _CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
 
 
@@ -459,7 +461,7 @@ def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]
     else:
         core = partial(_traced_col_core, p, trace, len(trace) - 1)
         _, bottom = _column_sweep(w, core, range(len(p.sites)), lambda box: True)
-    return w if w is p else _frozen(w), ColumnPair(1, bottom, p.n)
+    return w if w is p else _frozen(w), _outgoing(1, bottom, p.n)
 
 
 def _inv_column_sweep(w, core, letter: int) -> tuple[int, int]:

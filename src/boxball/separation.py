@@ -4,7 +4,6 @@ conserved colour word, and recombine them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .dynamics import (
     InvalidWordError,
@@ -48,34 +47,30 @@ class SeparationRecord:
     @property
     def steps(self) -> tuple[DecodeStep, ...]:
         """The step table; each access decodes `source` again, O(passes x L)."""
-        return tuple(_steps(self.source, True))
-
-
-def _steps(p: Path, rows: bool) -> Iterator[DecodeStep]:
-    """Decode a working copy of `p`: yield each pass's removed letter with an
-    index-free copy of its state if `rows`, then the monochrome part (<= B passes)."""
-    left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
-    w = _thawed(p)
-    for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
-        if not left:
-            yield DecodeStep(index, _frozen(w), None)
-            return
-        row = _frozen(w, indexed=False) if rows else None
-        _, carrier = decoding_pass(w)  # rewrites w in place
-        yield DecodeStep(index, row, carrier.bottom)
-        left -= carrier.bottom >= 3  # the pass turned the removed letter into a 2
-    raise RuntimeError("decoding failed to terminate; this is a bug")
+        separate(self.source, rows := [])
+        return tuple(rows)
 
 
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:
-    """Decode `p`, copying it once in and once out.  Each `DecodeStep` is appended
-    to `steps` when given, so a caller that wants the step table decodes once."""
-    removed = []
-    for step in _steps(p, steps is not None):
-        removed.append(step.removed)
+    """Decode a working copy of `p`, copied once in and once out (<= B passes).  A list
+    `steps` receives a `DecodeStep` per pass (its letter and an index-free copy of the state
+    it began from), then the monochrome part's; without one, no `DecodeStep` is built."""
+    left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
+    w = _thawed(p)
+    removed: list[int] = []
+    for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
+        if not left:
+            mono = _frozen(w)
+            if steps is not None:
+                steps.append(DecodeStep(index, mono, None))
+            return SeparationRecord(p, mono, tuple(reversed(removed)))
+        row = None if steps is None else _frozen(w, indexed=False)
+        bottom = decoding_pass(w)[1].bottom  # rewrites w in place
         if steps is not None:
-            steps.append(step)
-    return SeparationRecord(p, step.state, tuple(reversed(removed[:-1])))
+            steps.append(DecodeStep(index, row, bottom))
+        removed.append(bottom)
+        left -= bottom >= 3  # the pass turned the removed letter into a 2
+    raise RuntimeError("decoding failed to terminate; this is a bug")
 
 
 def combine(monochrome: Path, word: ColourWord) -> Path:

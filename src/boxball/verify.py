@@ -4,7 +4,10 @@ The master oracle builds each pair isomorphism independently of the closed forms
 match highest weight elements by weight, then propagate along lowering edges.  The
 rest scan exhaustive or seeded-random domains and report the first counterexample
 instead of raising; a path suite runs a `PATH_RELATIONS` row, check(path, `separate`
-record, capacity) -> mismatch or None, on seeded paths of a `PATH_KINDS` row.
+record, capacity) -> mismatch or None, on seeded paths of a `PATH_KINDS` row.  The
+symmetric-group and composition checks swap each distinct factor pair once per call: their
+`swap_pair` memo lives for one call, so it sees a fault planted before the call, and the
+`isomorphisms` functions stay uncached.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crystals import (
+    MAX_DOMAIN,
     ColumnPair,
+    DomainSizeError,
     RowTableau,
     Shape,
     TensorElement,
@@ -32,7 +38,7 @@ from .crystals import (
     weight_of,
 )
 from .dynamics import BasicPath, InhomPath, InvalidWordError, carrier_evolution
-from .isomorphisms import apply_word, swap_adjacent, swap_pair
+from .isomorphisms import swap_adjacent, swap_pair
 from .separation import check_commutation, separate
 
 
@@ -66,9 +72,18 @@ def _words_disagree(elements, pairs):
     """For each element in turn, the message of every (message, word_a, word_b)
     row whose two swap words send it to different elements.  A message may
     name the element `{t}` and the two images `{lhs}`, `{rhs}`."""
+    swap = lru_cache(maxsize=None)(swap_pair)  # this call's memo (see the module docstring)
+
+    def image(t, word):  # `apply_word` on a list of factors, building one element
+        fs = list(t.factors)
+        for i in reversed(word):
+            res = swap(fs[i - 1], fs[i])
+            fs[i - 1 : i + 1] = res.left, res.right
+        return TensorElement(tuple(fs))
+
     for t in elements:
         for message, word_a, word_b in pairs:
-            lhs, rhs = apply_word(t, word_a), apply_word(t, word_b)
+            lhs, rhs = image(t, word_a), image(t, word_b)
             if lhs != rhs:
                 yield message.format(t=t, lhs=lhs, rhs=rhs)
 
@@ -230,14 +245,16 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
 
 
 def _domain(shapes, n: int, seed: int, count: int | None):
-    """("exhaustive", every element of the product crystal) when `count` is
-    None, else ("random", `count` elements drawn with `seed`)."""
+    """(mode, size, elements): the product crystal ("exhaustive") or `count` <= `MAX_DOMAIN`
+    elements drawn with `seed` ("random"), each made only as the check reaches it."""
     if count is None:
-        return "exhaustive", list(iter_tensor(shapes, n))
+        return "exhaustive", tensor_size(shapes, n), iter_tensor(shapes, n)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > MAX_DOMAIN:
+        raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
     rng = random.Random(seed)
-    return "random", [random_tensor(rng, shapes, n) for _ in range(count)]
+    return "random", count, (random_tensor(rng, shapes, n) for _ in range(count))
 
 
 def check_symmetric_group(
@@ -248,7 +265,7 @@ def check_symmetric_group(
     k = len(shapes)
     if k < 2:
         raise ValueError(f"the relations need at least 2 shapes, got {k}")
-    mode, elements = _domain(shapes, n, seed, count)
+    mode, size, elements = _domain(shapes, n, seed, count)
     pairs = [("swap_%d^2 != id at {t}" % i, [i, i], []) for i in range(1, k)]
     braid = "braid fails at position %d on {t}: {lhs} vs {rhs}"
     pairs += [(braid % i, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
@@ -256,7 +273,7 @@ def check_symmetric_group(
     pairs += [(far % (i, j), [i, j], [j, i]) for i in range(1, k) for j in range(i + 2, k)]
     label = ",".join(str(tuple(s)) for s in shapes)
     relation = f"symmetric-group[{label}; n={n}; {mode}]"
-    return _report(relation, len(elements), _words_disagree(elements, pairs), t0)
+    return _report(relation, size, _words_disagree(elements, pairs), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +385,10 @@ def check_carrier_composition(
     if n_carriers < 1 or n_boxes < 1:
         raise ValueError(f"need >= 1 carrier and box, got {n_carriers} and {n_boxes}")
     shapes = [(ell,)] + [(1, 1)] * n_carriers + [(1,)] * n_boxes
-    mode, elements = _domain(shapes, n, seed, count)
+    mode, size, elements = _domain(shapes, n, seed, count)
     pairs = [("compositions differ on {t}", *composition_words(n_carriers, n_boxes))]
     relation = f"carrier-composition[l={ell},N={n_carriers},L={n_boxes},n={n};{mode}]"
-    return _report(relation, len(elements), _words_disagree(elements, pairs), t0)
+    return _report(relation, size, _words_disagree(elements, pairs), t0)
 
 
 # ---------------------------------------------------------------------------

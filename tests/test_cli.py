@@ -422,6 +422,16 @@ def test_domain_cap_env_is_respected(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_a_random_domain_above_the_cap_is_refused(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("a random element was drawn")
+
+    monkeypatch.setattr("boxball.verify.random_tensor", no_draw)
+    code, out, err = run_cli(monkeypatch, capsys, ["verify", "braid", "--count", "1000001"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "cap is 1000000" in err
+
+
 def test_bad_shapes_flag(monkeypatch, capsys):
     code, _, err = run_cli(
         monkeypatch, capsys, ["verify", "braid", "--shapes", "3,zz"]

@@ -31,6 +31,28 @@ def test_col_validation():
         cr.col(0, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cr.RowTableau((1.5, 2), 3),
+        lambda: cr.RowTableau((1, 2.0), 3),
+        lambda: cr.RowTableau((True, 2), 3),
+        lambda: cr.RowTableau(("1",), 3),
+        lambda: cr.RowTableau((1,), 3.0),
+        lambda: cr.RowTableau((1,), True),
+        lambda: cr.ColumnPair(True, 2, 3),
+        lambda: cr.ColumnPair(1, 2.0, 3),
+        lambda: cr.ColumnPair("1", "2", 3),
+        lambda: cr.ColumnPair(1, 2, 3.0),
+    ],
+)
+def test_crystal_elements_take_ints_only(make):
+    """`2 == 2.0 == True` hash alike, so a float or bool letter could stand for an int
+    one in a memo keyed on factors; a non-int is refused with a ValueError."""
+    with pytest.raises(ValueError, match="int"):
+        make()
+
+
 def test_tensor_needs_uniform_alphabet():
     with pytest.raises(ValueError):
         cr.tensor(cr.box(1, 3), cr.box(1, 4))

@@ -290,6 +290,32 @@ def test_exhaustive_basic_round_trip_time_step_and_traces():
         assert dyn.decoding_pass(p, []) == dyn.decoding_pass(p)
 
 
+@pytest.mark.parametrize("make", [random_basic_path, random_inhom_path])
+def test_separate_builds_step_records_only_when_asked(monkeypatch, make):
+    built, real = [], sep.DecodeStep
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sep, "DecodeStep", counted)
+    rng = random.Random(31)
+    for _ in range(40):
+        p = make(rng, rng.randint(3, 5))
+        rec = sep.separate(p)
+        assert built == []
+        rows = []
+        assert sep.separate(p, rows) == rec
+        assert rows == built and len(built) == rec.n_passes + 1
+        built.clear()
+        cur = p
+        for letter in reversed(rec.word):
+            after, carrier = dyn.decoding_pass(cur)
+            assert carrier == cr.ColumnPair(1, letter, p.n)
+            assert dyn.decoding_pass(cur)[1] is carrier  # a shared value
+            cur = after
+
+
 def test_exhaustive_basic_commutation():
     paths = list(_basic_paths(3, 6)) + list(_basic_paths(4, 5))
     assert len(paths) == 1751

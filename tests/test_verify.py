@@ -82,6 +82,62 @@ def test_count_alone_picks_the_domain():
     assert again.domain == 7 and again.relation.endswith(";random]")
 
 
+def _counted(monkeypatch, module, name, fail=False):
+    """The list of argument tuples of every call of `module.name` from now on; with
+    `fail`, each call raises instead."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        if fail:
+            raise AssertionError(f"{name} was called")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify.check_symmetric_group([(3,), (1,), (1, 1)], 3, 0, cr.MAX_DOMAIN + 1),
+        lambda: verify.check_carrier_composition(2, 1, 1, 3, 0, cr.MAX_DOMAIN + 1),
+    ],
+)
+def test_a_random_domain_above_the_cap_raises_before_any_draw(monkeypatch, check):
+    draws = _counted(monkeypatch, verify, "random_tensor", fail=True)
+    with pytest.raises(cr.DomainSizeError, match="cap is 1000000"):
+        check()
+    assert draws == []
+
+
+def test_a_random_domain_is_drawn_as_it_is_checked(monkeypatch, wrong_case_g):
+    """A failing random check stops drawing at its first counterexample."""
+    draws = _counted(monkeypatch, verify, "random_tensor")
+    rep = verify.check_symmetric_group([(1, 1), (1,)], 4, seed=0, count=1000)
+    assert not rep.passed and rep.domain == 1000
+    assert 1 <= len(draws) < 1000
+
+
+def test_a_fault_planted_after_a_clean_call_is_reported(request):
+    """The verifiers' swap memo lives for one call, so a clean run leaves nothing
+    that hides a fault planted after it."""
+    assert verify.check_symmetric_group([(1, 1), (1,)], 4).passed
+    assert verify.check_carrier_composition(2, 1, 1, 4).passed
+    request.getfixturevalue("wrong_case_g")
+    rep = verify.check_symmetric_group([(1, 1), (1,)], 4)
+    assert rep.counterexample == "swap_1^2 != id at [2/3]*<4>"
+    rep = verify.check_carrier_composition(2, 1, 1, 4)
+    assert rep.counterexample == "compositions differ on <11>*[2/3]*<4>"
+
+
+def test_a_composition_check_swaps_each_distinct_factor_pair_once(monkeypatch):
+    swaps = _counted(monkeypatch, verify, "swap_pair")
+    rep = verify.check_carrier_composition(2, 3, 3, 3)
+    assert rep.passed and rep.domain == 4374
+    assert swaps and len(swaps) == len(set(swaps))
+
+
 @pytest.mark.parametrize(
     "check",
     [
