@@ -3,15 +3,20 @@
 Two element families are used throughout: single-row tableaux of fixed
 length (weakly increasing words over {1..n}) and strict two-letter columns
 (the carrier family).  Tensor products of these carry the lowering/raising
-operator structure that pins down every swap map in `isomorphisms`.
+operator structure that pins down every swap map in `isomorphisms`.  All operators read
+one signature rule on the factors' (epsilon_i, phi_i) pairs; the verifiers run it on the
+integer tables that `factor_tables` makes anew per call, where `highest_weights` extends
+highest weight prefixes one factor at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
+from operator import add
 from typing import Iterator, Union
 
 Weight = tuple[int, ...]
@@ -33,6 +38,7 @@ class RowTableau:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))  # hashable, as paths are
         if type(self.n) is not int or self.n < 2:
             raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
         if not self.entries:
@@ -117,11 +123,7 @@ class TensorElement:
 
 def row(word, n: int) -> RowTableau:
     """Build a row from an iterable of letters or a digit string like '112'."""
-    if isinstance(word, str):
-        entries = tuple(int(c) for c in word)
-    else:
-        entries = tuple(int(v) for v in word)
-    return RowTableau(entries, n)
+    return RowTableau(tuple(int(v) for v in word), n)
 
 
 def box(value: int, n: int) -> RowTableau:
@@ -166,18 +168,11 @@ def counts_to_row(counts: CountVector) -> RowTableau:
 def weight_of(x: Factor | TensorElement) -> Weight:
     """Letter multiplicities (m_1..m_n); additive over tensor factors."""
     if isinstance(x, TensorElement):
-        out = [0] * x.n
-        for f in x.factors:
-            for v, c in enumerate(weight_of(f), start=1):
-                out[v - 1] += c
-        return tuple(out)
+        return tuple(map(sum, zip(*map(weight_of, x.factors))))
     if isinstance(x, RowTableau):
         return x.counts()
     if isinstance(x, ColumnPair):
-        out = [0] * x.n
-        out[x.top - 1] += 1
-        out[x.bottom - 1] += 1
-        return tuple(out)
+        return entries_to_counts((x.top, x.bottom), x.n)
     raise TypeError(f"not a crystal element: {x!r}")
 
 
@@ -208,23 +203,21 @@ def _raised(i: int, f: Factor) -> Factor:
 
 def _factor_eps_phi(i: int, f: Factor) -> tuple[int, int]:
     if isinstance(f, RowTableau):
-        cnt = f.counts()
-        return cnt[i], cnt[i - 1]
+        return f.entries.count(i + 1), f.entries.count(i)
     present = (i in (f.top, f.bottom), i + 1 in (f.top, f.bottom))
     return int(present[1] and not present[0]), int(present[0] and not present[1])
 
 
-def _signature(i: int, factors) -> tuple[int, int, int | None, int | None]:
+def _signature(pairs) -> tuple[int, int, int | None, int | None]:
     """The i-signature rule: (epsilon_i, phi_i, factor e_i acts on, factor f_i acts on).
 
-    Each factor reads as epsilon minus signs followed by phi plus signs, and
-    a plus cancels the nearest uncancelled minus to its right.  e_i acts on
-    the factor of the rightmost uncancelled minus, f_i on that of the
-    leftmost uncancelled plus (None when there is no such sign)."""
+    Each factor, given by its (epsilon_i, phi_i) pair, reads as epsilon minus signs followed
+    by phi plus signs, and a plus cancels the nearest uncancelled minus to its right.  e_i
+    acts on the factor of the rightmost uncancelled minus, f_i on that of the leftmost
+    uncancelled plus (None when there is no such sign)."""
     eps = phi = 0
     e_at = f_at = None
-    for k, f in enumerate(factors):
-        ef, pf = _factor_eps_phi(i, f)
+    for k, (ef, pf) in enumerate(pairs):
         cancelled = min(phi, ef)
         phi -= cancelled
         if ef > cancelled:
@@ -250,14 +243,14 @@ def _replaced(x: Factor | TensorElement, k: int, y: Factor) -> Factor | TensorEl
 def eps_phi(i: int, x: Factor | TensorElement) -> tuple[int, int]:
     """The (epsilon_i, phi_i) string lengths of x."""
     _check_index(i, x.n)
-    return _signature(i, _factors(x))[:2]
+    return _signature([_factor_eps_phi(i, f) for f in _factors(x)])[:2]
 
 
 def lowering(i: int, x):
     """Lowering operator: move one unit of letter i to i+1, or None."""
     _check_index(i, x.n)
     fs = _factors(x)
-    k = _signature(i, fs)[3]
+    k = _signature([_factor_eps_phi(i, f) for f in fs])[3]
     return None if k is None else _replaced(x, k, _lowered(i, fs[k]))
 
 
@@ -265,13 +258,13 @@ def raising(i: int, x):
     """Raising operator, the partial inverse of `lowering`."""
     _check_index(i, x.n)
     fs = _factors(x)
-    k = _signature(i, fs)[2]
+    k = _signature([_factor_eps_phi(i, f) for f in fs])[2]
     return None if k is None else _replaced(x, k, _raised(i, fs[k]))
 
 
 def is_highest_weight(x: Factor | TensorElement) -> bool:
     """True iff every raising operator annihilates x, that is every epsilon_i is 0."""
-    return all(_signature(i, _factors(x))[0] == 0 for i in range(1, x.n))
+    return all(eps_phi(i, x)[0] == 0 for i in range(1, x.n))
 
 
 def crystal_size(shape: Shape, n: int) -> int:
@@ -302,18 +295,63 @@ def tensor_size(shapes, n: int) -> int:
 
 def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
     """Every element of the product crystal; guarded by `MAX_DOMAIN`."""
-    size = tensor_size(shapes, n)
-    if size > MAX_DOMAIN:
+    if (size := tensor_size(shapes, n)) > MAX_DOMAIN:
         raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
     pools = [tuple(iter_crystal(s, n)) for s in shapes]
     for fs in product(*pools):
         yield TensorElement(fs)
 
 
+# The integer kernel: a product element is a tuple of indices, one into each factor's table,
+# which lists element k of `iter_crystal`, its (epsilon_i, phi_i) and the index of f_i(k)
+# (None for 0) at [k][i - 1], and its weight.
+FactorTable = namedtuple("FactorTable", "elements eps_phi lowered weights")
+
+
+def factor_tables(shapes, n: int) -> list[FactorTable]:
+    """The factors' tables under the `MAX_DOMAIN` guard, made anew per call: no cache keeps one."""
+    if (size := tensor_size(shapes, n)) > MAX_DOMAIN:
+        raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
+    tables = []
+    for shape in shapes:
+        elements = list(iter_crystal(shape, n))
+        index = {f: k for k, f in enumerate(elements)}
+        images = [[lowering(i, f) for i in range(1, n)] for f in elements]
+        if stray := {y for ys in images for y in ys} - index.keys() - {None}:
+            raise ValueError(f"lowering leaves the crystal of {shape}: {min(map(repr, stray))}")
+        eps_phi = [tuple(_factor_eps_phi(i, f) for i in range(1, n)) for f in elements]
+        lowered = [tuple(map(index.get, ys)) for ys in images]
+        tables.append(FactorTable(elements, eps_phi, lowered, list(map(weight_of, elements))))
+    return tables
+
+
+def tensor_at(tables: list[FactorTable], ks: tuple[int, ...]) -> TensorElement:
+    return TensorElement(tuple(table.elements[k] for table, k in zip(tables, ks)))
+
+
+def lowered_at(tables: list[FactorTable], ks: tuple[int, ...], i: int):
+    """f_i on the index tuple `ks` (None for 0), by the signature rule of `lowering`."""
+    k = _signature([table.eps_phi[j][i - 1] for table, j in zip(tables, ks)])[3]
+    j = None if k is None else tables[k].lowered[ks[k]][i - 1]
+    return None if j is None else ks[:k] + (j,) + ks[k + 1 :]
+
+
+def highest_weight_indices(tables: list[FactorTable], n: int) -> list[tuple[tuple, Weight]]:
+    """(index tuple, weight) of each highest weight element, in product order.  By the
+    signature rule t*f is highest weight iff t is and every epsilon_i(f) <= phi_i(t), which
+    is m_i(t) - m_{i+1}(t) on a highest weight t: prefixes extend one factor at a time."""
+    found: list[tuple[tuple, Weight]] = [((), (0,) * n)]
+    for table in tables:
+        found = [(ks + (k,), tuple(map(add, w, table.weights[k])))
+                 for ks, w in found for k, pairs in enumerate(table.eps_phi)
+                 if all(e <= a - b for (e, _), a, b in zip(pairs, w, w[1:]))]
+    return found
+
+
 def highest_weights(shapes, n: int) -> dict[Weight, list[TensorElement]]:
-    """All highest weight elements of the product crystal, grouped by weight."""
+    """All highest weight elements of the product crystal, grouped by weight, in product order."""
+    tables = factor_tables(shapes, n)
     out: dict[Weight, list[TensorElement]] = {}
-    for t in iter_tensor(shapes, n):
-        if is_highest_weight(t):
-            out.setdefault(weight_of(t), []).append(t)
+    for ks, w in highest_weight_indices(tables, n):
+        out.setdefault(w, []).append(tensor_at(tables, ks))
     return out

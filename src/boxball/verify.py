@@ -1,13 +1,14 @@
 """Brute-force oracles and fixture checks for the algebraic identities.
 
 The master oracle builds each pair isomorphism independently of the closed forms:
-match highest weight elements by weight, then propagate along lowering edges.  The
-rest scan exhaustive or seeded-random domains and report the first counterexample
-instead of raising; a path suite runs a `PATH_RELATIONS` row, check(path, `separate`
-record, capacity) -> mismatch or None, on seeded paths of a `PATH_KINDS` row.  The
-symmetric-group and composition checks swap each distinct factor pair once per call: their
-`swap_pair` memo lives for one call, so it sees a fault planted before the call, and the
-`isomorphisms` functions stay uncached.
+match highest weight elements by weight, then propagate along lowering edges.  It runs on
+the integer tables `crystals.factor_tables` makes anew per call and calls no `isomorphisms`
+function, so it shares no code with the swaps it checks.  The rest scan exhaustive or
+seeded-random domains and report the first counterexample instead of raising; a path suite
+runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
+on seeded paths of a `PATH_KINDS` row.  The symmetric-group and composition checks swap each
+distinct factor pair once per call: their `swap_pair` memo lives for one call, so it sees a
+fault planted before the call, and the `isomorphisms` functions stay uncached.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ from .crystals import (
     box,
     col,
     counts_to_row,
+    factor_tables,
+    highest_weight_indices,
     highest_weights,
     is_highest_weight,
     iter_tensor,
-    lowering,
+    lowered_at,
     row,
     tensor,
+    tensor_at,
     tensor_size,
     vacuum_row,
-    weight_of,
 )
 from .dynamics import BasicPath, InhomPath, InvalidWordError, carrier_evolution
 from .isomorphisms import swap_adjacent, swap_pair
@@ -97,6 +100,8 @@ def random_factor(rng: random.Random, shape: Shape, n: int):
     if shape == (1, 1):
         a, b = sorted(rng.sample(range(1, n + 1), 2))
         return ColumnPair(a, b, n)
+    if len(shape) != 1:
+        raise ValueError(f"unsupported shape {shape}")
     return RowTableau(tuple(sorted(rng.choices(range(1, n + 1), k=shape[0]))), n)
 
 
@@ -182,24 +187,21 @@ def isomorphism_table(
 ) -> dict[TensorElement, TensorElement]:
     """Construct the pair isomorphism from crystal structure alone.
 
-    Highest weight elements of equal weight are matched (weights must be
-    multiplicity free on both sides), then images propagate along lowering
-    edges until the whole domain is covered."""
-    left = list(iter_tensor([shape_a, shape_b], n))
-    hw_left = [t for t in left if is_highest_weight(t)]
-    hw_right: dict[tuple, TensorElement] = {}
-    for t in iter_tensor([shape_b, shape_a], n):
-        if is_highest_weight(t):
-            w = weight_of(t)
-            if w in hw_right:
-                raise ValueError(f"weight {w} has multiplicity > 1; pair is unsupported")
-            hw_right[w] = t
+    Highest weight elements of equal weight are matched (weights must be multiplicity free
+    on both sides), then images propagate along lowering edges, on index tuples into
+    `factor_tables`, until the whole domain is covered."""
+    left = factor_tables([shape_a, shape_b], n)
+    right = left[::-1]
+    hw_right: dict[tuple, tuple] = {}
+    for ks, w in highest_weight_indices(right, n):
+        if hw_right.setdefault(w, ks) != ks:
+            raise ValueError(f"weight {w} has multiplicity > 1; pair is unsupported")
+    hw_left = highest_weight_indices(left, n)
     if len(hw_left) != len(hw_right):
         raise ValueError("highest weight counts differ; pair is unsupported")
-    mapping: dict[TensorElement, TensorElement] = {}
+    mapping: dict[tuple, tuple] = {}
     stack = []
-    for u in hw_left:
-        w = weight_of(u)
+    for u, w in hw_left:
         if w not in hw_right:
             raise ValueError(f"no partner of weight {w}")
         mapping[u] = hw_right[w]
@@ -208,21 +210,22 @@ def isomorphism_table(
         t = stack.pop()
         img = mapping[t]
         for i in range(1, n):
-            a = lowering(i, t)
-            b = lowering(i, img)
+            a = lowered_at(left, t, i)
+            b = lowered_at(right, img, i)
             if (a is None) != (b is None):
-                raise ValueError(f"lowering mismatch at {t} / {img}, index {i}")
+                at = f"{tensor_at(left, t)} / {tensor_at(right, img)}"
+                raise ValueError(f"lowering mismatch at {at}, index {i}")
             if a is None:
                 continue
             if a in mapping:
                 if mapping[a] != b:
-                    raise ValueError(f"inconsistent propagation at {a}")
+                    raise ValueError(f"inconsistent propagation at {tensor_at(left, a)}")
             else:
                 mapping[a] = b
                 stack.append(a)
-    if len(mapping) != len(left):
+    if len(mapping) != len(left[0].elements) * len(left[1].elements):
         raise ValueError("domain not covered from highest weight elements")
-    return mapping
+    return {tensor_at(left, t): tensor_at(right, img) for t, img in mapping.items()}
 
 
 def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> RelationReport:
@@ -440,8 +443,7 @@ def two_rows_col_fixture(l1: int, l2: int, n: int) -> DecompositionFixture:
 def check_decomposition(fixture: DecompositionFixture) -> RelationReport:
     """Highest-weight weight multiset versus the fixture's summand list."""
     t0 = time.perf_counter()
-    grouped = highest_weights(fixture.shapes, fixture.n)
-    got = {w: len(elems) for w, elems in grouped.items()}
+    got = {w: len(elems) for w, elems in highest_weights(fixture.shapes, fixture.n).items()}
     expected = {tuple(s) + (0,) * (fixture.n - len(s)): m for s, m in fixture.expected}
     missing = {w: m for w, m in expected.items() if got.get(w) != m}
     extra = {w: m for w, m in got.items() if expected.get(w) != m}

@@ -489,13 +489,16 @@ BAD_INPUTS = {
     "digit-arabic-indic": (["separate", "arabic-indic.txt"], {}),
     "digit-superscript": (["separate", "superscript.txt"], {}),
     "ascii-second-line": (["separate", "two-lines.txt"], {}),
+    "doc-nested-too-deep": (["separate", "nested.json"], {}),
 }
 
-# ASCII paths admit only '.' and the ASCII digits 2..9, on one line
+# ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
+# nested deeper than the decoder's recursion limit is bad JSON too
 BAD_TEXTS = {
     "arabic-indic.txt": "\u0663.\u0662\n",
     "superscript.txt": "2\u00b2\n",
     "two-lines.txt": "2.3\n4..\n",
+    "nested.json": '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,14 @@ def test_row_validation():
         cr.RowTableau((), 3)
     with pytest.raises(ValueError):
         cr.RowTableau((1,), 1)
+
+
+def test_a_row_stores_its_entries_as_a_tuple():
+    """Any iterable of letters builds a row that hashes like the tuple-built one."""
+    r = cr.RowTableau([1, 2], 3)
+    assert r.entries == (1, 2)
+    assert r == cr.RowTableau((1, 2), 3) and hash(r) == hash(cr.RowTableau((1, 2), 3))
+    assert {cr.tensor(r): 0} == {cr.tensor(cr.row("12", 3)): 0}
 
 
 def test_col_validation():
@@ -240,6 +249,8 @@ def test_domain_cap_guard(monkeypatch):
     monkeypatch.setattr(cr, "MAX_DOMAIN", 10)
     with pytest.raises(cr.DomainSizeError):
         list(cr.iter_tensor([(3,), (3,)], 4))
+    with pytest.raises(cr.DomainSizeError, match="product crystal has 400 elements, cap is 10"):
+        cr.highest_weights([(3,), (3,)], 4)
     monkeypatch.undo()
     assert cr.MAX_DOMAIN == 1_000_000
 
@@ -275,3 +286,33 @@ def test_weight_examples():
     t = cr.tensor(cr.row("12", 3), cr.col(2, 3, 3))
     assert cr.weight_of(t) == (1, 2, 1)
     assert sum(cr.weight_of(t)) == 4
+
+
+def reference_highest_weights(shapes, n):
+    """The brute-force scan: every element of the product, kept when every e_i kills it."""
+    out = {}
+    for t in cr.iter_tensor(shapes, n):
+        if cr.is_highest_weight(t):
+            out.setdefault(cr.weight_of(t), []).append(t)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_highest_weights_by_prefix_extension_equal_the_scan(n):
+    """Every pair and triple of small shapes: the same weights, elements and order."""
+    for k in (2, 3):
+        for shapes in product(SHAPE_POOL, repeat=k):
+            got = cr.highest_weights(shapes, n)
+            assert list(got.items()) == list(reference_highest_weights(shapes, n).items())
+
+
+def test_factor_tables_match_the_operators():
+    for shape in SHAPE_POOL:
+        (table,) = cr.factor_tables([shape], 4)
+        assert table.elements == list(cr.iter_crystal(shape, 4))
+        for f, pairs, lowered, w in zip(*table):
+            assert w == cr.weight_of(f)
+            for i in range(1, 4):
+                assert pairs[i - 1] == cr.eps_phi(i, f)
+                k = lowered[i - 1]
+                assert cr.lowering(i, f) == (None if k is None else table.elements[k])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import verify
 from boxball.cli import report_document
+
+SHAPE_POOL = [(1,), (2,), (3,), (1, 1)]
 
 
 def test_isomorphism_table_is_a_bijection():
@@ -28,6 +31,134 @@ def test_isomorphism_table_preserves_weight():
 def test_closed_forms_match_oracle(shapes):
     rep = verify.check_swap_against_oracle(shapes[0], shapes[1], 3)
     assert rep.passed, rep.counterexample
+
+
+def reference_isomorphism_table(shape_a, shape_b, n):
+    """The object-level oracle: scan both products for highest weight elements, then
+    propagate along `lowering` on crystal elements, with the kernel's checks."""
+    left = list(cr.iter_tensor([shape_a, shape_b], n))
+    hw_left = [t for t in left if cr.is_highest_weight(t)]
+    hw_right = {}
+    for t in cr.iter_tensor([shape_b, shape_a], n):
+        if cr.is_highest_weight(t):
+            w = cr.weight_of(t)
+            if w in hw_right:
+                raise ValueError(f"weight {w} has multiplicity > 1; pair is unsupported")
+            hw_right[w] = t
+    if len(hw_left) != len(hw_right):
+        raise ValueError("highest weight counts differ; pair is unsupported")
+    mapping, stack = {}, []
+    for u in hw_left:
+        w = cr.weight_of(u)
+        if w not in hw_right:
+            raise ValueError(f"no partner of weight {w}")
+        mapping[u] = hw_right[w]
+        stack.append(u)
+    while stack:
+        t = stack.pop()
+        img = mapping[t]
+        for i in range(1, n):
+            a, b = cr.lowering(i, t), cr.lowering(i, img)
+            if (a is None) != (b is None):
+                raise ValueError(f"lowering mismatch at {t} / {img}, index {i}")
+            if a is None:
+                continue
+            if a in mapping:
+                if mapping[a] != b:
+                    raise ValueError(f"inconsistent propagation at {a}")
+            else:
+                mapping[a] = b
+                stack.append(a)
+    if len(mapping) != len(left):
+        raise ValueError("domain not covered from highest weight elements")
+    return mapping
+
+
+def _table_or_error(table_of, *args):
+    try:
+        return list(table_of(*args).items())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_index_kernel_builds_the_reference_table(n):
+    """Every pair of small shapes: the same table in the same iteration order."""
+    for pair in itertools.product(SHAPE_POOL, repeat=2):
+        got = _table_or_error(verify.isomorphism_table, *pair, n)
+        assert got == _table_or_error(reference_isomorphism_table, *pair, n), pair
+
+
+def test_the_oracle_calls_no_swap_function(monkeypatch):
+    for name, fn in vars(iso).items():
+        if callable(fn) and getattr(fn, "__module__", None) == iso.__name__:
+            _counted(monkeypatch, iso, name, fail=True)
+    for name in ("swap_pair", "swap_adjacent"):
+        _counted(monkeypatch, verify, name, fail=True)
+    table = verify.isomorphism_table((3,), (1, 1), 4)
+    assert list(table.items()) == list(reference_isomorphism_table((3,), (1, 1), 4).items())
+
+
+REAL_LOWERED = cr._lowered
+
+
+def _column_lowers_to_the_wrong_letter(i, f):
+    if isinstance(f, cr.ColumnPair) and f.top == i and f.bottom > i + 1:
+        return cr.ColumnPair(i, i + 1, f.n)
+    return REAL_LOWERED(i, f)
+
+
+def _row_lowers_to_the_top_letter(i, f):
+    if isinstance(f, cr.RowTableau) and f.entries.count(i) > 1:
+        return cr.RowTableau(tuple(sorted(f.entries[1:] + (f.n,))), f.n)
+    return REAL_LOWERED(i, f)
+
+
+def _row_leaves_its_alphabet(i, f):
+    if isinstance(f, cr.RowTableau):
+        return cr.RowTableau(f.entries, f.n + 1)
+    return REAL_LOWERED(i, f)
+
+
+LOWERING_FAULTS = {
+    "identity": lambda i, f: f,
+    "column-wrong-letter": _column_lowers_to_the_wrong_letter,
+    "row-top-letter": _row_lowers_to_the_top_letter,
+    "row-leaves-alphabet": _row_leaves_its_alphabet,
+}
+
+
+@pytest.mark.parametrize(
+    "fault, pair",
+    [
+        ("identity", ((3,), (1,))),
+        ("column-wrong-letter", ((2,), (1, 1))),
+        ("column-wrong-letter", ((1, 1), (1,))),
+        ("row-top-letter", ((2,), (1, 1))),
+        ("row-top-letter", ((3,), (1,))),
+        ("row-leaves-alphabet", ((2,), (2,))),
+    ],
+)
+def test_a_lowering_fault_planted_after_a_clean_call_is_seen(monkeypatch, fault, pair):
+    """The factor tables are made anew on every call, so a clean call leaves nothing
+    that hides a fault in f_i planted after it."""
+    assert verify.check_swap_against_oracle(*pair, 4).passed
+    monkeypatch.setattr(cr, "_lowered", LOWERING_FAULTS[fault])
+    try:
+        rep = verify.check_swap_against_oracle(*pair, 4)
+    except ValueError:
+        return
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("fault", ["identity", "column-wrong-letter", "row-top-letter"])
+def test_under_a_lowering_fault_the_kernel_keeps_the_reference_outcome(monkeypatch, fault):
+    """A fault that keeps f_i inside its crystal gives the same table, or the same error
+    message, on index tuples as on crystal elements."""
+    monkeypatch.setattr(cr, "_lowered", LOWERING_FAULTS[fault])
+    for pair in itertools.product(SHAPE_POOL, repeat=2):
+        got = _table_or_error(verify.isomorphism_table, *pair, 4)
+        assert got == _table_or_error(reference_isomorphism_table, *pair, 4), pair
 
 
 def test_symmetric_group_exhaustive_fixtures():
@@ -156,6 +287,11 @@ def test_a_composition_check_swaps_each_distinct_factor_pair_once(monkeypatch):
 def test_a_check_with_nothing_to_check_is_refused(check):
     with pytest.raises(ValueError):
         check()
+
+
+def test_a_random_domain_of_an_unsupported_shape_is_refused():
+    with pytest.raises(ValueError, match=r"unsupported shape \(2, 1\)"):
+        verify.check_symmetric_group([(2, 1), (1,)], 3, count=5)
 
 
 def test_decomposition_fixtures_pass():
