@@ -274,22 +274,13 @@ def _capacity(part: str) -> int | None:
     return _positive(part, "capacity", "a positive integer or inf")
 
 
+def _path_suite(args) -> list:  # the runner of every `verify.PATH_RELATIONS` row
+    caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
+    return [verify.check_path_suite(args.check, args.mode, args.n, args.count, args.seed, caps)]
+
+
 def cmd_verify(args) -> int:
-    if args.check == "braid":
-        shapes = _parse_shapes(args.shapes)
-        reports = [verify.check_symmetric_group(shapes, args.n, args.seed, args.count)]
-    elif args.check == "composition":
-        sizes = args.l, args.carriers, args.boxes, args.n
-        reports = [verify.check_carrier_composition(*sizes, args.seed, args.count)]
-    elif args.check in verify.PATH_RELATIONS:
-        caps = [_capacity(part.strip()) for part in args.capacities.split(",")]
-        suite = args.check, args.mode, args.n, args.count, args.seed
-        reports = [verify.check_path_suite(*suite, caps)]
-    elif args.check == "chains":
-        reports = [verify.check_highest_weight_chains()]
-    else:
-        fixtures = verify.standard_decomposition_fixtures()
-        reports = [verify.check_decomposition(fixture) for fixture in fixtures]
+    reports = args.run(args)  # the runner its parser row names
     for rep in reports:
         if args.json:
             print(json.dumps(report_document(rep)))
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--trace", action="store_true", help="print per-site case tags")
     sep.set_defaults(func=cmd_separate)
 
-    # each check takes only the flags it reads
+    # each check takes only the flags it reads; its runner looks up `verify.<check>` per call
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.set_defaults(func=cmd_verify)
     checks = ver.add_subparsers(dest="check", required=True)
@@ -345,18 +336,26 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument("--count", type=int, default=None, help="default: every element")
     braid = checks.add_parser("braid", parents=[sampled])
     braid.add_argument("--shapes", default="3,1,c", help="e.g. 3,1,c (c = column)")
+    braid.set_defaults(run=lambda a: [verify.check_symmetric_group(
+        _parse_shapes(a.shapes), a.n, a.seed, a.count)])
     comp = checks.add_parser("composition", parents=[sampled])
     comp.add_argument("--l", type=int, default=2, help="row capacity")
     comp.add_argument("--carriers", type=int, default=1)
     comp.add_argument("--boxes", type=int, default=1)
+    comp.set_defaults(run=lambda a: [verify.check_carrier_composition(
+        a.l, a.carriers, a.boxes, a.n, a.seed, a.count)])
     kinds = list(verify.PATH_KINDS)
     for name in verify.PATH_RELATIONS:  # each relation of the table is a subcommand
         suite = checks.add_parser(name, parents=[seeded])
         suite.add_argument("--count", type=int, default=100)
         suite.add_argument("--mode", choices=kinds, default=kinds[0])
         suite.add_argument("--capacities", default="1,2,3,inf")
-    for name in ("chains", "decomposition"):
-        checks.add_parser(name, parents=[json_flag])
+        suite.set_defaults(run=_path_suite)
+    checks.add_parser("chains", parents=[json_flag]).set_defaults(
+        run=lambda a: [verify.check_highest_weight_chains()])
+    checks.add_parser("decomposition", parents=[json_flag]).set_defaults(
+        run=lambda a: [verify.check_decomposition(f)
+                       for f in verify.standard_decomposition_fixtures()])
     return parser
 
 

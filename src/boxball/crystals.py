@@ -85,10 +85,6 @@ class ColumnPair:
     def shape(self) -> Shape:
         return (1, 1)
 
-    @property
-    def capacity(self) -> int:
-        return 2
-
     def __str__(self) -> str:
         return f"[{self.top}/{self.bottom}]"
 

@@ -291,11 +291,6 @@ class InhomPath:
 Path = Union[BasicPath, InhomPath]
 
 
-def front(p: Path) -> int:
-    """1-based position of the rightmost box holding a ball; 0 for vacuum paths."""
-    return p.occupied[-1] + 1 if p.occupied else 0
-
-
 def ball_count(p: Path) -> int:
     if p.mode == "basic":
         return len(p.occupied)

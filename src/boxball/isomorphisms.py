@@ -4,7 +4,7 @@ Each map is a closed-form case analysis on letters.  The `*_core` functions
 work on plain tuples and ints (the dynamics sweeps call them in tight
 loops); `swap_pair` is the one object-level entry: it picks the core from
 the factor kinds, rebuilds the factors and keeps the core's case tag in a
-`SwapResult`, which `swap_adjacent` and `apply_word` use.
+`SwapResult`, which `swap_adjacent` and the verifiers' swap words use.
 
 Conventions making the case conditions exhaustive: a row (a_1..a_l) is
 bordered by a_0 = 0 and a_{l+1} = +infinity, so every letter v has a unique
@@ -218,10 +218,3 @@ def swap_adjacent(t: TensorElement, i: int) -> TensorElement:
         raise ValueError(f"position must lie in 1..{len(fs) - 1}, got {i}")
     res = swap_pair(fs[i - 1], fs[i])
     return TensorElement(fs[: i - 1] + (res.left, res.right) + fs[i + 1 :])
-
-
-def apply_word(t: TensorElement, word) -> TensorElement:
-    """Apply a product of adjacent swaps; the rightmost letter acts first."""
-    for i in reversed(tuple(word)):
-        t = swap_adjacent(t, i)
-    return t

@@ -74,11 +74,14 @@ def separate(p: Path, steps: list | None = None) -> SeparationRecord:
 
 
 def combine(monochrome: Path, word: ColourWord) -> Path:
-    """Inverse of `separate` on its image: replay the removed letters from
-    the word front backwards through one working copy of the path.  Raises
-    InvalidWordError if some pass cannot have produced the pair."""
+    """Inverse of `separate` on its image: replay the removed letters from the word front
+    backwards through one working copy of the path.  Raises InvalidWordError if no decoding
+    gives the pair, as when the word starts with 2: a last pass removes a letter >= 3."""
     if not is_monochrome(monochrome):
         raise InvalidWordError("recombination must start from a monochrome path")
+    word = tuple(word)
+    if word[:1] == (2,) and type(word[0]) is int:  # a float 2.0 gets encoding_pass's message
+        raise InvalidWordError("a word cannot start with 2; no decoding removes a 2 last")
     w = _thawed(monochrome)
     for y in word:
         encoding_pass(w, y)

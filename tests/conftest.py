@@ -12,6 +12,11 @@ MEMOISED_CORES = tuple(
 )
 
 
+def front(p) -> int:
+    """1-based position of the rightmost box holding a ball; 0 for vacuum paths."""
+    return p.occupied[-1] + 1 if p.occupied else 0
+
+
 def clear_memoised_cores():
     for core in MEMOISED_CORES:
         core.cache_clear()

@@ -356,30 +356,41 @@ def test_verify_conservation_cli_inhom(monkeypatch, capsys):
     assert code == 0
 
 
-VERIFY_GOLDEN = [
+VERIFY_GOLDEN = [  # argv, then the (relation, domain) of each report, in order
     ("braid --n 3 --shapes 3,1,c",
-     "symmetric-group[(3,),(1,),(1, 1); n=3; exhaustive]", 90),
+     [("symmetric-group[(3,),(1,),(1, 1); n=3; exhaustive]", 90)]),
     ("braid --n 4 --shapes 2,2,2 --count 50 --seed 42",
-     "symmetric-group[(2,),(2,),(2,); n=4; random]", 50),
+     [("symmetric-group[(2,),(2,),(2,); n=4; random]", 50)]),
     ("composition --l 2 --carriers 2 --boxes 2 --n 3",
-     "carrier-composition[l=2,N=2,L=2,n=3;exhaustive]", 486),
+     [("carrier-composition[l=2,N=2,L=2,n=3;exhaustive]", 486)]),
     ("composition --l 2 --carriers 2 --boxes 2 --n 3 --count 30 --seed 7",
-     "carrier-composition[l=2,N=2,L=2,n=3;random]", 30),
-    ("theorem --count 5", "theorem[mode=basic, n<=3, count=5, seed=0]", 20),
-    ("conservation --count 5", "conservation[mode=basic, n<=3, count=5, seed=0]", 20),
-    ("theorem --mode inhom --count 5", "theorem[mode=inhom, n<=3, count=5, seed=0]", 20),
+     [("carrier-composition[l=2,N=2,L=2,n=3;random]", 30)]),
+    ("theorem --count 5", [("theorem[mode=basic, n<=3, count=5, seed=0]", 20)]),
+    ("conservation --count 5", [("conservation[mode=basic, n<=3, count=5, seed=0]", 20)]),
+    ("theorem --mode inhom --count 5", [("theorem[mode=inhom, n<=3, count=5, seed=0]", 20)]),
     ("conservation --mode inhom --count 5",
-     "conservation[mode=inhom, n<=3, count=5, seed=0]", 20),
+     [("conservation[mode=inhom, n<=3, count=5, seed=0]", 20)]),
+    ("chains", [("highest-weight-chains", 36)]),
+    ("decomposition", [
+        ("decomposition[(2,)x(1,), n=3]", 18),
+        ("decomposition[(3,)x(1,)x(1, 1), n=5]", 1750),
+        ("decomposition[(3,)x(1,)x(1, 1), n=3]", 90),
+        ("decomposition[(3,)x(2,)x(1, 1), n=5]", 5250),
+        ("decomposition[(3,)x(2,)x(1, 1), n=3]", 180),
+        ("decomposition[(2,)x(2,)x(1, 1), n=3]", 108),
+    ]),
 ]
 
 
-@pytest.mark.parametrize("args, relation, domain", VERIFY_GOLDEN,
-                         ids=[args for args, _, _ in VERIFY_GOLDEN])
-def test_verify_json_golden(monkeypatch, capsys, args, relation, domain):
+@pytest.mark.parametrize("args, reports", VERIFY_GOLDEN, ids=[args for args, _ in VERIFY_GOLDEN])
+def test_verify_json_golden(monkeypatch, capsys, args, reports):
+    """Each verify parser row runs its own check: a row wired to another runner fails."""
     code, out, _ = run_cli(monkeypatch, capsys, ["verify", *args.split(), "--json"])
     assert code == 0
-    (doc,) = [json.loads(line) for line in out.splitlines()]
-    assert (doc["relation"], doc["domain"], doc["result"]) == (relation, domain, "pass")
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [(d["relation"], d["domain"], d["result"]) for d in docs] == [
+        (relation, domain, "pass") for relation, domain in reports
+    ]
 
 
 def test_verify_failure_sets_exit_code(monkeypatch, capsys):

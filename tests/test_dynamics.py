@@ -15,7 +15,7 @@ from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import separation as sep
 from boxball.verify import random_basic_path, random_inhom_path
-from conftest import MEMOISED_CORES, clear_memoised_cores
+from conftest import MEMOISED_CORES, clear_memoised_cores, front
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
 
@@ -25,7 +25,7 @@ def test_parse_and_render():
     assert p.sites == (1, 1, 2, 1, 3)
     assert p.render() == "..2.3"
     assert p.render(8) == "..2.3..."
-    assert dyn.front(p) == 5
+    assert front(p) == 5
     assert dyn.ball_count(p) == 2
 
 
@@ -69,7 +69,7 @@ def test_parse_rejects_bad_characters():
 def test_canonical_trims_trailing_vacuum():
     vac = dyn.BasicPath.from_string("....")
     assert vac.sites == ()
-    assert dyn.front(vac) == 0
+    assert front(vac) == 0
     assert dyn.BasicPath((1, 2, 1, 1), 3) == dyn.BasicPath((1, 2), 3)
 
 
@@ -217,11 +217,11 @@ def test_front_preserved_when_a_two_is_removed():
     hits = 0
     for _ in range(300):
         p = random_basic_path(rng, rng.randint(2, 5), 30, 12)
-        if dyn.front(p) == 0:
+        if front(p) == 0:
             continue
         q, b = dyn.decoding_pass(p)
         if b.bottom == 2:
-            assert dyn.front(q) == dyn.front(p)
+            assert front(q) == front(p)
             hits += 1
     assert hits > 20
 
@@ -325,7 +325,7 @@ def test_states_hold_ints_only(make):
 
 def test_inhom_front_and_counts():
     ip = dyn.InhomPath(((1, 0, 1), (2, 0, 0), (1, 1, 0)), 3, 2)
-    assert dyn.front(ip) == 3
+    assert front(ip) == 3
     assert dyn.ball_count(ip) == 2
     assert ip.render() == "[1,0,1][2,0,0][1,1,0]"
 
@@ -736,7 +736,7 @@ def test_sweeps_keep_the_input_index_and_index_the_output(case):
         held[id(q)] = dict(vars(q))
         assert "occupied" in vars(q)  # set by the sweep, not scanned on first use
         assert q.occupied == _fresh_scan(q)
-        assert dyn.front(q) == max((k + 1 for k in _fresh_scan(q)), default=0)
+        assert front(q) == max((k + 1 for k in _fresh_scan(q)), default=0)
         assert dyn.ball_count(q) == _fresh_balls(q)
 
 

@@ -309,13 +309,6 @@ def test_swap_adjacent_is_involution():
             assert iso.swap_adjacent(iso.swap_adjacent(t, i), i) == t
 
 
-def test_apply_word_rightmost_first():
-    n = 3
-    t = cr.tensor(cr.row("111", n), cr.box(2, n), cr.col(1, 3, n))
-    assert iso.apply_word(t, [2, 1]) == iso.swap_adjacent(iso.swap_adjacent(t, 1), 2)
-    assert iso.apply_word(t, []) == t
-
-
 @pytest.mark.parametrize("shapes", [((2,), (1, 1)), ((1, 1), (1,)), ((2,), (3,))])
 def test_swaps_commute_with_lowering(shapes):
     n = 3

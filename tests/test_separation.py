@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import textwrap
 import tracemalloc
 from itertools import product
 
@@ -7,9 +9,11 @@ import pytest
 
 from boxball import crystals as cr
 from boxball import dynamics as dyn
+from boxball import isomorphisms as iso
 from boxball import separation as sep
 from boxball.cli import separation_document
 from boxball.verify import random_basic_path, random_inhom_path
+from conftest import front
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH, WORD
 
 
@@ -124,12 +128,12 @@ def test_minimal_passes_within_window_bound():
         if sep.is_monochrome(p):
             continue
         balls = dyn.ball_count(p)
-        assert sep.separate(p).n_passes <= min(dyn.front(p), balls)
+        assert sep.separate(p).n_passes <= min(front(p), balls)
     for _ in range(80):
         p = random_inhom_path(rng, rng.randint(2, 6))
         if sep.is_monochrome(p):
             continue
-        window, balls = sum(sum(c) for c in p.sites[: dyn.front(p)]), dyn.ball_count(p)
+        window, balls = sum(sum(c) for c in p.sites[: front(p)]), dyn.ball_count(p)
         assert sep.separate(p).n_passes <= min(window, balls)
 
 
@@ -167,7 +171,7 @@ def test_ladder_basic():
             k += 1
         if k:
             hits += 1
-            f = dyn.front(p)
+            f = front(p)
             assert all(v <= 2 for v in p.sites[f - k :])
     assert hits > 10
 
@@ -177,13 +181,13 @@ def test_ladder_inhom():
     rng = random.Random(24)
     for _ in range(80):
         p = random_inhom_path(rng, rng.randint(3, 5))
-        if sep.is_monochrome(p) or dyn.front(p) == 0:
+        if sep.is_monochrome(p) or front(p) == 0:
             continue
         removals = tuple(reversed(sep.separate(p).word))
         run = 0
         while run < len(removals) and removals[run] == 2:
             run += 1
-        f = dyn.front(p)
+        f = front(p)
         caps = [sum(c) for c in p.sites]
         acc = 0
         for k in range(1, f + 1):
@@ -337,6 +341,92 @@ def test_exhaustive_inhom_round_trip_and_commutation():
         for cap in (1, 2, 3, None):
             rep = sep.check_commutation(p, cap, rec)
             assert rep.passed, (p, rep.mismatch)
+
+
+def combine_domain(monos, n):
+    """(pairs `combine` accepts, accepted pairs that `separate` does not give back) over
+    each monochrome path m and each word over 2..n of length <= ball_count(m): `combine`
+    must raise InvalidWordError or `separate(combine(m, w))` must be (m, w)."""
+    accepted, wrong = 0, []
+    for m in monos:
+        for k in range(dyn.ball_count(m) + 1):
+            for w in product(range(2, n + 1), repeat=k):
+                try:
+                    p = sep.combine(m, w)
+                except dyn.InvalidWordError:
+                    continue
+                accepted += 1
+                try:
+                    rec = sep.separate(p)
+                except RuntimeError as exc:
+                    rec = exc
+                if rec != sep.SeparationRecord(p, m, w):
+                    wrong.append((m, w, rec))
+    return accepted, wrong
+
+
+def mono_basic_paths(n, max_len):
+    return list(dict.fromkeys(dyn.BasicPath(s, n) for s in product((1, 2), repeat=max_len)))
+
+
+def mono_inhom_paths(n, max_sites, capacities, tails):
+    paths = _inhom_paths(n, max_sites, capacities, tails)
+    return list(dict.fromkeys(p for p in paths if sep.is_monochrome(p)))
+
+
+COMBINE_DOMAINS = {  # monochrome paths, alphabet, pairs accepted
+    "basic": (lambda: mono_basic_paths(5, 6), 5, 689),
+    "inhom": (lambda: mono_inhom_paths(3, 3, (1, 2), (1, 2)), 3, 464),
+}
+
+
+@pytest.mark.parametrize("kind", COMBINE_DOMAINS)
+def test_combine_accepts_exactly_the_image_of_separate(kind):
+    monos, n, accepted = COMBINE_DOMAINS[kind]
+    assert combine_domain(monos(), n) == (accepted, [])
+
+
+@pytest.mark.parametrize("make", [random_basic_path, random_inhom_path])
+def test_combine_rejects_a_word_that_starts_with_2(make):
+    rng = random.Random(8)
+    for _ in range(30):
+        rec = sep.separate(make(rng, rng.randint(3, 5)))
+        assert rec.word[:1] != (2,)
+        with pytest.raises(dyn.InvalidWordError, match="cannot start with 2"):
+            sep.combine(rec.monochrome, (2,) + rec.word)
+        with pytest.raises(dyn.InvalidWordError, match="ints in 2.."):
+            sep.combine(rec.monochrome, (2.0,) + rec.word)
+
+
+def _recompiled(fn, old, new):
+    """`fn` compiled anew from its source with `old`, found once, replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    names = {}
+    exec(source.replace(old, new), fn.__globals__, names)
+    return names[fn.__name__]
+
+
+def test_a_planted_basic_inverse_sweep_fault_fails_the_domain_test(monkeypatch, fresh_cores):
+    planted = _recompiled(dyn._basic_inv_column_sweep, "if c < top:", "if c <= top:")
+    monkeypatch.setattr(dyn.BasicPath, "inv_col_sweep", staticmethod(planted))
+    monos, n, _ = COMBINE_DOMAINS["basic"]
+    assert combine_domain(monos(), n)[1]
+
+
+@pytest.mark.parametrize("case", ["2", "3", "4"])
+def test_a_planted_inverse_core_fault_fails_the_domain_test(monkeypatch, fresh_cores, case):
+    """`row_col_core` leaves the row as it was in one case; `InhomPath.inv_col_core`
+    reaches it, and `fresh_cores` keeps its memo from hiding the fault."""
+    real = iso.row_col_core
+
+    def planted(entries, b, g):
+        top, bottom, new, tag = real(entries, b, g)
+        return top, bottom, entries if tag == case else new, tag
+
+    monkeypatch.setattr(dyn, "row_col_core", planted)
+    monos, n, _ = COMBINE_DOMAINS["inhom"]
+    assert combine_domain(monos(), n)[1]
 
 
 def test_separate_holds_only_the_live_state():

@@ -144,11 +144,28 @@ def test_a_lowering_fault_planted_after_a_clean_call_is_seen(monkeypatch, fault,
     that hides a fault in f_i planted after it."""
     assert verify.check_swap_against_oracle(*pair, 4).passed
     monkeypatch.setattr(cr, "_lowered", LOWERING_FAULTS[fault])
-    try:
-        rep = verify.check_swap_against_oracle(*pair, 4)
-    except ValueError:
-        return
-    assert not rep.passed
+    assert not verify.check_swap_against_oracle(*pair, 4).passed
+
+
+def test_an_oracle_that_cannot_be_built_fails_the_report(monkeypatch):
+    monkeypatch.setattr(cr, "_lowered", LOWERING_FAULTS["identity"])
+    rep = verify.check_swap_against_oracle((3,), (1,), 4)
+    assert (rep.passed, rep.domain) == (False, 80)
+    assert rep.counterexample == (
+        "raised ValueError: domain not covered from highest weight elements"
+    )
+
+
+def test_the_oracle_check_raises_on_a_shape_or_domain_it_cannot_check(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("an oracle table was built")
+
+    monkeypatch.setattr(verify, "isomorphism_table", unbuilt)
+    with pytest.raises(ValueError, match=r"^unsupported shape \(2, 1\)$"):
+        verify.check_swap_against_oracle((2, 1), (1,), 3)
+    monkeypatch.undo()
+    with pytest.raises(cr.DomainSizeError):
+        verify.check_swap_against_oracle((40,), (1, 1), 10)
 
 
 @pytest.mark.parametrize("fault", ["identity", "column-wrong-letter", "row-top-letter"])
