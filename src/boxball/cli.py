@@ -144,7 +144,7 @@ def _typed(value, what: str, *kinds: type):
 def _state_from_document(doc: dict, n_override: int | None):
     try:
         n = n_override if n_override is not None else _typed(doc["n"], "n", int)
-        mode = doc.get("mode", "basic")
+        mode = _typed(doc.get("mode", "basic"), "mode", str)
         if mode == "basic":
             state = _typed(doc["state"], "state", str, list)
             if isinstance(state, list):

@@ -2,11 +2,12 @@
 
 Two element families are used throughout: single-row tableaux of fixed
 length (weakly increasing words over {1..n}) and strict two-letter columns
-(the carrier family).  Tensor products of these carry the lowering/raising
-operator structure that pins down every swap map in `isomorphisms`.  All operators read
-one signature rule on the factors' (epsilon_i, phi_i) pairs; the verifiers run it on the
-integer tables that `factor_tables` makes anew per call, where `highest_weights` extends
-highest weight prefixes one factor at a time.
+(the carrier family).  `is_column` states the one shape rule, a row (k,) or the
+column (1, 1), for every function that takes a shape.  Tensor products of these carry
+the lowering/raising operator structure that pins down every swap map in `isomorphisms`.
+All operators read one signature rule on the factors' (epsilon_i, phi_i) pairs; the
+verifiers run it on the integer tables that `factor_tables` makes anew per call, where
+`highest_weights` extends highest weight prefixes one factor at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ class DomainSizeError(RuntimeError):
     """An exhaustive enumeration would exceed `MAX_DOMAIN`."""
 
 
+def _check_alphabet(n) -> None:
+    """The alphabet check of every factor and path constructor."""
+    if type(n) is not int or n < 2:
+        raise ValueError(f"alphabet size must be an int >= 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class RowTableau:
     """Weakly increasing word over {1..n}; letter 1 is an empty slot."""
@@ -39,8 +46,7 @@ class RowTableau:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))  # hashable, as paths are
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        _check_alphabet(self.n)
         if not self.entries:
             raise ValueError("row must have at least one entry")
         if any(type(v) is not int or not 1 <= v <= self.n for v in self.entries):
@@ -75,8 +81,7 @@ class ColumnPair:
     n: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        _check_alphabet(self.n)
         top, bottom = self.top, self.bottom
         if type(top) is not int or type(bottom) is not int or not 1 <= top < bottom <= self.n:
             raise ValueError(f"need ints 1 <= top < bottom <= n, got ({top!r},{bottom!r})")
@@ -108,10 +113,6 @@ class TensorElement:
     @property
     def n(self) -> int:
         return self.factors[0].n
-
-    @property
-    def shapes(self) -> tuple[Shape, ...]:
-        return tuple(f.shape for f in self.factors)
 
     def __str__(self) -> str:
         return "*".join(str(f) for f in self.factors)
@@ -263,36 +264,38 @@ def is_highest_weight(x: Factor | TensorElement) -> bool:
     return all(eps_phi(i, x)[0] == 0 for i in range(1, x.n))
 
 
+def is_column(shape: Shape) -> bool:
+    """True for the column (1, 1), False for a row (k,); any other shape raises."""
+    if (shape := tuple(shape)) != (1, 1) and len(shape) != 1:
+        raise ValueError(f"unsupported shape {shape}")
+    return shape == (1, 1)
+
+
 def crystal_size(shape: Shape, n: int) -> int:
-    shape = tuple(shape)
-    if len(shape) == 1:
-        return comb(n + shape[0] - 1, shape[0])
-    if shape == (1, 1):
-        return comb(n, 2)
-    raise ValueError(f"unsupported shape {shape}")
+    return comb(n, 2) if is_column(shape) else comb(n + shape[0] - 1, shape[0])
 
 
 def iter_crystal(shape: Shape, n: int) -> Iterator[Factor]:
     """All elements of one factor crystal, in lexicographic order."""
-    shape = tuple(shape)
-    if len(shape) == 1:
-        for word in combinations_with_replacement(range(1, n + 1), shape[0]):
-            yield RowTableau(word, n)
-    elif shape == (1, 1):
-        for a, b in combinations(range(1, n + 1), 2):
-            yield ColumnPair(a, b, n)
-    else:
-        raise ValueError(f"unsupported shape {shape}")
+    letters = range(1, n + 1)
+    if is_column(shape):
+        return (ColumnPair(a, b, n) for a, b in combinations(letters, 2))
+    return (RowTableau(word, n) for word in combinations_with_replacement(letters, shape[0]))
 
 
 def tensor_size(shapes, n: int) -> int:
     return prod(crystal_size(s, n) for s in shapes)
 
 
-def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
-    """Every element of the product crystal; guarded by `MAX_DOMAIN`."""
+def _check_domain(shapes, n: int) -> None:
+    """The `MAX_DOMAIN` guard of every exhaustive enumeration."""
     if (size := tensor_size(shapes, n)) > MAX_DOMAIN:
         raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
+
+
+def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
+    """Every element of the product crystal; guarded by `MAX_DOMAIN`."""
+    _check_domain(shapes, n)
     pools = [tuple(iter_crystal(s, n)) for s in shapes]
     for fs in product(*pools):
         yield TensorElement(fs)
@@ -306,8 +309,7 @@ FactorTable = namedtuple("FactorTable", "elements eps_phi lowered weights")
 
 def factor_tables(shapes, n: int) -> list[FactorTable]:
     """The factors' tables under the `MAX_DOMAIN` guard, made anew per call: no cache keeps one."""
-    if (size := tensor_size(shapes, n)) > MAX_DOMAIN:
-        raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
+    _check_domain(shapes, n)
     tables = []
     for shape in shapes:
         elements = list(iter_crystal(shape, n))

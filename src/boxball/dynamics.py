@@ -38,7 +38,13 @@ from functools import cached_property, lru_cache, partial
 from operator import lt, ne
 from typing import Union
 
-from .crystals import ColumnPair, CountVector, counts_to_entries, entries_to_counts
+from .crystals import (
+    ColumnPair,
+    CountVector,
+    _check_alphabet,
+    counts_to_entries,
+    entries_to_counts,
+)
 from .isomorphisms import (
     box_col_core,
     col_box_core,
@@ -216,8 +222,7 @@ class BasicPath:
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        _check_alphabet(self.n)
         sites = tuple(self.sites)
         if any(type(v) is not int or not 1 <= v <= self.n for v in sites):
             raise ValueError(f"letters must be ints in 1..{self.n}: {sites}")
@@ -263,8 +268,7 @@ class InhomPath:
     occupied = cached_property(_scan_occupied)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(f"alphabet size must be an int >= 2, got {self.n!r}")
+        _check_alphabet(self.n)
         if type(self.tail_capacity) is not int or self.tail_capacity < 1:
             raise ValueError(f"tail capacity must be an int >= 1, got {self.tail_capacity!r}")
         sites = tuple(tuple(c) for c in self.sites)
@@ -281,8 +285,8 @@ class InhomPath:
         """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
         return carrier_evolution(self, None)
 
-    def render(self, width: int | None = None) -> str:
-        """Count vectors in brackets; only basic rows are padded to `width`."""
+    def render(self) -> str:
+        """Count vectors in brackets."""
         return "".join("[" + ",".join(str(v) for v in c) + "]" for c in self.sites)
 
     __str__ = render

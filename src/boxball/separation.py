@@ -105,27 +105,18 @@ class CommutationReport:
 def check_commutation(
     p: Path, capacity: int | None, record: SeparationRecord | None = None
 ) -> CommutationReport:
-    """Verify that evolving then decoding agrees with decoding then
-    evolving: same monochrome part, same word letter by letter.
-
-    Both decodes are padded to a common pass count; a pass on an already
-    monochrome path removes a 2 and changes nothing, so padding prepends
-    2s to the word.  Raises ValueError on a `record` of another path."""
+    """Verify that evolving then decoding agrees with decoding then evolving: the
+    same monochrome part, and the same word as `separate` returns it.  Raises
+    ValueError on a `record` of another path."""
     if record is None:
         record = separate(p)
     elif record.source is not p and record.source != p:
         raise ValueError("record was decoded from another path")
-    evolved = carrier_evolution(p, capacity)
-    evolved_record = separate(evolved)
-    n = max(record.n_passes, evolved_record.n_passes)
-    word_p = (2,) * (n - record.n_passes) + record.word
-    word_q = (2,) * (n - evolved_record.n_passes) + evolved_record.word
+    evolved_record = separate(carrier_evolution(p, capacity))
     mono_evolved = carrier_evolution(record.monochrome, capacity)
     mismatch = None
-    if word_p != word_q:
-        mismatch = f"words differ: {word_p} vs {word_q}"
+    if record.word != evolved_record.word:
+        mismatch = f"words differ: {record.word} vs {evolved_record.word}"
     elif mono_evolved != evolved_record.monochrome:
-        mismatch = (
-            f"monochrome parts differ: {mono_evolved} vs {evolved_record.monochrome}"
-        )
-    return CommutationReport(mismatch is None, capacity, word_p, mismatch)
+        mismatch = f"monochrome parts differ: {mono_evolved} vs {evolved_record.monochrome}"
+    return CommutationReport(mismatch is None, capacity, record.word, mismatch)

@@ -31,6 +31,7 @@ from .crystals import (
     factor_tables,
     highest_weight_indices,
     highest_weights,
+    is_column,
     is_highest_weight,
     iter_tensor,
     lowered_at,
@@ -96,12 +97,8 @@ def _words_disagree(elements, pairs):
 
 
 def random_factor(rng: random.Random, shape: Shape, n: int):
-    shape = tuple(shape)
-    if shape == (1, 1):
-        a, b = sorted(rng.sample(range(1, n + 1), 2))
-        return ColumnPair(a, b, n)
-    if len(shape) != 1:
-        raise ValueError(f"unsupported shape {shape}")
+    if is_column(shape):
+        return ColumnPair(*sorted(rng.sample(range(1, n + 1), 2)), n)
     return RowTableau(tuple(sorted(rng.choices(range(1, n + 1), k=shape[0]))), n)
 
 
@@ -227,7 +224,7 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
     """Closed-form swap versus the oracle mapping, on the full pair domain.  An unsupported
     shape raises; an oracle that cannot be built (`isomorphism_table`'s ValueError) fails."""
     t0 = time.perf_counter()
-    size = tensor_size([shape_a, shape_b], n)  # an unsupported shape raises before any table
+    size = tensor_size([shape_a, shape_b], n)  # `is_column` refuses a bad shape before any table
 
     def counterexamples():
         try:
@@ -285,8 +282,9 @@ def check_symmetric_group(
 # their count-vector analogues on row x row x column
 
 
-def _chain_fixtures_row_box_col(n: int = 3, ell: int = 3):
-    u = vacuum_row(ell, n)
+def _chain_fixtures_row_box_col():
+    n = 3
+    u = vacuum_row(3, n)
     chain1 = [
         tensor(u, box(1, n), col(2, 3, n)),
         tensor(box(1, n), u, col(2, 3, n)),
@@ -308,9 +306,11 @@ def _chain_fixtures_row_box_col(n: int = 3, ell: int = 3):
     return [("chain-1", chain1), ("chain-2", chain2)]
 
 
-def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int, n: int = 3):
+def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int):
+    n = 3
+
     def rw(c1, c2, c3):
-        return counts_to_row((c1, c2, c3) + (0,) * (n - 3))
+        return counts_to_row((c1, c2, c3))
 
     chain1 = [
         tensor(rw(l1, 0, 0), rw(l2 - x, x, 0), col(2, 3, n)),

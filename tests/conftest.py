@@ -42,3 +42,23 @@ def full_carrier_swaps_plainly(monkeypatch, fresh_cores):
         return (y, x) if x[0] == 0 else real(x, y)
 
     monkeypatch.setattr(dyn, "combinatorial_r", planted)
+
+
+@pytest.fixture
+def bump_sends_the_smallest_letter(monkeypatch):
+    """`BasicPath.row_core` whose bump case sends out the smallest loaded letter below
+    beta, where `row_box_core` sends the largest: a carrier of the right weight, but the
+    wrong one.  The planted core replaces the memoised one, so no memo hides it."""
+    real = dyn._row_box_counts
+
+    def planted(carrier, beta):
+        letter, new, tag = real(carrier, beta)
+        if tag != "bump":
+            return letter, new, tag
+        k = next(k for k in range(beta - 1) if carrier[k])
+        new = list(carrier)
+        new[k] -= 1
+        new[beta - 1] += 1
+        return k + 1, tuple(new), tag
+
+    monkeypatch.setattr(dyn.BasicPath, "row_core", staticmethod(planted))

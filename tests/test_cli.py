@@ -501,6 +501,16 @@ BAD_INPUTS = {
     "digit-superscript": (["separate", "superscript.txt"], {}),
     "ascii-second-line": (["separate", "two-lines.txt"], {}),
     "doc-nested-too-deep": (["separate", "nested.json"], {}),
+    "doc-mode-unknown": (["evolve", "mode-unknown.json"], {}),
+    "doc-mode-null": (["evolve", "mode-null.json"], {}),
+    "doc-mode-list": (["evolve", "mode-list.json"], {}),
+    "doc-state-missing": (["evolve", "state-missing.json"], {}),
+    "doc-n-missing": (["evolve", "n-missing.json"], {}),
+    "doc-capacity-missing": (["evolve", "capacity-missing.json"], {}),
+    "doc-letter-out-of-range": (["evolve", "letter-out-of-range.json"], {}),
+    "doc-counts-short": (["evolve", "counts-short.json"], {}),
+    "doc-ascii-payload-n12": (["evolve", "ascii-payload-n12.json"], {}),
+    "ascii-n12": (["separate", "--n", "12"], {}),
 }
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
@@ -533,6 +543,15 @@ BAD_DOCUMENTS = {
     "state-object.json": {"n": 3, "state": {"2": 1}},
     "state-empty.json": {"n": 3, "state": ""},
     "state-int.json": {"n": 3, "state": 5},
+    "mode-unknown.json": {"n": 3, "mode": "foo", "state": "."},
+    "mode-null.json": {"n": 3, "mode": None, "state": "."},
+    "mode-list.json": {"n": 3, "mode": ["basic"], "state": "."},
+    "state-missing.json": {"n": 3, "mode": "basic"},
+    "n-missing.json": {"state": "2."},
+    "capacity-missing.json": {"n": 3, "mode": "inhom", "sites": [{"counts": [0, 1, 0]}]},
+    "letter-out-of-range.json": {"n": 3, "state": [7]},
+    "counts-short.json": _inhom_document(counts=(0, 1)),
+    "ascii-payload-n12.json": {"n": 12, "state": "2."},
 }
 
 
@@ -546,6 +565,15 @@ BAD_DOCUMENTS = {
         ("state-object.json", 'state must be a string or a list, got {"2": 1}'),
         ("state-empty.json", "empty input state"),
         ("state-int.json", "state must be a string or a list, got 5"),
+        ("mode-unknown.json", "unknown mode 'foo'"),
+        ("mode-null.json", "mode must be a string, got null"),
+        ("mode-list.json", 'mode must be a string, got ["basic"]'),
+        ("state-missing.json", "state document is missing field 'state'"),
+        ("n-missing.json", "state document is missing field 'n'"),
+        ("capacity-missing.json", "state document is missing field 'capacity'"),
+        ("letter-out-of-range.json", "letters must be ints in 1..3: (7,)"),
+        ("counts-short.json", "bad count vector at site 1: (0, 1)"),
+        ("ascii-payload-n12.json", "ASCII payload needs n <= 9"),
     ],
 )
 def test_document_field_types_are_checked(name, message):
@@ -554,6 +582,12 @@ def test_document_field_types_are_checked(name, message):
     with pytest.raises(CliError) as exc:
         parse_state(json.dumps(BAD_DOCUMENTS[name]))
     assert str(exc.value) == message
+
+
+def test_ascii_input_refuses_an_alphabet_past_9(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["separate", "--n", "12"], "2.\n")
+    assert (code, out) == (2, "")
+    assert err == "error: ASCII mode supports n <= 9; use the JSON document form\n"
 
 
 @pytest.mark.parametrize("argv, env", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
@@ -638,7 +672,7 @@ def _seeded_inhom(seed, length, n=5):
 
 def _whole_document(argv, text):
     """What the CLI printed when it kept every row as a path: one `json.dumps`
-    of the whole document, or a table of `render(width)` rows."""
+    of the whole document, or a table of rows, basic ones as `render(width)` pads them."""
     state = parse_state(text)
     if argv[0] == "separate":
         steps = []
@@ -660,7 +694,8 @@ def _whole_document(argv, text):
         rows, tail = [(f"t={t:<4} ", r, "") for t, r in enumerate(paths)], ""
     ascii_width = 0 if text.startswith("{") else len(text.strip())
     width = max(ascii_width, *(len(r.sites) for _, r, _ in rows))
-    return "".join(f"{head}{r.render(width)}{end}\n" for head, r, end in rows) + tail
+    cells = [r.render(width) if r.mode == "basic" else r.render() for _, r, _ in rows]
+    return "".join(f"{head}{c}{end}\n" for (head, _, end), c in zip(rows, cells)) + tail
 
 
 STREAM_INPUTS = {

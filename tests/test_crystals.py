@@ -73,6 +73,7 @@ def test_text_forms():
     assert str(cr.row("112", 3)) == "<112>"
     assert str(cr.col(1, 3, 3)) == "[1/3]"
     assert str(cr.tensor(cr.row("11", 3), cr.col(2, 3, 3))) == "<11>*[2/3]"
+    assert str(cr.row((1, 10, 12), 12)) == "<1,10,12>"
 
 
 def test_lowering_row_examples():

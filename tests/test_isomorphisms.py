@@ -279,7 +279,7 @@ def test_swap_pair_is_a_crystal_isomorphism(pair):
     left, right = pair
     t = cr.tensor(left, right)
     swapped = as_pair(iso.swap_pair(left, right))
-    assert swapped.shapes == (right.shape, left.shape)
+    assert tuple(f.shape for f in swapped.factors) == (right.shape, left.shape)
     assert as_pair(iso.swap_pair(*swapped.factors)) == t
     assert cr.weight_of(swapped) == cr.weight_of(t)
     for i in range(1, t.n):

@@ -99,6 +99,26 @@ def test_check_commutation_on_the_example():
     assert "ok" in str(sep.check_commutation(p, None))
 
 
+def test_a_passing_report_carries_the_word_separate_returns():
+    rng = random.Random(3)
+    for _ in range(40):
+        p = random_basic_path(rng, rng.randint(3, 5))
+        record = sep.separate(p)
+        for cap in (2, 3, None):
+            rep = sep.check_commutation(p, cap, record)
+            assert rep.passed and rep.word == record.word, rep.mismatch
+
+
+def test_a_planted_row_core_fault_reaches_each_failure_branch(bump_sends_the_smallest_letter):
+    """The words compare as `separate` returns them: of unequal length, neither padded."""
+    rep = sep.check_commutation(dyn.BasicPath.from_string("23.3", 3), 2)
+    assert (rep.passed, rep.word) == (False, (3, 3))
+    assert rep.mismatch == "words differ: (3, 3) vs (3, 3, 2)"
+    rep = sep.check_commutation(dyn.BasicPath.from_string("23", 3), 2)
+    assert (rep.passed, rep.word) == (False, (3,))
+    assert rep.mismatch == "monochrome parts differ: .2.2 vs ...22"
+
+
 def test_check_commutation_vacuum_trivial():
     assert sep.check_commutation(dyn.BasicPath((), 3), None).passed
     assert sep.check_commutation(dyn.BasicPath((), 3), 2).passed

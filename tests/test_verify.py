@@ -418,6 +418,20 @@ def test_a_fault_raised_on_a_path_is_its_counterexample(full_carrier_swaps_plain
     )
 
 
+@pytest.mark.parametrize(
+    "relation, mismatch",
+    [("theorem", "monochrome parts differ: "), ("conservation", "word changed under capacity 3")],
+)
+def test_a_planted_row_core_fault_fails_both_path_suites(
+    bump_sends_the_smallest_letter, relation, mismatch
+):
+    rep = verify.check_path_suite(relation, "basic", 5, 200, 1, [2, 3, None])
+    rng = random.Random(1)
+    first = verify.random_basic_path(rng, rng.randint(2, 5))  # as the suite draws it
+    assert not rep.passed and rep.domain == 600
+    assert rep.counterexample.startswith(f"path #0 {first}: {mismatch}")
+
+
 def test_an_unknown_relation_or_mode_names_the_known_ones():
     with pytest.raises(ValueError, match="want one of theorem, conservation"):
         verify.check_path_suite("theorum", "basic", 3, 5, 0, [1])
