@@ -25,7 +25,7 @@ from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 
 from . import verify
-from .crystals import DomainSizeError
+from .crystals import DomainSizeError, _cap_alphabet
 from .dynamics import (
     BasicPath,
     InhomPath,
@@ -144,6 +144,7 @@ def _typed(value, what: str, *kinds: type):
 def _state_from_document(doc: dict, n_override: int | None):
     try:
         n = n_override if n_override is not None else _typed(doc["n"], "n", int)
+        _cap_alphabet(n)
         mode = _typed(doc.get("mode", "basic"), "mode", str)
         if mode == "basic":
             state = _typed(doc["state"], "state", str, list)
@@ -294,12 +295,14 @@ def cmd_verify(args) -> int:
 
 
 def _check_flags(args) -> None:
-    """Reject numeric flags below their least value; subcommands without one skip it."""
+    """Reject a numeric flag below its least value, and an `--n` over the alphabet cap."""
     minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 1, "boxes": 1}
     for flag, least in minima.items():
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise CliError(f"--{flag} must be >= {least}, got {value}")
+    if getattr(args, "n", None) is not None:
+        _cap_alphabet(args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,16 +25,23 @@ CountVector = tuple[int, ...]
 Shape = tuple[int, ...]
 
 MAX_DOMAIN = 1_000_000  # the most elements an exhaustive enumeration may visit
+MAX_ALPHABET = 255  # the largest n the CLI and the path suites take; constructors take any
 
 
 class DomainSizeError(RuntimeError):
-    """An exhaustive enumeration would exceed `MAX_DOMAIN`."""
+    """An enumeration would exceed `MAX_DOMAIN`, or an input's alphabet `MAX_ALPHABET`."""
 
 
 def _check_alphabet(n) -> None:
     """The alphabet check of every factor and path constructor."""
     if type(n) is not int or n < 2:
         raise ValueError(f"alphabet size must be an int >= 2, got {n!r}")
+
+
+def _cap_alphabet(n: int) -> None:
+    """The `MAX_ALPHABET` guard of the CLI's inputs and the path suites."""
+    if n > MAX_ALPHABET:
+        raise DomainSizeError(f"alphabet of {n} letters, cap is {MAX_ALPHABET}")
 
 
 @dataclass(frozen=True)

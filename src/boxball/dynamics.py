@@ -4,7 +4,10 @@ A state is a half-infinite array of boxes holding letters; only a finite
 prefix is stored and the implicit tail is vacuum.  Evolutions are carrier
 sweeps: a row carrier of some capacity gives the time evolution, and the
 two-slot column carrier (seeded with a 2) gives the decoding pass that
-removes one letter per sweep.  Each path class names its vacuum box, the swap
+removes one letter per sweep.  One forward walker, `_sweep`, runs both through cores of
+one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier is idle when its first
+entry is back at its start, and past the last ball a busy one needs at most
+sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the swap
 cores of its boxes and its untraced column sweeps: basic ones run the case splits
 of `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given
 a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
@@ -98,7 +101,7 @@ def _scan_occupied(p) -> tuple[int, ...]:
     return tuple(k for k, v in enumerate(p.sites) if p.holds_ball(v))
 
 
-# count-vector adapters giving the row cores the call shapes of the box cores
+# adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier, tag)
 def _row_box_counts(carrier: CountVector, beta: int):
     """`row_box_core` on a count vector, O(n) at any capacity: the largest
     letter below `beta` leaves (bump), else the largest letter (head)."""
@@ -128,9 +131,14 @@ def _r_core(carrier: CountVector, site: CountVector):
     return new_site, new_carrier, "R"
 
 
-def _col_row_counts(top: int, bottom: int, counts: CountVector):
-    new, top, bottom, tag = col_row_core(top, bottom, counts_to_entries(counts))
-    return entries_to_counts(new, len(counts)), top, bottom, tag
+def _col_box_pair(carrier: tuple[int, int], g: int):
+    emitted, top, bottom, tag = col_box_core(*carrier, g)
+    return emitted, (top, bottom), tag
+
+
+def _col_row_counts(carrier: tuple[int, int], counts: CountVector):
+    new, top, bottom, tag = col_row_core(*carrier, counts_to_entries(counts))
+    return entries_to_counts(new, len(counts)), (top, bottom), tag
 
 
 def _row_col_counts(counts: CountVector, top: int, bottom: int):
@@ -139,7 +147,7 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
 
 
 def _basic_column_sweep(w) -> tuple[int, int]:
-    """The untraced `_column_sweep` of a basic path, `col_box_core` inline.  A
+    """The untraced decoding `_sweep` of a basic path, `col_box_core` inline.  A
     busy carrier (top > 1) settles in the first empty box it meets."""
     top, bottom = 1, 2
     out, occupied = w.sites, []
@@ -198,6 +206,31 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
     return top, bottom
 
 
+def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
+    core, holds, coloured = w.inv_col_core, w.holds_ball, w.holds_colour
+    top, bottom = 1, letter
+    out, occupied = w.sites, []
+    j = len(out) - 1
+    for k in (*reversed(w.occupied), -1):  # past the first ball a busy carrier settles
+        while j >= k:
+            if top == 1:
+                if k < 0:
+                    break
+                j = k  # an idle carrier passes the empty boxes after k
+                if bottom == 2 and not coloured(out[k]):
+                    occupied.append(k)  # and the seeded one a box without colour
+                    break
+            elif j < 0:
+                break
+            top, bottom, out[j], _ = core(out[j], top, bottom)
+            if holds(out[j]):
+                occupied.append(j)
+            j -= 1
+    occupied.reverse()
+    w.__dict__["occupied"] = occupied
+    return top, bottom
+
+
 _memo = lru_cache(maxsize=1024)  # see the module docstring
 _outgoing = _memo(ColumnPair)  # a decoding pass's outgoing carrier (1, bottom)
 _CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
@@ -213,7 +246,7 @@ class BasicPath:
     mode = "basic"
     vacuum = 1
     row_core = staticmethod(_memo(_row_box_counts))
-    col_core = staticmethod(col_box_core)  # traced pass; core-driven reference sweeps
+    col_core = staticmethod(_col_box_pair)  # traced pass; core-driven reference sweeps
     inv_col_core = staticmethod(box_col_core)
     col_sweep = staticmethod(_basic_column_sweep)  # the untraced passes, swaps inline
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
@@ -261,8 +294,8 @@ class InhomPath:
     row_core = staticmethod(_memo(_r_core))
     col_core = staticmethod(_memo(_col_row_counts))
     inv_col_core = staticmethod(_memo(_row_col_counts))
-    col_sweep = staticmethod(lambda w: _column_sweep(w, w.col_core, w.occupied, w.holds_colour))
-    inv_col_sweep = staticmethod(lambda w, letter: _inv_column_sweep(w, w.inv_col_core, letter))
+    col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied, w.holds_colour))
+    inv_col_sweep = staticmethod(_inv_column_sweep)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
     occupied = cached_property(_scan_occupied)
@@ -353,57 +386,50 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # ---------------------------------------------------------------------------
 # carrier sweeps
 #
-# A sweep rewrites a working path (see `_thawed`) in place, visiting its sites,
-# padded with the vacuum a busy carrier may unload into, in `order` (all stored
-# sites when traced, else the occupied ones); a busy carrier passes the skipped
-# empty boxes until it is idle, and a (1,2) column carrier passes the boxes not
-# `coloured` uncalled (none when traced).  The visited boxes holding a ball form
-# the new index; trailing vacuum stays until the path is frozen.
+# `_sweep`, the one forward walk, rewrites a working path (see `_thawed`) in place, visiting
+# its sites in `order` (all stored sites when traced, else the occupied ones).  A carrier is
+# idle when its first entry is back at its start (a row's capacity, a column's top 1); a busy
+# one passes the skipped empty boxes until it is idle, and given `coloured` (untraced columns)
+# the seeded (1,2) passes the boxes not `coloured` uncalled.  The visited boxes holding a ball
+# form the new index; trailing vacuum stays until the path is frozen.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
 # length of `trace` before); bound with `partial`, it leaves untraced frames free of cells.
-def _traced_row_core(p, trace, base, carrier, site):
-    emitted, new, tag = p.row_core(carrier, site)
+def _traced_core(core, trace, base, carrier, site):
+    emitted, new, tag = core(carrier, site)
     trace.append(TraceStep(len(trace) - base, tag, carrier, new, site, emitted))
     return emitted, new, tag
 
 
-def _traced_col_core(p, trace, base, top, bottom, site):
-    emitted, t2, b2, tag = p.col_core(top, bottom, site)
-    trace.append(TraceStep(len(trace) - base, tag, (top, bottom), (t2, b2), site, emitted))
-    return emitted, t2, b2, tag
-
-
-def _row_sweep(p: Path, capacity: int | None, core, order) -> Path:
-    if capacity is not None and (type(capacity) is not int or capacity < 1):
-        raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
-    capacity = max(1, ball_count(p)) if capacity is None else capacity
-    carrier = empty = _empty_row(p, capacity)
-    w = _thawed(p)
-    out = w.sites
-    holds, occupied = p.holds_ball, []
-    j = 0
+def _sweep(w, carrier: tuple, core, order, coloured=None) -> tuple:
+    """Push `carrier` through the working path `w` in `order`; returns it, idle."""
+    idle, out, holds, occupied = carrier[0], w.sites, w.holds_ball, []
+    j = 0  # the box after the last one visited
     for k in order:
         while j <= k:
-            if carrier == empty:
+            if carrier[0] == idle:
                 j = k  # an idle carrier passes the empty boxes before k
+                if coloured is not None and carrier[1] == 2 and not coloured(out[k]):
+                    occupied.append(k)  # and the seeded column a box without colour
+                    break
             out[j], carrier, _ = core(carrier, out[j])
             if holds(out[j]):
                 occupied.append(j)
             j += 1
-    # past the last ball a busy carrier unloads a ball per box until idle, so it
-    # needs as many boxes past j as it holds balls (capacity - carrier[0])
-    out += (p.vacuum,) * (j + capacity - carrier[0] - len(out))
-    while carrier != empty and j < len(out):
-        out[j], carrier, _ = core(carrier, out[j])
-        if holds(out[j]):
-            occupied.append(j)
-        j += 1
-    if carrier != empty:
-        raise RuntimeError("carrier sweep failed to unload; this is a bug")
+    if carrier[0] != idle:
+        # past box j a busy carrier drops a ball or more into each vacuum box, so it needs at
+        # most sum(carrier) - carrier[0]: a row's balls, a column's bottom (it settles in one)
+        out += (w.vacuum,) * (j + sum(carrier) - carrier[0] - len(out))
+        while carrier[0] != idle and j < len(out):
+            out[j], carrier, _ = core(carrier, out[j])
+            if holds(out[j]):
+                occupied.append(j)
+            j += 1
+        if carrier[0] != idle:
+            raise RuntimeError("carrier sweep failed to unload; this is a bug")
     w.__dict__["occupied"] = occupied
-    return _frozen(w)
+    return carrier
 
 
 def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None = None) -> Path:
@@ -412,38 +438,16 @@ def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None =
     `capacity=None` means unbounded, realized as the total ball count
     (beyond which the evolution is stable).  Given a list `trace`, the sweep
     visits every stored site and appends one `TraceStep` per swap, numbered from 1."""
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
+    empty = _empty_row(p, max(1, ball_count(p)) if capacity is None else capacity)
+    w = _thawed(p)
     if trace is None:
-        return _row_sweep(p, capacity, p.row_core, p.occupied)
-    core = partial(_traced_row_core, p, trace, len(trace) - 1)
-    return _row_sweep(p, capacity, core, range(len(p.sites)))
-
-
-def _column_sweep(w, core, order, coloured) -> tuple[int, int]:
-    top, bottom = 1, 2
-    out = w.sites
-    if out[-1:] != [w.vacuum]:  # a busy carrier settles in the first empty box
-        out.append(w.vacuum)
-    holds, occupied = w.holds_ball, []
-    j, end = 0, len(out)
-    for k in (*order, end):  # past the last ball a busy carrier settles
-        while j <= k:
-            if top == 1:
-                if k == end:
-                    break
-                j = k  # an idle carrier passes the empty boxes before k
-                if bottom == 2 and not coloured(out[k]):
-                    occupied.append(k)  # and the seeded one a box without colour
-                    break
-            elif j == end:
-                break
-            out[j], top, bottom, _ = core(top, bottom, out[j])
-            if holds(out[j]):
-                occupied.append(j)
-            j += 1
-    if top != 1:
-        raise RuntimeError("decoding carrier failed to settle; this is a bug")
-    w.__dict__["occupied"] = occupied
-    return top, bottom
+        _sweep(w, empty, p.row_core, p.occupied)
+    else:
+        core = partial(_traced_core, p.row_core, trace, len(trace) - 1)
+        _sweep(w, empty, core, range(len(p.sites)))
+    return _frozen(w)
 
 
 def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]:
@@ -458,34 +462,9 @@ def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]
     if trace is None:
         _, bottom = p.col_sweep(w)
     else:
-        core = partial(_traced_col_core, p, trace, len(trace) - 1)
-        _, bottom = _column_sweep(w, core, range(len(p.sites)), lambda box: True)
+        core = partial(_traced_core, p.col_core, trace, len(trace) - 1)
+        _, bottom = _sweep(w, (1, 2), core, range(len(p.sites)))
     return w if w is p else _frozen(w), _outgoing(1, bottom, p.n)
-
-
-def _inv_column_sweep(w, core, letter: int) -> tuple[int, int]:
-    holds, coloured = w.holds_ball, w.holds_colour
-    top, bottom = 1, letter
-    out, occupied = w.sites, []
-    j = len(out) - 1
-    for k in (*reversed(w.occupied), -1):  # past the first ball a busy carrier settles
-        while j >= k:
-            if top == 1:
-                if k < 0:
-                    break
-                j = k  # an idle carrier passes the empty boxes after k
-                if bottom == 2 and not coloured(out[k]):
-                    occupied.append(k)  # and the seeded one a box without colour
-                    break
-            elif j < 0:
-                break
-            top, bottom, out[j], _ = core(out[j], top, bottom)
-            if holds(out[j]):
-                occupied.append(j)
-            j -= 1
-    occupied.reverse()
-    w.__dict__["occupied"] = occupied
-    return top, bottom
 
 
 def encoding_pass(p: Path, removed_letter: int) -> Path:

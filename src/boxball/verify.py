@@ -25,6 +25,7 @@ from .crystals import (
     RowTableau,
     Shape,
     TensorElement,
+    _cap_alphabet,
     box,
     col,
     counts_to_row,
@@ -145,14 +146,15 @@ PATH_KINDS = {"basic": random_basic_path, "inhom": random_inhom_path}
 def check_path_suite(
     relation: str, mode: str, n: int, count: int, seed: int, capacities
 ) -> RelationReport:
-    """On `count` seeded random paths of `PATH_KINDS[mode]` (alphabets 2..n), each
-    carrier capacity (None: unbounded) keeps `PATH_RELATIONS[relation]`; an error
+    """On `count` seeded random paths of `PATH_KINDS[mode]` (alphabets 2..n <= `MAX_ALPHABET`),
+    each carrier capacity (None: unbounded) keeps `PATH_RELATIONS[relation]`; an error
     that decoding or the check raises on a path is its counterexample."""
     if count < 1 or not capacities:
         raise ValueError(f"need >= 1 path and capacity, got {count} and {capacities}")
     for name, table in ((relation, PATH_RELATIONS), (mode, PATH_KINDS)):
         if name not in table:
             raise ValueError(f"unknown {name!r}; want one of {', '.join(table)}")
+    _cap_alphabet(n)
     rng = random.Random(seed)
 
     def counterexamples():

@@ -511,6 +511,10 @@ BAD_INPUTS = {
     "doc-counts-short": (["evolve", "counts-short.json"], {}),
     "doc-ascii-payload-n12": (["evolve", "ascii-payload-n12.json"], {}),
     "ascii-n12": (["separate", "--n", "12"], {}),
+    "theorem-n-huge": (["verify", "theorem", "--n", "1000000", "--count", "3"], {}),
+    "braid-n-over-cap": (["verify", "braid", "--n", "256", "--count", "3"], {}),
+    "evolve-n-over-cap": (["evolve", "--n", "256"], {}),
+    "doc-n-over-cap": (["evolve", "--operator", "Tl:inf", "n-over-cap.json"], {}),
 }
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
@@ -552,6 +556,7 @@ BAD_DOCUMENTS = {
     "letter-out-of-range.json": {"n": 3, "state": [7]},
     "counts-short.json": _inhom_document(counts=(0, 1)),
     "ascii-payload-n12.json": {"n": 12, "state": "2."},
+    "n-over-cap.json": {"n": 100_000_000, "state": [3]},  # a 10^8-entry carrier, if built
 }
 
 
@@ -588,6 +593,29 @@ def test_ascii_input_refuses_an_alphabet_past_9(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["separate", "--n", "12"], "2.\n")
     assert (code, out) == (2, "")
     assert err == "error: ASCII mode supports n <= 9; use the JSON document form\n"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("theorem-n-huge", "alphabet of 1000000 letters, cap is 255"),
+        ("braid-n-over-cap", "alphabet of 256 letters, cap is 255"),
+        ("evolve-n-over-cap", "alphabet of 256 letters, cap is 255"),
+        ("doc-n-over-cap", "alphabet of 100000000 letters, cap is 255"),
+    ],
+)
+def test_an_alphabet_over_the_cap_exits_2_with_its_message(tmp_path, monkeypatch, capsys,
+                                                           name, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n-over-cap.json").write_text(json.dumps(BAD_DOCUMENTS["n-over-cap.json"]))
+    code, out, err = run_cli(monkeypatch, capsys, BAD_INPUTS[name][0], ".2.\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_the_largest_alphabet_is_taken(monkeypatch, capsys):
+    doc = json.dumps({"n": 255, "state": [255, 1, 3]})
+    code, out, err = run_cli(monkeypatch, capsys, ["separate", "--json"], doc)
+    assert (code, err) == (0, "") and json.loads(out)["word"] == [255, 3]
 
 
 @pytest.mark.parametrize("argv, env", BAD_INPUTS.values(), ids=list(BAD_INPUTS))

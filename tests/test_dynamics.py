@@ -426,7 +426,7 @@ def _dense_decoding_pass(p):
         if k >= len(p.sites) and top == 1:
             break
         assert k <= len(p.sites), "decoding carrier failed to settle"
-        emitted, t2, b2, tag = p.col_core(top, bottom, site)
+        emitted, (t2, b2), tag = p.col_core((top, bottom), site)
         steps.append(dyn.TraceStep(k + 1, tag, (top, bottom), (t2, b2), site, emitted))
         out.append(emitted)
         top, bottom = t2, b2
@@ -573,7 +573,7 @@ def test_column_sweeps_call_the_core_once_per_busy_step(case):
     basic = p.mode == "basic"
     q, outgoing, _, steps = _dense_decoding_pass(p)
     expected = [
-        (*s.carrier_before, s.site_before)
+        (s.carrier_before, s.site_before)
         for s in steps
         if not _skipped(p, *s.carrier_before, s.site_before)
     ]
@@ -850,7 +850,7 @@ def _core_domains():
             (c, beta) for c in rows for beta in range(1, n + 1)]
         yield dyn.InhomPath.row_core, dyn._r_core, list(product(rows, rows))
         yield dyn.InhomPath.col_core, dyn._col_row_counts, [
-            (t, b, c) for t, b in _columns(n) for c in rows]
+            ((t, b), c) for t, b in _columns(n) for c in rows]
         yield dyn.InhomPath.inv_col_core, dyn._row_col_counts, [
             (c, t, b) for t, b in _columns(n) for c in rows]
 

@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from boxball import crystals as cr
 from boxball import dynamics as dyn
@@ -404,6 +405,41 @@ COMBINE_DOMAINS = {  # monochrome paths, alphabet, pairs accepted
 def test_combine_accepts_exactly_the_image_of_separate(kind):
     monos, n, accepted = COMBINE_DOMAINS[kind]
     assert combine_domain(monos(), n) == (accepted, [])
+
+
+@st.composite
+def separated_pairs(draw):
+    """(m, w) = `separate(p)` for a coloured path p, basic of <= 40 boxes or inhomogeneous
+    of <= 8 sites of capacity <= 3, with one letter of w changed about half the time."""
+    n = draw(st.integers(3, 6))
+    letters, basic = st.integers(1, n), draw(st.booleans())
+    size = draw(st.integers(1, 40 if basic else 8))  # hypothesis draws short lists mostly
+    if basic:
+        p = dyn.BasicPath(draw(st.lists(letters, min_size=size, max_size=size)), n)
+    else:
+        box = st.lists(letters, min_size=1, max_size=3).map(
+            lambda vs: tuple(vs.count(v) for v in range(1, n + 1)))
+        sites = draw(st.lists(box, min_size=size, max_size=size))
+        p = dyn.InhomPath(sites, n, draw(st.integers(1, 3)))
+    assume(not sep.is_monochrome(p))
+    rec = sep.separate(p)
+    w = list(rec.word)
+    if draw(st.booleans()):
+        w[draw(st.integers(0, len(w) - 1))] = draw(st.integers(2, n))
+    return rec.monochrome, tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(separated_pairs())
+def test_combine_raises_or_round_trips_at_larger_scope(pair):
+    """`combine_domain`'s property past the exhaustive scope: `combine(m, w)` raises
+    InvalidWordError, or `separate` gives back (m, w)."""
+    m, w = pair
+    try:
+        p = sep.combine(m, w)
+    except dyn.InvalidWordError:
+        return
+    assert sep.separate(p) == sep.SeparationRecord(p, m, w)
 
 
 @pytest.mark.parametrize("make", [random_basic_path, random_inhom_path])

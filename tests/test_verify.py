@@ -6,6 +6,7 @@ import pytest
 from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
+from boxball import separation as sep
 from boxball import verify
 from boxball.cli import report_document
 
@@ -416,6 +417,36 @@ def test_a_fault_raised_on_a_path_is_its_counterexample(full_carrier_swaps_plain
     assert rep.counterexample == (
         f"path #0 {first}: raised RuntimeError: carrier sweep failed to unload; this is a bug"
     )
+
+
+def test_the_path_suites_cap_the_alphabet_and_the_constructors_do_not():
+    for mode in verify.PATH_KINDS:
+        with pytest.raises(cr.DomainSizeError, match=r"^alphabet of 256 letters, cap is 255$"):
+            verify.check_path_suite("theorem", mode, cr.MAX_ALPHABET + 1, 1, 0, [None])
+        assert verify.check_path_suite("theorem", mode, cr.MAX_ALPHABET, 3, 0, [None]).passed
+    p = dyn.BasicPath((1000, 1, 3), 1000)
+    record = sep.separate(p)
+    assert record.word == (1000, 3) and sep.combine(record.monochrome, record.word) == p
+    assert cr.RowTableau((2, 300), 300).n == dyn.InhomPath(((0, 1) + (0,) * 298,), 300).n
+
+
+def test_a_column_carrier_that_never_settles_fails_the_suite(monkeypatch, fresh_cores):
+    """`InhomPath.col_core` keeps a busy carrier busy, passing every box by: the decoding
+    pass raises at once, and the path suite reports it as the path's counterexample."""
+    real = dyn.InhomPath.col_core
+
+    def planted(carrier, site):
+        return real(carrier, site) if carrier[0] == 1 else (site, carrier, "stuck")
+
+    monkeypatch.setattr(dyn.InhomPath, "col_core", staticmethod(planted))
+    bug = "carrier sweep failed to unload; this is a bug"
+    with pytest.raises(RuntimeError, match=f"^{bug}$"):
+        dyn.decoding_pass(dyn.InhomPath(((0, 0, 1), (1, 0, 0), (0, 1, 1)), 3, 2))
+    rep = verify.check_path_suite("theorem", "inhom", 4, 30, 1, [2])
+    rng = random.Random(1)
+    paths = [verify.random_inhom_path(rng, rng.randint(2, 4)) for _ in range(2)]  # as drawn
+    assert not rep.passed
+    assert rep.counterexample == f"path #1 {paths[1]}: raised RuntimeError: {bug}"
 
 
 @pytest.mark.parametrize(
