@@ -200,7 +200,8 @@ def _print_table(state, text: str, rows) -> None:
     """Print rows `(line, cells, boxes)`, `line` holding `{}` for the state's `cells`
     padded as `render(width)` pads, to the widest row and the ASCII input `text`."""
     text = text.strip()  # rows align with an ASCII input, its trailing dots included
-    width = max(0 if text.startswith("{") else len(text.splitlines()[0]), *(r[2] for r in rows))
+    ascii_width = 0 if text.startswith("{") else len(text.splitlines()[0])
+    width = max(1, ascii_width, *(r[2] for r in rows))  # a vacuum row is one empty box
     sep = "" if state.n <= 9 else ","
     for line, cells, boxes in rows:
         if state.mode == "basic":  # an empty n > 9 row pads to '.,.', with no leading comma

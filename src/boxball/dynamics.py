@@ -1,41 +1,44 @@
 """Automaton states and their time evolutions.
 
-A state is a half-infinite array of boxes holding letters; only a finite
-prefix is stored and the implicit tail is vacuum.  Evolutions are carrier
-sweeps: a row carrier of some capacity gives the time evolution, and the
-two-slot column carrier (seeded with a 2) gives the decoding pass that
-removes one letter per sweep.  One forward walker, `_sweep`, runs both through cores of
-one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier is idle when its first
-entry is back at its start, and past the last ball a busy one needs at most
-sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the swap
-cores of its boxes and its untraced column sweeps: basic ones run the case splits
-of `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given
-a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
-per swap.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
+A state is a half-infinite array of boxes holding letters; only a finite prefix is stored
+and the implicit tail is vacuum.  Evolutions are carrier sweeps: a row carrier of some
+capacity gives the time evolution, and the two-slot column carrier (seeded with a 2) gives
+the decoding pass that removes one letter per sweep.  One forward walker, `_sweep`, runs
+both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier
+is idle when its first entry is back at its start, and past the last ball a busy one needs
+at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
+swap cores of its boxes and its untraced column sweeps: basic ones run the case splits of
+`col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given a `trace`
+list, a sweep calls the cores at every stored site and appends a `TraceStep` per swap.  Row
+carriers, traced ones too, are count vectors: O(n) a site at any capacity.
 
-An idle carrier passes an empty box unchanged, and the seeded column carrier
-(1,2) a box with no letter >= 3: a row pass makes O(occupied + unloaded) swaps,
-a column pass O(coloured + busy boxes), not O(L); traced ones visit all sites.
-Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans
-for it once, on first use, and keeps it, and a sweep gives its output a new one.  No
-public function changes a path it is given; constructors store any iterable of ints
-as a tuple.  A sweep rewrites a working copy (list sites and index) in place: a public
-sweep copies in and out, O(L), but `separate` / `combine` thaw once for all passes.
+An idle carrier passes an empty box unchanged, and the seeded column carrier (1,2) a box
+with no letter >= 3: a row pass makes O(occupied + unloaded) swaps, a column pass
+O(coloured + busy boxes), not O(L); traced ones visit all sites.  Untraced sweeps read a
+path's `occupied` index of boxes holding a ball: a path scans for it once, on first use,
+and keeps it, and a sweep gives its output a new one.  No public function changes a path it
+is given; constructors store any iterable of ints as a tuple.  A sweep rewrites a working
+copy (list sites and index) in place: a public sweep copies in and out, O(L), but `separate`
+and `combine` thaw once for all passes, and their copy counts its leading index entries
+known to hold no colour (`colourless`).  No column pass changes those or moves the first
+colour left, so there a pass walks the index from the first colour, and an inverse one
+stops at (1,2) left of it; a standalone pass, on a fresh copy, walks the whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
 check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps.
 
-A count-vector swap is a pure map that a sweep meets at a few hundred distinct
-arguments, so the path classes' `row_core`s and `InhomPath`'s `col_core` /
-`inv_col_core` are memoised, each in a 1024-entry LRU cache (a bound keeps memory
-flat), as is a decoding pass's outgoing carrier, so it is a shared frozen value;
-`col_box_core` / `box_col_core`, whose int case splits cost about a lookup, and the
-`isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike,
-states hold ints only, and so must word letters, capacities and `move_letter` letters.
+A count-vector swap is a pure map that a sweep meets at a few hundred distinct arguments,
+so the path classes' `row_core`s and `InhomPath`'s `col_core` / `inv_col_core` are
+memoised, each in a 1024-entry LRU cache (a bound keeps memory flat), as is a decoding
+pass's outgoing carrier, so it is a shared frozen value; `col_box_core` / `box_col_core`,
+whose int case splits cost about a lookup, and the `isomorphisms` functions are not.  As
+`2 == 2.0 == True` hash alike, states hold ints only, and so must word letters, capacities
+and `move_letter` letters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import lt, ne
@@ -91,6 +94,7 @@ def _frozen(w, indexed: bool = True):
         sites.pop()
     q = object.__new__(type(w))
     q.__dict__.update(w.__dict__, sites=tuple(sites), occupied=tuple(w.occupied))
+    q.__dict__.pop("colourless", None)
     if not indexed:
         del q.__dict__["occupied"]
     return q
@@ -149,10 +153,17 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
 def _basic_column_sweep(w) -> tuple[int, int]:
     """The untraced decoding `_sweep` of a basic path, `col_box_core` inline.  A
     busy carrier (top > 1) settles in the first empty box it meets."""
-    top, bottom = 1, 2
-    out, occupied = w.sites, []
-    j = 0  # the box after the last one visited
-    for k in w.occupied:
+    out, index, i = w.sites, w.occupied, w.__dict__.get("colourless", 0)
+    rest = iter(index[i:] if i else index)
+    for k in rest:  # the seeded carrier passes the boxes before the first colour
+        if out[k] > 2:
+            break
+        i += 1
+    else:  # no colour
+        return 1, 2
+    w.__dict__["colourless"], occupied = i, index[:i]
+    top, bottom, out[k], j = 2, out[k], 1, k + 1  # the first colour's box empties (case d)
+    for k in rest:
         if top != 1 and j < k:  # the empty box j takes top
             out[j], top = top, 1
             occupied.append(j)
@@ -179,14 +190,14 @@ def _basic_column_sweep(w) -> tuple[int, int]:
 def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
     """`_inv_column_sweep` of a basic path, `box_col_core` inline.  A busy
     carrier settles in the first empty box it meets, if any is left."""
-    top, bottom = 1, letter
-    out, occupied = w.sites, []
+    out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
+    top, bottom, last = 1, letter, index[i - 1] if i else -1  # the last box known without colour
     j = len(out) - 1  # the box before the last one visited
-    for k in (*reversed(w.occupied), -1):
+    for k in (*reversed(index), -1):
         if top != 1 and j > k:  # the empty box j gets bottom, (top, bottom) becomes (1, top)
             out[j], top, bottom = bottom, 1, top
             occupied.append(j)
-        if k < 0:
+        if k <= last and (k < 0 or top == 1 and bottom == 2):  # the rest passes unchanged
             break
         if top == 1 and bottom == 2 and out[k] <= 2:
             occupied.append(k)
@@ -202,16 +213,19 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
             occupied.append(k)
         j = k - 1
     occupied.reverse()
-    w.__dict__["occupied"] = occupied
+    i = w.__dict__["colourless"] = bisect(index, k)  # the entries up to k, unvisited
+    index[i:] = occupied
     return top, bottom
 
 
 def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
     core, holds, coloured = w.inv_col_core, w.holds_ball, w.holds_colour
-    top, bottom = 1, letter
-    out, occupied = w.sites, []
+    out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
+    top, bottom, last = 1, letter, index[i - 1] if i else -1
     j = len(out) - 1
-    for k in (*reversed(w.occupied), -1):  # past the first ball a busy carrier settles
+    for k in (*reversed(index), -1):  # past the first ball a busy carrier settles
+        if top == 1 and bottom == 2 and k <= last:  # the rest passes unchanged
+            break
         while j >= k:
             if top == 1:
                 if k < 0:
@@ -227,7 +241,8 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
                 occupied.append(j)
             j -= 1
     occupied.reverse()
-    w.__dict__["occupied"] = occupied
+    i = w.__dict__["colourless"] = bisect(index, k)
+    index[i:] = occupied
     return top, bottom
 
 
@@ -389,9 +404,9 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # `_sweep`, the one forward walk, rewrites a working path (see `_thawed`) in place, visiting
 # its sites in `order` (all stored sites when traced, else the occupied ones).  A carrier is
 # idle when its first entry is back at its start (a row's capacity, a column's top 1); a busy
-# one passes the skipped empty boxes until it is idle, and given `coloured` (untraced columns)
-# the seeded (1,2) passes the boxes not `coloured` uncalled.  The visited boxes holding a ball
-# form the new index; trailing vacuum stays until the path is frozen.
+# one passes the skipped empty boxes until it is idle.  Given `coloured` (untraced columns)
+# the walk starts at the first box `coloured`, and the seeded (1,2) passes the boxes not
+# `coloured` uncalled.  The visited boxes holding a ball form the new index.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
@@ -406,6 +421,13 @@ def _sweep(w, carrier: tuple, core, order, coloured=None) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
     idle, out, holds, occupied = carrier[0], w.sites, w.holds_ball, []
     j = 0  # the box after the last one visited
+    if coloured is not None:  # a seeded column starts at the first colour
+        i = w.__dict__.get("colourless", 0)
+        for k in order[i:]:
+            if coloured(out[k]):
+                break
+            i += 1
+        w.__dict__["colourless"], occupied, order = i, w.occupied[:i], order[i:]
     for k in order:
         while j <= k:
             if carrier[0] == idle:

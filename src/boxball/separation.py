@@ -83,6 +83,7 @@ def combine(monochrome: Path, word: ColourWord) -> Path:
     if word[:1] == (2,) and type(word[0]) is int:  # a float 2.0 gets encoding_pass's message
         raise InvalidWordError("a word cannot start with 2; no decoding removes a 2 last")
     w = _thawed(monochrome)
+    w.__dict__["colourless"] = len(w.occupied)  # no entry holds a colour
     for y in word:
         encoding_pass(w, y)
     return _frozen(w)

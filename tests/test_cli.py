@@ -159,6 +159,24 @@ def test_separate_monochrome_input(monkeypatch, capsys):
     assert out.splitlines() == ["s=0    ..2", "word  "]
 
 
+VACUUM_GOLDEN = {  # a vacuum basic path prints one empty box, as `state_document` writes it
+    "evolve": (["evolve", "--steps", "2"], "t=0    .\nt=1    .\nt=2    .\n"),
+    "separate": (["separate"], "s=0    .\nword  \n"),
+}
+VACUUM_DOCUMENTS = [
+    {"n": 3, "state": [1, 1]}, {"n": 3, "state": "."}, {"n": 12, "state": [1]},
+    {"n": 12, "state": []},
+]
+
+
+@pytest.mark.parametrize("doc", VACUUM_DOCUMENTS, ids=json.dumps)
+@pytest.mark.parametrize("command", list(VACUUM_GOLDEN))
+def test_a_vacuum_document_prints_one_empty_box(monkeypatch, capsys, command, doc):
+    argv, expected = VACUUM_GOLDEN[command]
+    assert run_cli(monkeypatch, capsys, argv, json.dumps(doc)) == (0, expected, "")
+    assert parse_state(expected.split()[1]) == BasicPath((), 2)  # the cell reads back
+
+
 def test_separate_large_alphabet_word_is_comma_separated(monkeypatch, capsys):
     doc = json.dumps({"n": 12, "state": [12, 3, 1, 2, 11]})
     code, out, _ = run_cli(monkeypatch, capsys, ["separate"], doc)

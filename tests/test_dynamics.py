@@ -593,6 +593,41 @@ def test_column_sweeps_call_the_core_once_per_busy_step(case):
         assert calls == ([] if basic else expected) and col == []
 
 
+def _first_colour(p):
+    """The first box of `p` holding a letter >= 3, read off its sites; None if none does."""
+    return next((k for k, site in enumerate(p.sites) if _holds(p, site, 3)), None)
+
+
+def _boxes_before(p, f):
+    """The boxes of `p` before box `f`, vacuum-padded; every stored box when `f` is None."""
+    return p.sites if f is None else p.sites[:f] + (p.vacuum,) * (f - len(p.sites))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
+def test_passes_leave_the_boxes_before_the_first_colour(case):
+    """Why `separate` and `combine` may walk from the first colour, read off the sites: a
+    decoding pass leaves every box before the first colour as it was, so the first colour
+    never moves left over a decoding (on basic paths its box empties, so it moves right),
+    and an encoding pass leaves every box before its result's first colour."""
+    p, letter = case
+    rows = []
+    sep.separate(p, rows)
+    firsts = [_first_colour(row.state) for row in rows[:-1]]
+    assert firsts == (sorted(set(firsts)) if p.mode == "basic" else sorted(firsts))
+    for row, after in zip(rows, rows[1:]):
+        assert dyn.decoding_pass(row.state)[0] == after.state  # a standalone pass agrees
+        f = _first_colour(row.state)
+        assert _boxes_before(after.state, f) == _boxes_before(row.state, f)
+    for q in (p, *(row.state for row in rows)):
+        try:
+            encoded = dyn.encoding_pass(q, letter)
+        except dyn.InvalidWordError:
+            continue
+        f = _first_colour(encoded)
+        assert _boxes_before(encoded, f) == _boxes_before(q, f)
+
+
 def _basic_paths(n, length):
     """Every basic path of alphabet `n` with exactly `length` stored sites."""
     for sites in product(range(1, n + 1), repeat=length):

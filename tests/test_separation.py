@@ -485,6 +485,35 @@ def test_a_planted_inverse_core_fault_fails_the_domain_test(monkeypatch, fresh_c
     assert combine_domain(monos(), n)[1]
 
 
+# the walks from the first colour: (path kind, walker, the path class attribute holding it,
+# or None for the module's `_sweep`, a line of it, the planted line).  A forward count one too
+# large skips a box that may hold the next first colour; an inverse walk that takes the last
+# ball for the last box known without colour stops on a seeded carrier right of the first
+# colour.
+_LAST, _BALL = "index[i - 1] if i else -1", "index[-1] if index else -1"
+PREFIX_FAULTS = {
+    "basic-count": ("basic", dyn._basic_column_sweep, "col_sweep",
+                    "occupied = i, index[:i]", "occupied = i + 1, index[:i]"),
+    "inhom-count": ("inhom", dyn._sweep, None,
+                    "order = i, w.occupied[:i]", "order = i + 1, w.occupied[:i]"),
+    "basic-stop": ("basic", dyn._basic_inv_column_sweep, "inv_col_sweep", _LAST, _BALL),
+    "inhom-stop": ("inhom", dyn._inv_column_sweep, "inv_col_sweep", _LAST, _BALL),
+}
+
+
+@pytest.mark.parametrize("fault", PREFIX_FAULTS)
+def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, fault):
+    kind, walker, name, old, new = PREFIX_FAULTS[fault]
+    planted = _recompiled(walker, old, new)
+    if name is None:  # `InhomPath.col_sweep` calls the module's `_sweep`
+        monkeypatch.setattr(dyn, walker.__name__, planted)
+    else:
+        cls = dyn.BasicPath if kind == "basic" else dyn.InhomPath
+        monkeypatch.setattr(cls, name, staticmethod(planted))
+    monos, n, accepted = COMBINE_DOMAINS[kind]
+    assert combine_domain(monos(), n) != (accepted, [])
+
+
 def test_separate_holds_only_the_live_state():
     rng = random.Random(4000)
     sites = [1] * 4000
@@ -570,6 +599,26 @@ def test_sweeps_leave_their_input_and_return_kept_paths():
         assert combined == p and encoded == p
         for q in (rec.monochrome, combined, decoded, encoded):
             _assert_kept(q)
+
+
+def test_returned_paths_hold_no_per_pass_state():
+    """Each path a sweep returns holds a freshly built path's attributes and its index,
+    and a step row the attributes alone: no working copy's `colourless` count leaks."""
+    for p in _seeded_paths(44):
+        fields = set(vars(_rebuilt(p)))
+        rows = []
+        rec = sep.separate(p, rows)
+        decoded, carrier = dyn.decoding_pass(p)
+        returned = [
+            rec.monochrome, sep.combine(rec.monochrome, rec.word), decoded,
+            dyn.decoding_pass(p, [])[0], dyn.encoding_pass(decoded, carrier.bottom),
+            dyn.carrier_evolution(p, 2), dyn.carrier_evolution(p, None, []),
+        ]
+        if p.mode == "basic":
+            returned.append(dyn.time_evolution(p))
+        for q in returned:
+            assert set(vars(q)) == fields | {"occupied"}, q
+        assert [set(vars(row.state)) for row in rows[:-1]] == [fields] * rec.n_passes
 
 
 def test_a_pass_makes_no_whole_path_copy(monkeypatch):
