@@ -201,12 +201,12 @@ def _print_table(state, text: str, rows) -> None:
     padded as `render(width)` pads, to the widest row and the ASCII input `text`."""
     text = text.strip()  # rows align with an ASCII input, its trailing dots included
     ascii_width = 0 if text.startswith("{") else len(text.splitlines()[0])
-    width = max(1, ascii_width, *(r[2] for r in rows))  # a vacuum row is one empty box
+    width = max(ascii_width, *(r[2] for r in rows))
     sep = "" if state.n <= 9 else ","
     for line, cells, boxes in rows:
         if state.mode == "basic":  # an empty n > 9 row pads to '.,.', with no leading comma
             cells = sep.join([cells] * (boxes > 0) + ["."] * (width - boxes))
-        print(line.format(cells))
+        print(line.format(cells or "."))  # a vacuum row is one empty box, of either kind
 
 
 def cmd_evolve(args) -> int:
@@ -297,7 +297,7 @@ def cmd_verify(args) -> int:
 
 def _check_flags(args) -> None:
     """Reject a numeric flag below its least value, and an `--n` over the alphabet cap."""
-    minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 1, "boxes": 1}
+    minima = {"n": 2, "steps": 0, "count": 1, "l": 1, "carriers": 1, "boxes": 1, "size": 1}
     for flag, least in minima.items():
         value = getattr(args, flag, None)
         if value is not None and value < least:
@@ -355,6 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         suite.add_argument("--mode", choices=kinds, default=kinds[0])
         suite.add_argument("--capacities", default="1,2,3,inf")
         suite.set_defaults(run=_path_suite)
+    domains = list(verify.PATH_DOMAINS)
+    image = checks.add_parser("image", parents=[json_flag])
+    image.add_argument("--mode", choices=domains, default=domains[0])
+    image.add_argument("--n", type=int, default=3)
+    image.add_argument("--size", type=int, default=4, help="most boxes (basic) or sites (inhom)")
+    image.set_defaults(run=lambda a: [verify.check_image(a.mode, a.n, a.size)])
     checks.add_parser("chains", parents=[json_flag]).set_defaults(
         run=lambda a: [verify.check_highest_weight_chains()])
     checks.add_parser("decomposition", parents=[json_flag]).set_defaults(
@@ -374,7 +380,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader left: end quietly, and let the final flush go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

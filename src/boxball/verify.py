@@ -6,9 +6,10 @@ the integer tables `crystals.factor_tables` makes anew per call and calls no `is
 function, so it shares no code with the swaps it checks.  The rest scan exhaustive or
 seeded-random domains and report the first counterexample instead of raising; a path suite
 runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
-on seeded paths of a `PATH_KINDS` row.  The symmetric-group and composition checks swap each
-distinct factor pair once per call: their `swap_pair` memo lives for one call, so it sees a
-fault planted before the call, and the `isomorphisms` functions stay uncached.
+on seeded paths of a `PATH_KINDS` row, and `check_image` on every small path of a
+`PATH_DOMAINS` row.  The symmetric-group and composition checks swap each distinct factor
+pair once per call: their `swap_pair` memo lives for one call, so it sees a fault planted
+before the call, and the `isomorphisms` functions stay uncached.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .crystals import (
     MAX_DOMAIN,
@@ -29,11 +31,13 @@ from .crystals import (
     box,
     col,
     counts_to_row,
+    crystal_size,
     factor_tables,
     highest_weight_indices,
     highest_weights,
     is_column,
     is_highest_weight,
+    iter_crystal,
     iter_tensor,
     lowered_at,
     row,
@@ -42,9 +46,9 @@ from .crystals import (
     tensor_size,
     vacuum_row,
 )
-from .dynamics import BasicPath, InhomPath, InvalidWordError, carrier_evolution
+from .dynamics import BasicPath, InhomPath, InvalidWordError, ball_count, carrier_evolution
 from .isomorphisms import swap_adjacent, swap_pair
-from .separation import check_commutation, separate
+from .separation import check_commutation, combine, is_monochrome, separate
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,68 @@ PATH_RELATIONS = {  # check_commutation is looked up per call, so a module wrapp
 PATH_KINDS = {"basic": random_basic_path, "inhom": random_inhom_path}
 
 
+def _check_path_domain(mode: str, n: int, size: int, values: int, tails: int) -> None:
+    """The `MAX_DOMAIN` guard of `PATH_DOMAINS`, before any path is made: each of `tails`
+    tails holds `values`^size paths, and `values` >= 2."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if tails * values ** min(size, MAX_DOMAIN.bit_length()) > MAX_DOMAIN:
+        raise DomainSizeError(f"{mode} paths of n={n} up to size {size}: over the cap of "
+                              f"{MAX_DOMAIN}")
+
+
+def basic_paths(n: int, size: int):
+    """Every basic path over 1..n of at most `size` boxes, once each: each tuple of `size`
+    letters, its trailing vacuum trimmed."""
+    _check_path_domain("basic", n, size, n, 1)
+    return (BasicPath(sites, n) for sites in product(range(1, n + 1), repeat=size))
+
+
+def inhom_paths(n: int, size: int):
+    """Every inhomogeneous path over 1..n of at most `size` sites of capacity 1..n-1, with a
+    tail capacity of 1 or 2 that is one of those, once each: each tuple of `size` sites, its
+    trailing vacuum trimmed."""
+    tails = range(1, min(n, 3))
+    _check_path_domain("inhom", n, size, sum(crystal_size((c,), n) for c in range(1, n)),
+                       len(tails))
+    rows = [r.counts() for c in range(1, n) for r in iter_crystal((c,), n)]
+    return (InhomPath(sites, n, t) for t in tails for sites in product(rows, repeat=size))
+
+
+PATH_DOMAINS = {"basic": basic_paths, "inhom": inhom_paths}
+
+
+def check_image(mode: str, n: int, size: int) -> RelationReport:
+    """`combine` accepts exactly the image of `separate`: for each monochrome path m of
+    `PATH_DOMAINS[mode](n, size)` and word w over 2..n of at most `ball_count(m)` letters,
+    `combine(m, w)` raises InvalidWordError or `separate` gives back (m, w), not another
+    pair or a RuntimeError.  The domain is the number of pairs `combine` accepts; the pairs
+    tried are under the `MAX_DOMAIN` guard."""
+    t0 = time.perf_counter()
+    monos = [m for m in PATH_DOMAINS[mode](n, size) if is_monochrome(m)]
+    if sum((n - 1) ** k for m in monos for k in range(ball_count(m) + 1)) > MAX_DOMAIN:
+        raise DomainSizeError(f"{mode} image of n={n} up to size {size}: over the cap of "
+                              f"{MAX_DOMAIN} pairs")
+    pairs = ((m, w) for m in monos for k in range(ball_count(m) + 1)
+             for w in product(range(2, n + 1), repeat=k))
+    accepted, wrong = 0, []
+    for m, w in pairs:
+        try:
+            p = combine(m, w)
+        except InvalidWordError:
+            continue
+        accepted += 1
+        try:
+            rec = separate(p)
+        except RuntimeError as exc:
+            wrong.append(f"separate(combine({m}, {w})) raised RuntimeError: {exc}")
+            break
+        if (rec.monochrome, rec.word) != (m, w):
+            wrong.append(f"separate(combine({m}, {w})) gives ({rec.monochrome}, {rec.word})")
+            break
+    return _report(f"image[mode={mode}, n={n}, size={size}]", accepted, wrong, t0)
+
+
 def check_path_suite(
     relation: str, mode: str, n: int, count: int, seed: int, capacities
 ) -> RelationReport:
@@ -233,12 +299,12 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
             table = isomorphism_table(shape_a, shape_b, n)
         except ValueError as exc:
             yield f"raised {type(exc).__name__}: {exc}"
-            return
-        for t, expected in table.items():
-            res = swap_pair(t.factors[0], t.factors[1])
-            got = TensorElement((res.left, res.right))
-            if got != expected:
-                yield f"{t} -> {got}, oracle says {expected}"
+        else:
+            for t, expected in table.items():
+                res = swap_pair(t.factors[0], t.factors[1])
+                got = TensorElement((res.left, res.right))
+                if got != expected:
+                    yield f"{t} -> {got}, oracle says {expected}"
 
     return _report(f"oracle[{shape_a}x{shape_b}, n={n}]", size, counterexamples(), t0)
 

@@ -5,9 +5,11 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boxball.verify
 from boxball.cli import (
@@ -159,13 +161,14 @@ def test_separate_monochrome_input(monkeypatch, capsys):
     assert out.splitlines() == ["s=0    ..2", "word  "]
 
 
-VACUUM_GOLDEN = {  # a vacuum basic path prints one empty box, as `state_document` writes it
+VACUUM_GOLDEN = {  # a vacuum path of either kind prints one empty box
     "evolve": (["evolve", "--steps", "2"], "t=0    .\nt=1    .\nt=2    .\n"),
     "separate": (["separate"], "s=0    .\nword  \n"),
 }
 VACUUM_DOCUMENTS = [
     {"n": 3, "state": [1, 1]}, {"n": 3, "state": "."}, {"n": 12, "state": [1]},
-    {"n": 12, "state": []},
+    {"n": 12, "state": []}, {"n": 3, "mode": "inhom", "sites": []},
+    {"n": 12, "mode": "inhom", "tail_capacity": 2, "sites": []},
 ]
 
 
@@ -388,6 +391,7 @@ VERIFY_GOLDEN = [  # argv, then the (relation, domain) of each report, in order
     ("theorem --mode inhom --count 5", [("theorem[mode=inhom, n<=3, count=5, seed=0]", 20)]),
     ("conservation --mode inhom --count 5",
      [("conservation[mode=inhom, n<=3, count=5, seed=0]", 20)]),
+    ("image --mode inhom --size 3", [("image[mode=inhom, n=3, size=3]", 464)]),
     ("chains", [("highest-weight-chains", 36)]),
     ("decomposition", [
         ("decomposition[(2,)x(1,), n=3]", 18),
@@ -533,6 +537,10 @@ BAD_INPUTS = {
     "braid-n-over-cap": (["verify", "braid", "--n", "256", "--count", "3"], {}),
     "evolve-n-over-cap": (["evolve", "--n", "256"], {}),
     "doc-n-over-cap": (["evolve", "--operator", "Tl:inf", "n-over-cap.json"], {}),
+    "image-n1": (["verify", "image", "--n", "1"], {}),
+    "image-size-zero": (["verify", "image", "--size", "0"], {}),
+    "image-over-cap": (["verify", "image", "--mode", "basic", "--n", "9", "--size", "12"], {}),
+    "image-pairs-over-cap": (["verify", "image", "--mode", "inhom", "--n", "8", "--size", "1"], {}),
 }
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
@@ -620,6 +628,7 @@ def test_ascii_input_refuses_an_alphabet_past_9(monkeypatch, capsys):
         ("braid-n-over-cap", "alphabet of 256 letters, cap is 255"),
         ("evolve-n-over-cap", "alphabet of 256 letters, cap is 255"),
         ("doc-n-over-cap", "alphabet of 100000000 letters, cap is 255"),
+        ("image-over-cap", "basic paths of n=9 up to size 12: over the cap of 1000000"),
     ],
 )
 def test_an_alphabet_over_the_cap_exits_2_with_its_message(tmp_path, monkeypatch, capsys,
@@ -651,6 +660,64 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, en
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+_JUNK = (st.none() | st.booleans() | st.floats() | st.integers(-3, 300) | st.text(max_size=3)
+         | st.lists(st.integers(-1, 3), max_size=3) | st.just({}))
+
+
+@st.composite
+def state_documents(draw):
+    """JSON state documents of n <= 5 and at most 4 sites of capacity <= 5, vacuum ones too,
+    with up to two fields (a site's too) missing or of the wrong type, null included."""
+    n = draw(st.integers(2, 5))
+    letters = st.lists(st.integers(1, n), min_size=1, max_size=5)
+    if draw(st.booleans()):
+        doc = {"n": n, "state": draw(st.text(".23456789"[:n], max_size=6) | letters)}
+    else:
+        counts = st.builds(lambda vs: [vs.count(v) for v in range(1, n + 1)], letters)
+        sites = [{"capacity": sum(c), "counts": c} for c in draw(st.lists(counts, max_size=4))]
+        doc = {"n": n, "mode": "inhom", "tail_capacity": draw(st.integers(1, 3)), "sites": sites}
+    objects = [doc, *doc.get("sites", [])]
+    for _ in range(draw(st.integers(0, 2))):
+        fields = draw(st.sampled_from(objects))
+        if fields:
+            key = draw(st.sampled_from(sorted(fields)))
+            if draw(st.booleans()):
+                del fields[key]
+            else:
+                fields[key] = draw(_JUNK)
+    return json.dumps(doc)
+
+
+ASCII_TEXTS = st.text(".23456789\n ", max_size=12) | st.text(st.characters(max_codepoint=127),
+                                                             max_size=12)
+COMMANDS = st.sampled_from([["separate"], ["separate", "--json"], ["evolve", "--steps", "0"],
+                            ["evolve", "--steps", "1"], ["evolve", "--steps", "2"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(COMMANDS, state_documents() | ASCII_TEXTS)
+def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert (code, err) == (0, "")
+    if argv[-1] == "--json":
+        doc = json.loads(out)
+        n, mono = doc["n"], doc["monochrome"]
+        if doc["mode"] == "inhom":
+            mono = InhomPath(tuple(map(tuple, mono)), n, doc["tail_capacity"])
+        else:
+            mono = BasicPath.from_string(mono, n) if n <= 9 else BasicPath(mono, n)
+        assert combine(mono, tuple(map(int, doc["word"]))) == parse_state(text)
+        return
+    rows = [line for line in out.splitlines() if line[:2] in ("t=", "s=")]
+    assert rows and all(line[7:8].strip() for line in rows), out  # every row has a cell
 
 
 def test_state_render_parse_round_trip():
@@ -808,6 +875,35 @@ def test_closed_pipe_ends_quietly(tmp_path, argv, length):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def test_a_closed_pipe_in_process_returns_1_and_sends_stdout_to_devnull(tmp_path, monkeypatch,
+                                                                       capsys):
+    class ClosedPipe(io.StringIO):
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):  # a temporary file's descriptor, never this process's fd 1
+            return self.fd
+
+    def lowest_free_fd():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    with open(tmp_path / "stdout.txt", "wb") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        monkeypatch.setattr("sys.stdin", io.StringIO("..2\n"))
+        free = lowest_free_fd()
+        assert main(["separate"]) == 1
+        assert lowest_free_fd() == free  # the null device's descriptor is closed again
+        os.write(fh.fileno(), b"after the pipe closed")  # goes to the null device now
+    assert (tmp_path / "stdout.txt").read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 MEMORY_CASES = {

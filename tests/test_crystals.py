@@ -287,6 +287,8 @@ def test_weight_examples():
     t = cr.tensor(cr.row("12", 3), cr.col(2, 3, 3))
     assert cr.weight_of(t) == (1, 2, 1)
     assert sum(cr.weight_of(t)) == 4
+    with pytest.raises(TypeError, match=r"^not a crystal element: \(1, 2\)$"):
+        cr.weight_of((1, 2))
 
 
 def reference_highest_weights(shapes, n):

@@ -14,7 +14,7 @@ from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import separation as sep
-from boxball.verify import random_basic_path, random_inhom_path
+from boxball.verify import basic_paths, random_basic_path, random_inhom_path
 from conftest import MEMOISED_CORES, clear_memoised_cores, front
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
@@ -127,10 +127,8 @@ def _seeded_basic_path(seed, length, balls, n):
 
 def test_time_evolution_matches_the_literal_rule():
     for n in range(2, 5):
-        for length in range(8):
-            for sites in product(range(1, n + 1), repeat=length):
-                p = dyn.BasicPath(sites, n)
-                assert dyn.time_evolution(p) == _literal_time_step(p), sites
+        for p in basic_paths(n, 7):
+            assert dyn.time_evolution(p) == _literal_time_step(p), p
     for length, balls in ((4000, 1000), (10000, 100)):
         p = _seeded_basic_path(length, length, balls, 6)
         expected = p
@@ -628,13 +626,6 @@ def test_passes_leave_the_boxes_before_the_first_colour(case):
         assert _boxes_before(encoded, f) == _boxes_before(q, f)
 
 
-def _basic_paths(n, length):
-    """Every basic path of alphabet `n` with exactly `length` stored sites."""
-    for sites in product(range(1, n + 1), repeat=length):
-        if not sites or sites[-1] != 1:
-            yield dyn.BasicPath(sites, n)
-
-
 def test_inline_basic_passes_match_the_crystal_maps():
     """The basic paths' untraced passes, whose swaps are inline, against the
     dense references driven by `col_box_core` / `box_col_core`, on every path
@@ -644,22 +635,21 @@ def test_inline_basic_passes_match_the_crystal_maps():
     emerge as (1,2)."""
     paths = 0
     for n, longest in ((2, 7), (3, 7), (4, 6)):
-        for length in range(longest + 1):
-            for p in _basic_paths(n, length):
-                q, outgoing, _, _ = _dense_decoding_pass(p)
-                decoded, carrier = dyn.decoding_pass(p)
-                assert (decoded, carrier) == (q, outgoing), p
-                assert vars(decoded)["occupied"] == _fresh_scan(q), p
-                for letter in range(2, n + 1):
-                    encoded, _ = _dense_encoding_pass(p, letter)
-                    if encoded is None:
-                        with pytest.raises(dyn.InvalidWordError, match="not decodable"):
-                            dyn.encoding_pass(p, letter)
-                        continue
-                    got = dyn.encoding_pass(p, letter)
-                    assert got == encoded, (p, letter)
-                    assert vars(got)["occupied"] == _fresh_scan(encoded), (p, letter)
-                paths += 1
+        for p in basic_paths(n, longest):
+            q, outgoing, _, _ = _dense_decoding_pass(p)
+            decoded, carrier = dyn.decoding_pass(p)
+            assert (decoded, carrier) == (q, outgoing), p
+            assert vars(decoded)["occupied"] == _fresh_scan(q), p
+            for letter in range(2, n + 1):
+                encoded, _ = _dense_encoding_pass(p, letter)
+                if encoded is None:
+                    with pytest.raises(dyn.InvalidWordError, match="not decodable"):
+                        dyn.encoding_pass(p, letter)
+                    continue
+                got = dyn.encoding_pass(p, letter)
+                assert got == encoded, (p, letter)
+                assert vars(got)["occupied"] == _fresh_scan(encoded), (p, letter)
+            paths += 1
     assert paths == 2**7 + 3**7 + 4**6
 
 

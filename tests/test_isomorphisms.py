@@ -172,6 +172,8 @@ def test_row_col_round_trips(n, ell):
 
 def test_combinatorial_r_count_example():
     assert iso.combinatorial_r((3, 0, 0), (1, 1, 0)) == ((2, 0, 0), (2, 1, 0))
+    with pytest.raises(ValueError, match="^count vectors must share one alphabet$"):
+        iso.combinatorial_r((3, 0, 0), (1, 1))
 
 
 def test_r_is_identity_on_equal_capacities():

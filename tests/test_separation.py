@@ -3,7 +3,6 @@ import json
 import random
 import textwrap
 import tracemalloc
-from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +11,14 @@ from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import separation as sep
-from boxball.cli import separation_document
-from boxball.verify import random_basic_path, random_inhom_path
+from boxball.cli import main, separation_document
+from boxball.verify import (
+    basic_paths,
+    check_image,
+    inhom_paths,
+    random_basic_path,
+    random_inhom_path,
+)
 from conftest import front
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH, WORD
 
@@ -270,27 +275,6 @@ def test_commutation_report_str():
 # exhaustive small scope
 
 
-def _basic_paths(n, max_len):
-    """Every nonempty basic path over 1..n of length <= max_len, once each."""
-    for length in range(1, max_len + 1):
-        for head in product(range(1, n + 1), repeat=length - 1):
-            for last in range(2, n + 1):
-                yield dyn.BasicPath(head + (last,), n)
-
-
-def _inhom_paths(n, max_sites, capacities, tails):
-    boxes = [
-        c
-        for cap in capacities
-        for c in product(range(cap + 1), repeat=n)
-        if sum(c) == cap
-    ]
-    for tail in tails:
-        for k in range(max_sites + 1):
-            for sites in product(boxes, repeat=k):
-                yield dyn.InhomPath(sites, n, tail)
-
-
 def _rescan_separate(p):
     """(monochrome part, word) from passes run until `is_monochrome` holds."""
     removed, cur = [], p
@@ -301,8 +285,8 @@ def _rescan_separate(p):
 
 
 def test_exhaustive_basic_round_trip_time_step_and_traces():
-    paths = [p for n in (2, 3) for p in _basic_paths(n, 7)] + list(_basic_paths(4, 6))
-    assert len(paths) == 6408
+    paths = [p for n, size in ((2, 7), (3, 7), (4, 6)) for p in basic_paths(n, size)]
+    assert len(paths) == 6411  # 6,408 coloured or monochrome paths and the 3 vacuum ones
     for p in paths:
         rec = sep.separate(p)
         assert sep.combine(rec.monochrome, rec.word) == p
@@ -342,7 +326,7 @@ def test_separate_builds_step_records_only_when_asked(monkeypatch, make):
 
 
 def test_exhaustive_basic_commutation():
-    paths = list(_basic_paths(3, 6)) + list(_basic_paths(4, 5))
+    paths = [p for n, size in ((3, 6), (4, 5)) for p in basic_paths(n, size) if p.sites]
     assert len(paths) == 1751
     for p in paths:
         rec = sep.separate(p)
@@ -352,7 +336,7 @@ def test_exhaustive_basic_commutation():
 
 
 def test_exhaustive_inhom_round_trip_and_commutation():
-    paths = list(dict.fromkeys(_inhom_paths(3, 3, (1, 2), (1, 2))))
+    paths = list(inhom_paths(3, 3))
     assert len(paths) == 1458
     for p in paths:
         rec = sep.separate(p)
@@ -364,47 +348,14 @@ def test_exhaustive_inhom_round_trip_and_commutation():
             assert rep.passed, (p, rep.mismatch)
 
 
-def combine_domain(monos, n):
-    """(pairs `combine` accepts, accepted pairs that `separate` does not give back) over
-    each monochrome path m and each word over 2..n of length <= ball_count(m): `combine`
-    must raise InvalidWordError or `separate(combine(m, w))` must be (m, w)."""
-    accepted, wrong = 0, []
-    for m in monos:
-        for k in range(dyn.ball_count(m) + 1):
-            for w in product(range(2, n + 1), repeat=k):
-                try:
-                    p = sep.combine(m, w)
-                except dyn.InvalidWordError:
-                    continue
-                accepted += 1
-                try:
-                    rec = sep.separate(p)
-                except RuntimeError as exc:
-                    rec = exc
-                if rec != sep.SeparationRecord(p, m, w):
-                    wrong.append((m, w, rec))
-    return accepted, wrong
+IMAGE_DOMAINS = {"basic": (5, 6, 689), "inhom": (3, 3, 464)}  # n, size, pairs accepted
 
 
-def mono_basic_paths(n, max_len):
-    return list(dict.fromkeys(dyn.BasicPath(s, n) for s in product((1, 2), repeat=max_len)))
-
-
-def mono_inhom_paths(n, max_sites, capacities, tails):
-    paths = _inhom_paths(n, max_sites, capacities, tails)
-    return list(dict.fromkeys(p for p in paths if sep.is_monochrome(p)))
-
-
-COMBINE_DOMAINS = {  # monochrome paths, alphabet, pairs accepted
-    "basic": (lambda: mono_basic_paths(5, 6), 5, 689),
-    "inhom": (lambda: mono_inhom_paths(3, 3, (1, 2), (1, 2)), 3, 464),
-}
-
-
-@pytest.mark.parametrize("kind", COMBINE_DOMAINS)
-def test_combine_accepts_exactly_the_image_of_separate(kind):
-    monos, n, accepted = COMBINE_DOMAINS[kind]
-    assert combine_domain(monos(), n) == (accepted, [])
+@pytest.mark.parametrize("mode", IMAGE_DOMAINS)
+def test_combine_accepts_exactly_the_image_of_separate(mode):
+    n, size, accepted = IMAGE_DOMAINS[mode]
+    rep = check_image(mode, n, size)
+    assert (rep.domain, rep.counterexample) == (accepted, None)
 
 
 @st.composite
@@ -432,7 +383,7 @@ def separated_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(separated_pairs())
 def test_combine_raises_or_round_trips_at_larger_scope(pair):
-    """`combine_domain`'s property past the exhaustive scope: `combine(m, w)` raises
+    """`check_image`'s property past the exhaustive scope: `combine(m, w)` raises
     InvalidWordError, or `separate` gives back (m, w)."""
     m, w = pair
     try:
@@ -463,11 +414,15 @@ def _recompiled(fn, old, new):
     return names[fn.__name__]
 
 
-def test_a_planted_basic_inverse_sweep_fault_fails_the_domain_test(monkeypatch, fresh_cores):
+def test_a_planted_basic_inverse_sweep_fault_fails_the_domain_test(monkeypatch, capsys,
+                                                                   fresh_cores):
     planted = _recompiled(dyn._basic_inv_column_sweep, "if c < top:", "if c <= top:")
     monkeypatch.setattr(dyn.BasicPath, "inv_col_sweep", staticmethod(planted))
-    monos, n, _ = COMBINE_DOMAINS["basic"]
-    assert combine_domain(monos(), n)[1]
+    n, size, _ = IMAGE_DOMAINS["basic"]
+    rep = check_image("basic", n, size)
+    assert rep.counterexample == "separate(combine(....22, (3,))) gives (...2.2, (3,))"
+    assert main(["verify", "image", "--mode", "basic", "--n", str(n), "--size", str(size)]) == 1
+    assert capsys.readouterr().out.startswith("fail  image[mode=basic, n=5, size=6]")
 
 
 @pytest.mark.parametrize("case", ["2", "3", "4"])
@@ -481,8 +436,8 @@ def test_a_planted_inverse_core_fault_fails_the_domain_test(monkeypatch, fresh_c
         return top, bottom, entries if tag == case else new, tag
 
     monkeypatch.setattr(dyn, "row_col_core", planted)
-    monos, n, _ = COMBINE_DOMAINS["inhom"]
-    assert combine_domain(monos(), n)[1]
+    n, size, _ = IMAGE_DOMAINS["inhom"]
+    assert not check_image("inhom", n, size).passed
 
 
 # the walks from the first colour: (path kind, walker, the path class attribute holding it,
@@ -510,8 +465,9 @@ def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, 
     else:
         cls = dyn.BasicPath if kind == "basic" else dyn.InhomPath
         monkeypatch.setattr(cls, name, staticmethod(planted))
-    monos, n, accepted = COMBINE_DOMAINS[kind]
-    assert combine_domain(monos(), n) != (accepted, [])
+    n, size, accepted = IMAGE_DOMAINS[kind]
+    rep = check_image(kind, n, size)
+    assert (rep.domain, rep.passed) != (accepted, True)
 
 
 def test_separate_holds_only_the_live_state():

@@ -157,6 +157,33 @@ def test_an_oracle_that_cannot_be_built_fails_the_report(monkeypatch):
     )
 
 
+# a planted `highest_weight_indices` changes the list of one side: `isomorphism_table` asks
+# for the right side's first (call 0), then the left side's (call 1)
+HIGHEST_WEIGHT_FAULTS = {
+    "weight-repeated": (0, lambda found: found + [(found[0][0] + (0,), found[0][1])],
+                        "weight (3, 0, 0) has multiplicity > 1; pair is unsupported"),
+    "count-differs": (1, lambda found: found[:-1],
+                      "highest weight counts differ; pair is unsupported"),
+    "no-partner": (1, lambda found: found[:-1] + [(found[-1][0], (0, 0, 0))],
+                   "no partner of weight (0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("fault", HIGHEST_WEIGHT_FAULTS)
+def test_highest_weights_without_partners_fail_the_report(monkeypatch, fault):
+    side, change, message = HIGHEST_WEIGHT_FAULTS[fault]
+    real, calls = cr.highest_weight_indices, []
+
+    def planted(tables, n):
+        calls.append(tables)
+        found = real(tables, n)
+        return change(found) if len(calls) == side + 1 else found
+
+    monkeypatch.setattr(verify, "highest_weight_indices", planted)
+    rep = verify.check_swap_against_oracle((2,), (1,), 3)
+    assert (rep.passed, rep.domain, rep.counterexample) == (False, 18, f"raised ValueError: {message}")
+
+
 def test_the_oracle_check_raises_on_a_shape_or_domain_it_cannot_check(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("an oracle table was built")
@@ -409,6 +436,14 @@ def test_highest_weight_chains_report_planted_fault(monkeypatch):
     )
 
 
+def test_a_chain_that_does_not_start_at_a_highest_weight_fails(monkeypatch):
+    start = cr.tensor(cr.box(2, 3), cr.box(2, 3), cr.col(2, 3, 3))  # weight (0, 3, 1)
+    monkeypatch.setattr(verify, "_chain_fixtures_row_box_col", lambda: [("planted", [start] * 7)])
+    rep = verify.check_highest_weight_chains()
+    assert not rep.passed
+    assert rep.counterexample == f"planted: start {start} is not highest weight"
+
+
 def test_a_fault_raised_on_a_path_is_its_counterexample(full_carrier_swaps_plainly):
     rep = verify.check_path_suite("theorem", "inhom", 4, 50, 0, [1, 2, 3, None])
     rng = random.Random(0)
@@ -493,3 +528,36 @@ def test_a_path_suite_scans_each_path_once(monkeypatch, relation, mode):
     rep = verify.check_path_suite(relation, mode, 3, 20, 0, [1, 2, 3, None])
     assert rep.passed and len(generated) == 20
     assert len(scans) == 20 and all(s is p for s, p in zip(scans, generated))
+
+
+@pytest.mark.parametrize("mode, n, size, count", [
+    ("basic", 4, 4, 4**4), ("inhom", 2, 4, 2**4), ("inhom", 4, 2, 2 * 34**2),
+])
+def test_a_path_domain_holds_each_path_up_to_its_size_once(mode, n, size, count):
+    paths = list(verify.PATH_DOMAINS[mode](n, size))
+    assert len(set(paths)) == len(paths) == count  # as many paths as the scope holds
+    assert all(len(p.sites) <= size for p in paths)
+
+
+def test_a_path_domain_or_image_over_the_cap_is_refused_before_any_path(monkeypatch):
+    monkeypatch.setattr(verify, "product", None)  # no path and no word is made
+    with pytest.raises(cr.DomainSizeError, match="^basic paths of n=9 up to size 12: over the"):
+        verify.PATH_DOMAINS["basic"](9, 12)
+    with pytest.raises(cr.DomainSizeError, match="^inhom paths of n=12 up to size 1: over the"):
+        verify.PATH_DOMAINS["inhom"](12, 1)
+    with pytest.raises(ValueError, match="^size must be >= 1, got 0$"):
+        verify.PATH_DOMAINS["basic"](3, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "combine", None)
+    with pytest.raises(cr.DomainSizeError, match="^inhom image of n=8 up to size 1: over the"):
+        verify.check_image("inhom", 8, 1)
+
+
+def test_a_runtime_error_of_separate_fails_the_image_check(monkeypatch):
+    def planted(p):
+        raise RuntimeError("decoding failed to terminate; this is a bug")
+
+    monkeypatch.setattr(verify, "separate", planted)
+    rep = verify.check_image("basic", 3, 2)  # the first pair is the vacuum path's
+    assert (rep.domain, rep.counterexample) == (
+        1, "separate(combine(, ())) raised RuntimeError: decoding failed to terminate; this is a bug")
