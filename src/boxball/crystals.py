@@ -7,17 +7,17 @@ column (1, 1), for every function that takes a shape.  Tensor products of these 
 the lowering/raising operator structure that pins down every swap map in `isomorphisms`.
 All operators read one signature rule on the factors' (epsilon_i, phi_i) pairs; the
 verifiers run it on the integer tables that `factor_tables` makes anew per call, where
-`highest_weights` extends highest weight prefixes one factor at a time.
+`highest_weights` extends highest weight prefixes one factor at a time.  The package's value
+classes derive from `Value`, a frozen dataclass without the `dataclasses` import.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
-from operator import add
+from operator import add, attrgetter
 from typing import Iterator, Union
 
 Weight = tuple[int, ...]
@@ -26,6 +26,7 @@ Shape = tuple[int, ...]
 
 MAX_DOMAIN = 1_000_000  # the most elements an exhaustive enumeration may visit
 MAX_ALPHABET = 255  # the largest n the CLI and the path suites take; constructors take any
+_set = object.__setattr__  # how a value's `__init__` stores a field, as dataclasses do
 
 
 class DomainSizeError(RuntimeError):
@@ -44,22 +45,58 @@ def _cap_alphabet(n: int) -> None:
         raise DomainSizeError(f"alphabet of {n} letters, cap is {MAX_ALPHABET}")
 
 
-@dataclass(frozen=True)
-class RowTableau:
+class Value:
+    """Frozen; equal only to a value of its exact type with equal fields, and hashed to agree.
+    The fields are the `__init__` parameters, stored by `_store` or, faster, one `_set` each."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__init__.__code__.co_varnames[1 : cls.__init__.__code__.co_argcount]
+        cls._key = attrgetter(*cls._fields)  # called as self._key(self): not a method
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+
+class RowTableau(Value):
     """Weakly increasing word over {1..n}; letter 1 is an empty slot."""
 
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))  # hashable, as paths are
-        _check_alphabet(self.n)
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...], n: int) -> None:
+        entries = tuple(entries)  # hashable, as paths are
+        _check_alphabet(n)
+        if not entries:
             raise ValueError("row must have at least one entry")
-        if any(type(v) is not int or not 1 <= v <= self.n for v in self.entries):
-            raise ValueError(f"entries must be ints in 1..{self.n}: {self.entries}")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries must be weakly increasing: {self.entries}")
+        if any(type(v) is not int or not 1 <= v <= n for v in entries):
+            raise ValueError(f"entries must be ints in 1..{n}: {entries}")
+        if any(a > b for a, b in zip(entries, entries[1:])):
+            raise ValueError(f"entries must be weakly increasing: {entries}")
+        _set(self, "entries", entries)
+        _set(self, "n", n)
+
+    def __eq__(self, other):  # written out, as `Value.__eq__` is slower in the verifiers' loops
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.n))
 
     @property
     def capacity(self) -> int:
@@ -79,19 +116,24 @@ class RowTableau:
         return "<%s>" % ",".join(str(v) for v in self.entries)
 
 
-@dataclass(frozen=True)
-class ColumnPair:
+class ColumnPair(Value):
     """Strictly increasing pair of letters; models the decoding carrier."""
 
-    top: int
-    bottom: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_alphabet(self.n)
-        top, bottom = self.top, self.bottom
-        if type(top) is not int or type(bottom) is not int or not 1 <= top < bottom <= self.n:
+    def __init__(self, top: int, bottom: int, n: int) -> None:
+        _check_alphabet(n)
+        if type(top) is not int or type(bottom) is not int or not 1 <= top < bottom <= n:
             raise ValueError(f"need ints 1 <= top < bottom <= n, got ({top!r},{bottom!r})")
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)
+        _set(self, "n", n)
+
+    def __eq__(self, other):  # written out, as for `RowTableau`
+        if other.__class__ is self.__class__:
+            return self.top == other.top and self.bottom == other.bottom and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.top, self.bottom, self.n))
 
     @property
     def shape(self) -> Shape:
@@ -104,18 +146,16 @@ class ColumnPair:
 Factor = Union[RowTableau, ColumnPair]
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(Value):
     """Ordered sequence of factors over one alphabet."""
 
-    factors: tuple[Factor, ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[Factor, ...]) -> None:
+        if not factors:
             raise ValueError("tensor needs at least one factor")
-        ns = {f.n for f in self.factors}
+        ns = {f.n for f in factors}
         if len(ns) != 1:
             raise ValueError(f"factors mix alphabets: {sorted(ns)}")
+        _set(self, "factors", factors)
 
     @property
     def n(self) -> int:

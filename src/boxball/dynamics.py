@@ -9,8 +9,8 @@ is idle when its first entry is back at its start, and past the last ball a busy
 at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
 swap cores of its boxes and its untraced column sweeps: basic ones run the case splits of
 `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given a `trace`
-list, a sweep calls the cores at every stored site and appends a `TraceStep` per swap.  Row
-carriers, traced ones too, are count vectors: O(n) a site at any capacity.
+list, a sweep calls the cores at every stored site and appends a `TraceStep` named tuple per
+swap.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
 
 An idle carrier passes an empty box unchanged, and the seeded column carrier (1,2) a box
 with no letter >= 3: a row pass makes O(occupied + unloaded) swaps, a column pass
@@ -39,7 +39,7 @@ and `move_letter` letters.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from operator import lt, ne
 from typing import Union
@@ -47,7 +47,9 @@ from typing import Union
 from .crystals import (
     ColumnPair,
     CountVector,
+    Value,
     _check_alphabet,
+    _set,
     counts_to_entries,
     entries_to_counts,
 )
@@ -77,7 +79,7 @@ def _trim(p, sites: tuple) -> None:
     k = len(sites)
     while k > 0 and sites[k - 1] == p.vacuum:
         k -= 1
-    object.__setattr__(p, "sites", sites[:k])
+    _set(p, "sites", sites[:k])
 
 
 def _thawed(p):
@@ -251,12 +253,8 @@ _outgoing = _memo(ColumnPair)  # a decoding pass's outgoing carrier (1, bottom)
 _CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
 
 
-@dataclass(frozen=True)
-class BasicPath:
+class BasicPath(Value):
     """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed."""
-
-    sites: tuple[int, ...]
-    n: int
 
     mode = "basic"
     vacuum = 1
@@ -269,12 +267,13 @@ class BasicPath:
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
     occupied = cached_property(_scan_occupied)
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.n)
-        sites = tuple(self.sites)
-        if any(type(v) is not int or not 1 <= v <= self.n for v in sites):
-            raise ValueError(f"letters must be ints in 1..{self.n}: {sites}")
+    def __init__(self, sites: tuple[int, ...], n: int) -> None:
+        _check_alphabet(n)
+        sites = tuple(sites)
+        if any(type(v) is not int or not 1 <= v <= n for v in sites):
+            raise ValueError(f"letters must be ints in 1..{n}: {sites}")
         _trim(self, sites)
+        _set(self, "n", n)
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "BasicPath":
@@ -296,14 +295,9 @@ class BasicPath:
     __str__ = render
 
 
-@dataclass(frozen=True)
-class InhomPath:
+class InhomPath(Value):
     """Boxes of varying capacities; site i is a count vector summing to its
     capacity.  Boxes beyond the prefix all have `tail_capacity`."""
-
-    sites: tuple[CountVector, ...]
-    n: int
-    tail_capacity: int = 1
 
     mode = "inhom"
     row_core = staticmethod(_memo(_r_core))
@@ -315,15 +309,17 @@ class InhomPath:
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
     occupied = cached_property(_scan_occupied)
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.n)
-        if type(self.tail_capacity) is not int or self.tail_capacity < 1:
-            raise ValueError(f"tail capacity must be an int >= 1, got {self.tail_capacity!r}")
-        sites = tuple(tuple(c) for c in self.sites)
+    def __init__(self, sites: tuple[CountVector, ...], n: int, tail_capacity: int = 1) -> None:
+        _check_alphabet(n)
+        if type(tail_capacity) is not int or tail_capacity < 1:
+            raise ValueError(f"tail capacity must be an int >= 1, got {tail_capacity!r}")
+        sites = tuple(tuple(c) for c in sites)
         for k, c in enumerate(sites):
-            if len(c) != self.n or any(type(v) is not int or v < 0 for v in c) or sum(c) < 1:
+            if len(c) != n or any(type(v) is not int or v < 0 for v in c) or sum(c) < 1:
                 raise ValueError(f"bad count vector at site {k + 1}: {c}")
-        _trim(self, sites)
+        _set(self, "n", n)
+        _set(self, "tail_capacity", tail_capacity)
+        _trim(self, sites)  # reads the vacuum box, so after n and tail_capacity
 
     @property
     def vacuum(self) -> CountVector:
@@ -349,14 +345,7 @@ def ball_count(p: Path) -> int:
     return sum(sum(p.sites[k]) - p.sites[k][0] for k in p.occupied)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    site: int
-    tag: str
-    carrier_before: tuple
-    carrier_after: tuple
-    site_before: object
-    site_after: object
+TraceStep = namedtuple("TraceStep", "site tag carrier_before carrier_after site_before site_after")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ unique index with a_{i-1} <= v < a_i (used by the inverses).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .crystals import (
     ColumnPair,
@@ -23,6 +22,7 @@ from .crystals import (
     Factor,
     RowTableau,
     TensorElement,
+    Value,
     counts_to_row,
 )
 
@@ -31,13 +31,11 @@ class UnsupportedShapeError(ValueError):
     """Swap requested for a factor pair outside the implemented families."""
 
 
-@dataclass(frozen=True)
-class SwapResult:
+class SwapResult(Value):
     """Post-swap factor pair plus the identifier of the case that fired."""
 
-    left: Factor
-    right: Factor
-    case_tag: str
+    def __init__(self, left: Factor, right: Factor, case_tag: str) -> None:
+        self._store(left, right, case_tag)
 
 
 # ---------------------------------------------------------------------------

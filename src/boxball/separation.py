@@ -3,8 +3,7 @@ conserved colour word, and recombine them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .crystals import Value, _set
 from .dynamics import (
     InvalidWordError,
     Path,
@@ -24,21 +23,19 @@ def is_monochrome(p: Path) -> bool:
     return not any(p.holds_colour(p.sites[k]) for k in p.occupied)
 
 
-@dataclass(frozen=True)
-class DecodeStep:
-    index: int
-    state: Path
-    removed: int | None
+class DecodeStep(Value):
+    def __init__(self, index: int, state: Path, removed: int | None) -> None:
+        self._store(index, state, removed)
 
 
-@dataclass(frozen=True)
-class SeparationRecord:
+class SeparationRecord(Value):
     """The result of decoding a path: its monochrome part and the removed
     letters in reverse order.  The step table is replayed on demand."""
 
-    source: Path
-    monochrome: Path
-    word: ColourWord
+    def __init__(self, source: Path, monochrome: Path, word: ColourWord) -> None:
+        _set(self, "source", source)
+        _set(self, "monochrome", monochrome)
+        _set(self, "word", word)
 
     @property
     def n_passes(self) -> int:
@@ -89,12 +86,13 @@ def combine(monochrome: Path, word: ColourWord) -> Path:
     return _frozen(w)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
-    passed: bool
-    capacity: int | None
-    word: ColourWord
-    mismatch: str | None
+class CommutationReport(Value):
+    def __init__(self, passed: bool, capacity: int | None, word: ColourWord,
+                 mismatch: str | None) -> None:
+        _set(self, "passed", passed)
+        _set(self, "capacity", capacity)
+        _set(self, "word", word)
+        _set(self, "mismatch", mismatch)
 
     def __str__(self) -> str:
         cap = "inf" if self.capacity is None else str(self.capacity)

@@ -6,8 +6,8 @@ the integer tables `crystals.factor_tables` makes anew per call and calls no `is
 function, so it shares no code with the swaps it checks.  The rest scan exhaustive or
 seeded-random domains and report the first counterexample instead of raising; a path suite
 runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
-on seeded paths of a `PATH_KINDS` row, and `check_image` on every small path of a
-`PATH_DOMAINS` row.  The symmetric-group and composition checks swap each distinct factor
+on seeded paths of a `PATH_KINDS` row, and `check_image` on every small monochrome path of
+a `PATH_DOMAINS` row.  The symmetric-group and composition checks swap each distinct factor
 pair once per call: their `swap_pair` memo lives for one call, so it sees a fault planted
 before the call, and the `isomorphisms` functions stay uncached.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -27,6 +26,7 @@ from .crystals import (
     RowTableau,
     Shape,
     TensorElement,
+    Value,
     _cap_alphabet,
     box,
     col,
@@ -48,26 +48,23 @@ from .crystals import (
 )
 from .dynamics import BasicPath, InhomPath, InvalidWordError, ball_count, carrier_evolution
 from .isomorphisms import swap_adjacent, swap_pair
-from .separation import check_commutation, combine, is_monochrome, separate
+from .separation import check_commutation, combine, separate
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    relation: str
-    domain: int
-    counterexample: str | None
-    elapsed: float
+class RelationReport(Value):
+    def __init__(self, relation: str, domain: int, counterexample: str | None,
+                 elapsed: float) -> None:
+        self._store(relation, domain, counterexample, elapsed)
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class DecompositionFixture:
-    shapes: tuple[Shape, ...]
-    n: int
-    expected: tuple[tuple[Shape, int], ...]
+class DecompositionFixture(Value):
+    def __init__(self, shapes: tuple[Shape, ...], n: int,
+                 expected: tuple[tuple[Shape, int], ...]) -> None:
+        self._store(shapes, n, expected)
 
 
 def _report(relation: str, domain: int, counterexamples, t0: float) -> RelationReport:
@@ -157,21 +154,23 @@ def _check_path_domain(mode: str, n: int, size: int, values: int, tails: int) ->
                               f"{MAX_DOMAIN}")
 
 
-def basic_paths(n: int, size: int):
+def basic_paths(n: int, size: int, monochrome: bool = False):
     """Every basic path over 1..n of at most `size` boxes, once each: each tuple of `size`
-    letters, its trailing vacuum trimmed."""
+    letters, its trailing vacuum trimmed; only those of letters 1 and 2 if `monochrome`."""
     _check_path_domain("basic", n, size, n, 1)
-    return (BasicPath(sites, n) for sites in product(range(1, n + 1), repeat=size))
+    letters = range(1, 3 if monochrome else n + 1)
+    return (BasicPath(sites, n) for sites in product(letters, repeat=size))
 
 
-def inhom_paths(n: int, size: int):
+def inhom_paths(n: int, size: int, monochrome: bool = False):
     """Every inhomogeneous path over 1..n of at most `size` sites of capacity 1..n-1, with a
     tail capacity of 1 or 2 that is one of those, once each: each tuple of `size` sites, its
-    trailing vacuum trimmed."""
+    trailing vacuum trimmed; only those of letters 1 and 2 if `monochrome`."""
     tails = range(1, min(n, 3))
     _check_path_domain("inhom", n, size, sum(crystal_size((c,), n) for c in range(1, n)),
                        len(tails))
-    rows = [r.counts() for c in range(1, n) for r in iter_crystal((c,), n)]
+    rows = [r.counts() for c in range(1, n) for r in iter_crystal((c,), n)
+            if not monochrome or r.entries[-1] <= 2]
     return (InhomPath(sites, n, t) for t in tails for sites in product(rows, repeat=size))
 
 
@@ -183,9 +182,9 @@ def check_image(mode: str, n: int, size: int) -> RelationReport:
     `PATH_DOMAINS[mode](n, size)` and word w over 2..n of at most `ball_count(m)` letters,
     `combine(m, w)` raises InvalidWordError or `separate` gives back (m, w), not another
     pair or a RuntimeError.  The domain is the number of pairs `combine` accepts; the pairs
-    tried are under the `MAX_DOMAIN` guard."""
+    tried are under the `MAX_DOMAIN` guard.  Only the monochrome paths are built."""
     t0 = time.perf_counter()
-    monos = [m for m in PATH_DOMAINS[mode](n, size) if is_monochrome(m)]
+    monos = list(PATH_DOMAINS[mode](n, size, monochrome=True))
     if sum((n - 1) ** k for m in monos for k in range(ball_count(m) + 1)) > MAX_DOMAIN:
         raise DomainSizeError(f"{mode} image of n={n} up to size {size}: over the cap of "
                               f"{MAX_DOMAIN} pairs")

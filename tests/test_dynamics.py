@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import partial
 from itertools import chain, product, repeat
 from types import SimpleNamespace
@@ -336,9 +335,16 @@ def test_inhom_decode_encode_round_trip():
         assert dyn.encoding_pass(q, b.bottom) == p
 
 
+def _with_sites(p, sites):
+    """A new path of `p`'s kind, alphabet and tail capacity holding `sites`."""
+    if p.mode == "basic":
+        return dyn.BasicPath(sites, p.n)
+    return dyn.InhomPath(sites, p.n, p.tail_capacity)
+
+
 def replay_trace(p, trace):
     """Rebuild the output path of a sweep of `p` from the recorded per-site results."""
-    return replace(p, sites=tuple(s.site_after for s in trace))
+    return _with_sites(p, tuple(s.site_after for s in trace))
 
 
 def test_trace_replay():
@@ -395,7 +401,7 @@ def _dense_row_sweep(p, capacity):
         steps.append(dyn.TraceStep(k + 1, tag, carrier, new, site, emitted))
         out.append(emitted)
         carrier = new
-    return replace(p, sites=tuple(out)), carrier, tuple(steps)
+    return _with_sites(p, tuple(out)), carrier, tuple(steps)
 
 
 def _tuple_row_sweep(p, capacity):
@@ -428,7 +434,7 @@ def _dense_decoding_pass(p):
         steps.append(dyn.TraceStep(k + 1, tag, (top, bottom), (t2, b2), site, emitted))
         out.append(emitted)
         top, bottom = t2, b2
-    q = replace(p, sites=tuple(out))
+    q = _with_sites(p, tuple(out))
     return q, cr.ColumnPair(1, bottom, p.n), (top, bottom), tuple(steps)
 
 
@@ -441,7 +447,7 @@ def _dense_encoding_pass(p, letter):
         steps.append((site, top, bottom))
         top, bottom, orig, _ = p.inv_col_core(site, top, bottom)
         out.append(orig)
-    encoded = replace(p, sites=tuple(reversed(out))) if (top, bottom) == (1, 2) else None
+    encoded = _with_sites(p, tuple(reversed(out))) if (top, bottom) == (1, 2) else None
     return encoded, steps
 
 
@@ -771,7 +777,7 @@ def test_constructed_paths_index_lazily():
     assert p.occupied == (2, 4) and vars(p)["occupied"] == (2, 4)
     q = dyn.carrier_evolution(p, 1)
     assert vars(p)["occupied"] == (2, 4) and p.occupied == (2, 4)  # swept: kept
-    r = replace(q, sites=(2, 1, 1))
+    r = dyn.BasicPath((2, 1, 1), q.n)
     assert "occupied" not in vars(r) and r.occupied == (0,)
     ip = dyn.InhomPath(((2, 0), (1, 1), (3, 0)), 2, 1)
     assert "occupied" not in vars(ip) and ip.occupied == (1,)

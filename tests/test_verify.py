@@ -539,6 +539,26 @@ def test_a_path_domain_holds_each_path_up_to_its_size_once(mode, n, size, count)
     assert all(len(p.sites) <= size for p in paths)
 
 
+@pytest.mark.parametrize("mode, n, size", [("basic", 4, 4), ("inhom", 4, 2), ("inhom", 3, 3)])
+def test_a_monochrome_domain_is_the_monochrome_part_of_its_domain_in_order(mode, n, size):
+    full = [p for p in verify.PATH_DOMAINS[mode](n, size) if sep.is_monochrome(p)]
+    assert list(verify.PATH_DOMAINS[mode](n, size, monochrome=True)) == full
+    with pytest.raises(cr.DomainSizeError):  # the guard counts the whole domain
+        verify.PATH_DOMAINS[mode](9, 12, monochrome=True)
+
+
+def test_the_image_check_builds_only_the_monochrome_paths(monkeypatch):
+    built = []
+
+    def counted(sites, n):
+        built.append(sites)
+        return dyn.BasicPath(sites, n)
+
+    monkeypatch.setattr(verify, "BasicPath", counted)
+    assert verify.check_image("basic", 4, 4).passed
+    assert len(built) == 2**4 and all(set(sites) <= {1, 2} for sites in built)
+
+
 def test_a_path_domain_or_image_over_the_cap_is_refused_before_any_path(monkeypatch):
     monkeypatch.setattr(verify, "product", None)  # no path and no word is made
     with pytest.raises(cr.DomainSizeError, match="^basic paths of n=9 up to size 12: over the"):
