@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from operator import add, attrgetter
-from typing import Iterator, Union
 
 Weight = tuple[int, ...]
 CountVector = tuple[int, ...]
@@ -143,7 +143,7 @@ class ColumnPair(Value):
         return f"[{self.top}/{self.bottom}]"
 
 
-Factor = Union[RowTableau, ColumnPair]
+Factor = RowTableau | ColumnPair
 
 
 class TensorElement(Value):

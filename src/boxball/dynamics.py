@@ -42,7 +42,6 @@ from bisect import bisect
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from operator import lt, ne
-from typing import Union
 
 from .crystals import (
     ColumnPair,
@@ -64,14 +63,6 @@ from .isomorphisms import (
 
 class InvalidWordError(ValueError):
     """The (monochrome path, word) pair is not the image of any decoding."""
-
-
-def _parse_letter(ch: str, pos: int) -> int:
-    if ch == ".":
-        return 1
-    if "2" <= ch <= "9":  # ASCII only: str.isdigit also admits other scripts' digits
-        return int(ch)
-    raise ValueError(f"bad path character {ch!r} at position {pos}")
 
 
 def _trim(p, sites: tuple) -> None:
@@ -250,7 +241,10 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
 
 _memo = lru_cache(maxsize=1024)  # see the module docstring
 _outgoing = _memo(ColumnPair)  # a decoding pass's outgoing carrier (1, bottom)
-_CELLS = bytes.maketrans(bytes(range(1, 10)), b".23456789")  # letter byte -> its cell
+_CELL_ALPHABET = ".23456789"  # letters 1..9 as text, '.' empty; ASCII only, unlike str.isdigit
+_CELLS = bytes.maketrans(bytes(range(1, 10)), _CELL_ALPHABET.encode())  # letter byte -> its cell
+_LETTERS = str.maketrans(_CELL_ALPHABET, bytes(range(1, 10)).decode())  # cell -> letter code point
+_NOT_CELLS = str.maketrans("", "", _CELL_ALPHABET)  # deletes every cell: what is left is bad
 
 
 class BasicPath(Value):
@@ -270,17 +264,19 @@ class BasicPath(Value):
     def __init__(self, sites: tuple[int, ...], n: int) -> None:
         _check_alphabet(n)
         sites = tuple(sites)
-        if any(type(v) is not int or not 1 <= v <= n for v in sites):
+        if sites and not ({*map(type, sites)} == {int} and min(sites) >= 1 and max(sites) <= n):
             raise ValueError(f"letters must be ints in 1..{n}: {sites}")
         _trim(self, sites)
         _set(self, "n", n)
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "BasicPath":
-        sites = tuple(_parse_letter(c, k + 1) for k, c in enumerate(text))
+        if bad := text.translate(_NOT_CELLS):
+            raise ValueError(f"bad path character {bad[0]!r} at position {text.index(bad[0]) + 1}")
+        letters = text.translate(_LETTERS).encode()  # a byte per letter
         if n is None:
-            n = max([2, *sites])
-        return cls(sites, n)
+            n = max(letters + b"\x02")  # the largest letter, at least 2
+        return cls(tuple(letters), n)
 
     def time_step(self) -> "BasicPath":
         return time_evolution(self)
@@ -336,7 +332,7 @@ class InhomPath(Value):
     __str__ = render
 
 
-Path = Union[BasicPath, InhomPath]
+Path = BasicPath | InhomPath
 
 
 def ball_count(p: Path) -> int:

@@ -23,6 +23,7 @@ from .crystals import (
     RowTableau,
     TensorElement,
     Value,
+    _set,
     counts_to_row,
 )
 
@@ -35,7 +36,9 @@ class SwapResult(Value):
     """Post-swap factor pair plus the identifier of the case that fired."""
 
     def __init__(self, left: Factor, right: Factor, case_tag: str) -> None:
-        self._store(left, right, case_tag)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "case_tag", case_tag)
 
 
 # ---------------------------------------------------------------------------

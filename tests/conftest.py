@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from boxball import dynamics as dyn
@@ -15,6 +17,15 @@ MEMOISED_CORES = tuple(
 def front(p) -> int:
     """1-based position of the rightmost box holding a ball; 0 for vacuum paths."""
     return p.occupied[-1] + 1 if p.occupied else 0
+
+
+def seeded_basic_path(seed, length, balls, n):
+    """`length` boxes, `balls` of them holding a letter in 2..n, drawn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    sites = [1] * length
+    for k in rng.sample(range(length), balls):
+        sites[k] = rng.randint(2, n)
+    return dyn.BasicPath(tuple(sites), n)
 
 
 def clear_memoised_cores():

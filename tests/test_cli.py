@@ -21,6 +21,7 @@ from boxball.cli import (
 )
 from boxball.separation import combine, separate
 from boxball.dynamics import BasicPath, InhomPath, carrier_evolution, decoding_pass
+from conftest import seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
 
 
@@ -65,8 +66,10 @@ def test_evolve_reads_positional_file(tmp_path, monkeypatch, capsys):
 
 
 def test_evolve_parse_error_names_character(monkeypatch, capsys):
-    # digits of other scripts and superscripts are bad characters, not letters
-    cases = [("..x.", "x", 3), ("\u0663.\u0662", "\u0663", 1), ("2\u00b2", "\u00b2", 2)]
+    # digits of other scripts and superscripts are bad characters, not letters, and so are
+    # "1" (an empty box is ".") and control characters, "\x01" (letter 1's byte) among them
+    cases = [("..x.", "x", 3), ("\u0663.\u0662", "\u0663", 1), ("2\u00b2", "\u00b2", 2),
+             ("..1", "1", 3), ("2\x01", "\x01", 2), ("\x05.2", "\x05", 1), ("2.\t3", "\t", 3)]
     for text, char, pos in cases:
         code, _, err = run_cli(monkeypatch, capsys, ["evolve"], text + "\n")
         assert code == 2
@@ -763,14 +766,6 @@ def test_separate_decodes_once(monkeypatch, capsys, flags):
     assert len(passes) == len(WORD)
 
 
-def _seeded_basic(seed, length, balls, n):
-    rng = random.Random(seed)
-    sites = [1] * length
-    for k in rng.sample(range(length), balls):
-        sites[k] = rng.randint(2, n)
-    return BasicPath(tuple(sites), n)
-
-
 def _seeded_inhom(seed, length, n=5):
     """`length` boxes of capacity 1..4, each slot holding a ball half the time."""
     rng = random.Random(seed)
@@ -813,9 +808,9 @@ def _whole_document(argv, text):
 
 STREAM_INPUTS = {
     # ASCII with trailing dots: every row is padded to the input at first
-    "basic": (_seeded_basic(1, 60, 18, 6).render() or ".") + "......\n",
+    "basic": (seeded_basic_path(1, 60, 18, 6).render() or ".") + "......\n",
     # letters past 9 render comma-separated, and early rows pad with ',.'
-    "n12": json.dumps(state_document(_seeded_basic(2, 40, 12, 12))),
+    "n12": json.dumps(state_document(seeded_basic_path(2, 40, 12, 12))),
     "inhom": json.dumps(state_document(_seeded_inhom(3, 30))),
 }
 STREAM_COMMANDS = [
@@ -863,7 +858,7 @@ PIPE_CASES = {
 @pytest.mark.parametrize("argv, length", PIPE_CASES.values(), ids=list(PIPE_CASES))
 def test_closed_pipe_ends_quietly(tmp_path, argv, length):
     path = tmp_path / "long.txt"
-    path.write_text(_seeded_basic(4, length, length // 4, 6).render() + "\n")
+    path.write_text(seeded_basic_path(4, length, length // 4, 6).render() + "\n")
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a plain shell pipeline
     command = [sys.executable, "-m", "boxball", *argv, str(path)]
@@ -921,7 +916,7 @@ def test_cli_memory_stays_bounded(tmp_path, monkeypatch, kind, argv):
     rows are held as their text, not as paths.  The command runs once before
     it is measured, so one-time imports and the bounded core caches are not
     counted."""
-    p = _seeded_basic(5, 1000, 250, 6) if kind == "basic" else _seeded_inhom(6, 100)
+    p = seeded_basic_path(5, 1000, 250, 6) if kind == "basic" else _seeded_inhom(6, 100)
     path = tmp_path / "state.txt"
     path.write_text(json.dumps(state_document(p)) if kind == "inhom" else p.render())
     argv = [*argv, str(path)]

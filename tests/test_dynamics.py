@@ -14,7 +14,7 @@ from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import separation as sep
 from boxball.verify import basic_paths, random_basic_path, random_inhom_path
-from conftest import MEMOISED_CORES, clear_memoised_cores, front
+from conftest import MEMOISED_CORES, clear_memoised_cores, front, seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
 
@@ -116,20 +116,12 @@ def _literal_time_step(p):
     return dyn.BasicPath(tuple(sites), p.n)
 
 
-def _seeded_basic_path(seed, length, balls, n):
-    rng = random.Random(seed)
-    sites = [1] * length
-    for k in rng.sample(range(length), balls):
-        sites[k] = rng.randint(2, n)
-    return dyn.BasicPath(tuple(sites), n)
-
-
 def test_time_evolution_matches_the_literal_rule():
     for n in range(2, 5):
         for p in basic_paths(n, 7):
             assert dyn.time_evolution(p) == _literal_time_step(p), p
     for length, balls in ((4000, 1000), (10000, 100)):
-        p = _seeded_basic_path(length, length, balls, 6)
+        p = seeded_basic_path(length, length, balls, 6)
         expected = p
         for _ in range(20):
             p, expected = dyn.time_evolution(p), _literal_time_step(expected)
@@ -144,7 +136,7 @@ def test_a_time_step_chain_scans_once(monkeypatch):
         return dyn._scan_occupied(p)
 
     monkeypatch.setattr(vars(dyn.BasicPath)["occupied"], "func", counted_scan)
-    p = _seeded_basic_path(20, 2000, 300, 6)
+    p = seeded_basic_path(20, 2000, 300, 6)
     for _ in range(20):
         p = dyn.time_evolution(p)
         twin = dyn.BasicPath.from_string(p.render(), p.n)
@@ -304,6 +296,8 @@ BAD_STATES = {
     "letter-int-valued-float": lambda: dyn.BasicPath((2.0,), 3),
     "letter-bool": lambda: dyn.BasicPath((1, True), 3),
     "letter-str": lambda: dyn.BasicPath(("2",), 3),
+    "letter-0": lambda: dyn.BasicPath((0, 2), 3),
+    "letter-above-n": lambda: dyn.BasicPath((2, 4), 3),
     "n-float": lambda: dyn.BasicPath((1, 2), 3.0),
     "n-bool": lambda: dyn.BasicPath((1, 2), True),
     "counts-float": lambda: dyn.InhomPath(((1.5, 0.5),), 2),
@@ -677,11 +671,7 @@ def _decoded(p):
 
 @pytest.mark.parametrize("length, balls", [(4000, 1000), (10_000, 100)])
 def test_inline_basic_passes_match_the_core_driven_sweep_on_long_paths(length, balls):
-    rng = random.Random(length + balls)
-    sites = [1] * length
-    for k in rng.sample(range(length), balls):
-        sites[k] = rng.randint(2, 6)
-    p = dyn.BasicPath(tuple(sites), 6)
+    p = seeded_basic_path(length + balls, length, balls, 6)
     got = _decoded(dyn.BasicPath(p.sites, 6))
     with _core_driven_sweeps():
         want = _decoded(dyn.BasicPath(p.sites, 6))

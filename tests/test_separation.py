@@ -19,7 +19,7 @@ from boxball.verify import (
     random_basic_path,
     random_inhom_path,
 )
-from conftest import front
+from conftest import front, seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH, WORD
 
 
@@ -471,11 +471,7 @@ def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, 
 
 
 def test_separate_holds_only_the_live_state():
-    rng = random.Random(4000)
-    sites = [1] * 4000
-    for k in rng.sample(range(4000), 1000):
-        sites[k] = rng.randint(2, 6)
-    p = dyn.BasicPath(tuple(sites), 6)
+    p = seeded_basic_path(4000, 4000, 1000, 6)
     tracemalloc.start()
     try:
         rec = sep.separate(p)

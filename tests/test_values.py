@@ -3,11 +3,13 @@ equals only a value of its exact type with equal fields, hashes to agree, builds
 positional or keyword arguments and cannot be changed.  `TraceStep` is a named tuple, the one
 record that also equals the plain tuple of its fields."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import boxball
 from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
@@ -121,3 +123,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = "import boxball.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_without_site_loads_no_typing():
+    """With `-S` no site `.pth` file imports `typing` first, so the package's own imports show."""
+    code = "import boxball.cli, sys; print('typing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(boxball.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
