@@ -15,6 +15,8 @@ unique index with a_{i-1} <= v < a_i (used by the inverses).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import add, sub
 
 from .crystals import (
     ColumnPair,
@@ -145,35 +147,37 @@ def col_row_core(
 
 
 # ---------------------------------------------------------------------------
-# row (x) row: the piecewise linear map on count vectors
+# row (x) row, the piecewise linear map on count vectors.  With D_m = sum_{t<m} (y_t - x_t),
+# a_m = D_m + y_m, Delta = |y| - |x|: P_i = max(max_{m>=i} a_m, max_{m<i} a_m + Delta) - D_i.
 
 
 def carrier_potential(x: CountVector, y: CountVector) -> tuple[int, ...]:
-    """The vector (P_1..P_n) of cyclic partial-sum maxima for the pair (x, y)."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        s = 0
-        best = None
-        for j in range(n):
-            idx = (i + j) % n
-            cur = s + y[idx]
-            if best is None or cur > best:
-                best = cur
-            s += y[idx] - x[idx]
-        out.append(best)
-    return tuple(out)
+    """The cyclic partial-sum maxima (P_1..P_n) of the pair (x, y), from two running maxima."""
+    if len(x) != len(y) or not x:  # an alphabet has a letter
+        raise ValueError("count vectors must share one alphabet")
+    d = [0, *accumulate(map(sub, y, x))]  # D_0..D_n
+    delta = d.pop()
+    a = [*map(add, d, y)]
+    p, best = [], a[-1]
+    for m in reversed(a):  # p[i] = max(a[i:])
+        if m > best:
+            best = m
+        p.append(best)
+    p.reverse()
+    best = a[0] + delta  # max(a[:i]) + delta, the wrapped sums
+    for i in range(1, len(a)):
+        if best > p[i]:
+            p[i] = best
+        if a[i] + delta > best:
+            best = a[i] + delta
+    return tuple(map(sub, p, d))
 
 
 def combinatorial_r(x: CountVector, y: CountVector) -> tuple[CountVector, CountVector]:
     """Swap two count-vector rows; capacities interchange."""
-    if len(x) != len(y):
-        raise ValueError("count vectors must share one alphabet")
-    n = len(x)
     p = carrier_potential(x, y)
-    x2 = tuple(y[i] + p[(i + 1) % n] - p[i] for i in range(n))
-    y2 = tuple(x[i] + p[i] - p[(i + 1) % n] for i in range(n))
-    return x2, y2
+    step = [*map(sub, p[1:] + p[:1], p)]  # P_{i+1} - P_i, cyclically
+    return tuple(map(add, y, step)), tuple(map(sub, x, step))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -26,6 +28,15 @@ def seeded_basic_path(seed, length, balls, n):
     for k in rng.sample(range(length), balls):
         sites[k] = rng.randint(2, n)
     return dyn.BasicPath(tuple(sites), n)
+
+
+def recompiled(fn, old, new):
+    """`fn` compiled anew from its source with `old`, found once, replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    names = {}
+    exec(source.replace(old, new), fn.__globals__, names)
+    return names[fn.__name__]
 
 
 def clear_memoised_cores():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
@@ -289,6 +290,15 @@ def test_inhom_validation_and_canonical_form():
     kept = dyn.InhomPath(((1, 0, 1), (3, 0, 0)), 3, 2)
     assert len(kept.sites) == 2
     assert tuple(sum(c) for c in kept.sites) == (2, 3)
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (True, 0, 1), (2, -1, 1), (0, 0, 0)],
+                         ids=["wrong-length", "bool", "negative", "all-zero"])
+def test_the_first_bad_count_vector_is_named(bad):
+    """Each bad site follows a good one and precedes a site bad in another way."""
+    later = (0, 0, 0) if bad != (0, 0, 0) else (1, 0)
+    with pytest.raises(ValueError, match=rf"^bad count vector at site 2: {re.escape(str(bad))}$"):
+        dyn.InhomPath(((1, 0, 1), list(bad), later), 3, 2)
 
 
 BAD_STATES = {

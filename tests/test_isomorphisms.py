@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from boxball import crystals as cr
 from boxball import isomorphisms as iso
 from boxball.verify import isomorphism_table, random_factor, random_tensor
+from conftest import recompiled
 
 SHAPE_POOL = [(1,), (2,), (3,), (1, 1)]
 
@@ -217,6 +218,93 @@ def test_r_round_trips(la, lb):
         for b in cr.iter_crystal((lb,), n):
             x2, y2 = iso.combinatorial_r(a.counts(), b.counts())
             assert iso.combinatorial_r(x2, y2) == (a.counts(), b.counts())
+
+
+def quadratic_potential(x, y):
+    """The literal definition of `carrier_potential`: for each start i, the largest of
+    the n cyclic partial sums y_i, y_i - x_i + y_{i+1}, ...; O(n^2)."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        s = 0
+        best = None
+        for j in range(n):
+            idx = (i + j) % n
+            cur = s + y[idx]
+            if best is None or cur > best:
+                best = cur
+            s += y[idx] - x[idx]
+        out.append(best)
+    return tuple(out)
+
+
+def quadratic_r(x, y):
+    """`combinatorial_r` from `quadratic_potential`."""
+    n = len(x)
+    p = quadratic_potential(x, y)
+    x2 = tuple(y[i] + p[(i + 1) % n] - p[i] for i in range(n))
+    y2 = tuple(x[i] + p[i] - p[(i + 1) % n] for i in range(n))
+    return x2, y2
+
+
+# every count vector of capacity 1..4, n = 2..5
+SMALL_ROWS = {n: [b.counts() for ell in range(1, 5) for b in cr.iter_crystal((ell,), n)]
+              for n in range(2, 6)}
+
+
+def first_disagreement_with_the_quadratic_definition():
+    """The first pair of `SMALL_ROWS` on which `carrier_potential` or `combinatorial_r`
+    differs from the quadratic definition, and the number of pairs tried."""
+    tried = 0
+    for rows in SMALL_ROWS.values():
+        for x in rows:
+            for y in rows:
+                tried += 1
+                if (iso.carrier_potential(x, y) != quadratic_potential(x, y)
+                        or iso.combinatorial_r(x, y) != quadratic_r(x, y)):
+                    return (x, y), tried
+    return None, tried
+
+
+def test_r_is_the_quadratic_definition_on_every_small_pair():
+    assert first_disagreement_with_the_quadratic_definition() == (None, 21738)
+
+
+def test_a_wrapped_maximum_without_delta_fails_the_exhaustive_check(monkeypatch):
+    """Wrapped sums carry |y| - |x|; a potential that drops it is caught."""
+    planted = recompiled(iso.carrier_potential, "delta = d.pop()", "delta, _ = 0, d.pop()")
+    monkeypatch.setattr(iso, "carrier_potential", planted)  # `combinatorial_r` calls it too
+    pair, _ = first_disagreement_with_the_quadratic_definition()
+    assert pair is not None
+    assert planted(*pair) != quadratic_potential(*pair)
+
+
+@st.composite
+def count_vector_pair(draw):
+    n = draw(st.integers(1, 12))
+
+    def row():
+        letters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60))
+        return tuple(map(letters.count, range(n)))
+
+    return row(), row()
+
+
+@settings(max_examples=500, deadline=None)
+@given(count_vector_pair())
+def test_r_is_the_quadratic_definition_and_an_involution(pair):
+    x, y = pair
+    assert iso.carrier_potential(x, y) == quadratic_potential(x, y)
+    x2, y2 = iso.combinatorial_r(x, y)
+    assert (x2, y2) == quadratic_r(x, y)
+    assert iso.combinatorial_r(x2, y2) == (x, y)
+
+
+@pytest.mark.parametrize("x, y", [((1, 0, 0), (1, 0, 0, 0)), ((1, 0, 0, 0), (1, 0, 0)), ((), ())])
+def test_rows_of_two_alphabets_or_none_raise(x, y):
+    for f in (iso.carrier_potential, iso.combinatorial_r):
+        with pytest.raises(ValueError, match="^count vectors must share one alphabet$"):
+            f(x, y)
 
 
 # --- dispatch and sigma ----------------------------------------------------

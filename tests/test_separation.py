@@ -1,7 +1,5 @@
-import inspect
 import json
 import random
-import textwrap
 import tracemalloc
 
 import pytest
@@ -19,7 +17,7 @@ from boxball.verify import (
     random_basic_path,
     random_inhom_path,
 )
-from conftest import front, seeded_basic_path
+from conftest import front, recompiled, seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH, WORD
 
 
@@ -405,18 +403,9 @@ def test_combine_rejects_a_word_that_starts_with_2(make):
             sep.combine(rec.monochrome, (2.0,) + rec.word)
 
 
-def _recompiled(fn, old, new):
-    """`fn` compiled anew from its source with `old`, found once, replaced by `new`."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1
-    names = {}
-    exec(source.replace(old, new), fn.__globals__, names)
-    return names[fn.__name__]
-
-
 def test_a_planted_basic_inverse_sweep_fault_fails_the_domain_test(monkeypatch, capsys,
                                                                    fresh_cores):
-    planted = _recompiled(dyn._basic_inv_column_sweep, "if c < top:", "if c <= top:")
+    planted = recompiled(dyn._basic_inv_column_sweep, "if c < top:", "if c <= top:")
     monkeypatch.setattr(dyn.BasicPath, "inv_col_sweep", staticmethod(planted))
     n, size, _ = IMAGE_DOMAINS["basic"]
     rep = check_image("basic", n, size)
@@ -459,7 +448,7 @@ PREFIX_FAULTS = {
 @pytest.mark.parametrize("fault", PREFIX_FAULTS)
 def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, fault):
     kind, walker, name, old, new = PREFIX_FAULTS[fault]
-    planted = _recompiled(walker, old, new)
+    planted = recompiled(walker, old, new)
     if name is None:  # `InhomPath.col_sweep` calls the module's `_sweep`
         monkeypatch.setattr(dyn, walker.__name__, planted)
     else:
