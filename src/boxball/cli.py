@@ -302,6 +302,8 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise CliError(f"--{flag} must be >= {least}, got {value}")
+    if getattr(args, "steps", 0) > sys.maxsize:  # the most `itertools.repeat` takes
+        raise CliError(f"--steps must be <= {sys.maxsize}, got {args.steps}")
     if getattr(args, "n", None) is not None:
         _cap_alphabet(args.n)
 

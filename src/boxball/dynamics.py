@@ -7,10 +7,11 @@ the decoding pass that removes one letter per sweep.  One forward walker, `_swee
 both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier
 is idle when its first entry is back at its start, and past the last ball a busy one needs
 at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
-swap cores of its boxes and its untraced column sweeps: basic ones run the case splits of
-`col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.  Given a `trace`
-list, a sweep calls the cores at every stored site and appends a `TraceStep` named tuple per
-swap.  Row carriers, traced ones too, are count vectors: O(n) a site at any capacity.
+swap cores of its boxes and its untraced sweeps: basic ones run `_row_box_counts` and the
+case splits of `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.
+Given a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
+named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
+untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
 
 An idle carrier passes an empty box unchanged, and the seeded column carrier (1,2) a box
 with no letter >= 3: a row pass makes O(occupied + unloaded) swaps, a column pass
@@ -25,20 +26,22 @@ colour left, so there a pass walks the index from the first colour, and an inver
 stops at (1,2) left of it; a standalone pass, on a fresh copy, walks the whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
-check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps.
+check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps, and
+its C-level searches for empty boxes read no box twice in a letter's round: O(L) per round.
 
 A count-vector swap is a pure map a sweep meets again and again (20 steps of a 150-site n = 5
 path: 2,600-3,400 `row_core` calls at 660-860 distinct arguments under T_2, 1,060-1,670 under
-T_inf), so the path classes' `row_core`s and `InhomPath`'s `col_core` / `inv_col_core` are
-memoised, each in a 1024-entry LRU cache (a bound keeps memory flat), as is a decoding pass's
-outgoing carrier, a shared frozen value; `col_box_core` / `box_col_core`, whose int case splits
-cost about a lookup, and the `isomorphisms` functions are not.  As `2 == 2.0 == True` hash
-alike, states hold ints only, and so must word letters, capacities and `move_letter` letters.
+T_inf), so the path classes' `row_core`s (a basic path's serves traced sweeps only) and
+`InhomPath`'s `col_core` / `inv_col_core` are memoised, each in a 1024-entry LRU cache (a
+bound keeps memory flat), as is a decoding pass's outgoing carrier, a shared frozen value;
+`col_box_core` / `box_col_core`, whose int case splits cost about a lookup, and the
+`isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike, states hold ints only,
+and so must word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from operator import lt, ne
@@ -180,6 +183,37 @@ def _basic_column_sweep(w) -> tuple[int, int]:
     return top, bottom
 
 
+def _basic_row_sweep(w, capacity: int) -> None:
+    """The untraced row `_sweep` of a basic path, `_row_box_counts` inline.  The carrier's
+    balls lie sorted in row[lo:hi]: a letter replaces the largest one below it in place or
+    enters at lo - 1, and the largest leaves from hi - 1, so lo falls at most once per ball,
+    hi never rises and no letter moves in memory: O(log load) a box at any capacity."""
+    out, occupied, j = w.sites, [], 0  # j: the box after the last one visited
+    lo = hi = len(w.occupied)
+    row = [0] * hi  # 0: no letter
+    for k in w.occupied:
+        while lo < hi and j < k:  # the busy carrier drops its largest letter into box j
+            hi -= 1
+            out[j] = row[hi]
+            occupied.append(j)
+            j += 1
+        beta, j = out[k], k + 1
+        i = bisect_left(row, beta, lo, hi)
+        if i > lo:  # bump: the largest letter below beta leaves
+            out[k], row[i - 1] = row[i - 1], beta
+        elif hi - lo < capacity:  # an empty slot leaves, beta enters
+            lo -= 1
+            out[k], row[lo] = 1, beta
+            continue
+        else:  # full of letters >= beta: the largest leaves
+            hi, lo = hi - 1, lo - 1
+            out[k], row[lo] = row[hi], beta
+        occupied.append(k)
+    out[j : j + hi - lo] = reversed(row[lo:hi])  # past the last ball, largest first
+    occupied += range(j, j + hi - lo)
+    w.__dict__["occupied"] = occupied
+
+
 def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
     """`_inv_column_sweep` of a basic path, `box_col_core` inline.  A busy
     carrier settles in the first empty box it meets, if any is left."""
@@ -255,7 +289,8 @@ class BasicPath(Value):
     row_core = staticmethod(_memo(_row_box_counts))
     col_core = staticmethod(_col_box_pair)  # traced pass; core-driven reference sweeps
     inv_col_core = staticmethod(box_col_core)
-    col_sweep = staticmethod(_basic_column_sweep)  # the untraced passes, swaps inline
+    row_sweep = staticmethod(_basic_row_sweep)  # the untraced passes, swaps inline
+    col_sweep = staticmethod(_basic_column_sweep)
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
     holds_ball = staticmethod(partial(ne, 1))  # 1 != v, with no Python frame per call
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
@@ -299,6 +334,7 @@ class InhomPath(Value):
     row_core = staticmethod(_memo(_r_core))
     col_core = staticmethod(_memo(_col_row_counts))
     inv_col_core = staticmethod(_memo(_row_col_counts))
+    row_sweep = staticmethod(lambda w, cap: _sweep(w, _empty_row(w, cap), w.row_core, w.occupied))
     col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied, w.holds_colour))
     inv_col_sweep = staticmethod(_inv_column_sweep)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
@@ -362,8 +398,9 @@ def _moved(p: BasicPath, letters) -> BasicPath:
     sites += [1] * len(w.occupied)  # each ball moves once: at most B boxes past the end fill
     for letter in letters:
         moved = balls[letter]
+        j = 0  # each ball lands right of the one before it: no box of a round is read twice
         for i, pos in enumerate(moved):
-            j = moved[i] = sites.index(1, pos + 1)
+            j = moved[i] = sites.index(1, (pos if pos > j else j) + 1)
             sites[j], sites[pos] = letter, 1
     occupied = w.__dict__["occupied"] = sorted(k for ks in balls for k in ks)
     del sites[occupied[-1] + 1 if occupied else 0 :]  # the trailing vacuum in one slice
@@ -447,13 +484,14 @@ def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None =
     visits every stored site and appends one `TraceStep` per swap, numbered from 1."""
     if capacity is not None and (type(capacity) is not int or capacity < 1):
         raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
-    empty = _empty_row(p, max(1, ball_count(p)) if capacity is None else capacity)
+    if capacity is None:
+        capacity = max(1, ball_count(p))
     w = _thawed(p)
     if trace is None:
-        _sweep(w, empty, p.row_core, p.occupied)
+        p.row_sweep(w, capacity)
     else:
         core = partial(_traced_core, p.row_core, trace, len(trace) - 1)
-        _sweep(w, empty, core, range(len(p.sites)))
+        _sweep(w, _empty_row(p, capacity), core, range(len(p.sites)))
     return _frozen(w)
 
 

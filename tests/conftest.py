@@ -70,7 +70,8 @@ def full_carrier_swaps_plainly(monkeypatch, fresh_cores):
 def bump_sends_the_smallest_letter(monkeypatch):
     """`BasicPath.row_core` whose bump case sends out the smallest loaded letter below
     beta, where `row_box_core` sends the largest: a carrier of the right weight, but the
-    wrong one.  The planted core replaces the memoised one, so no memo hides it."""
+    wrong one.  The planted core replaces the memoised one, so no memo hides it, and
+    untraced row sweeps of basic paths walk through it as `InhomPath`'s do."""
     real = dyn._row_box_counts
 
     def planted(carrier, beta):
@@ -84,3 +85,4 @@ def bump_sends_the_smallest_letter(monkeypatch):
         return k + 1, tuple(new), tag
 
     monkeypatch.setattr(dyn.BasicPath, "row_core", staticmethod(planted))
+    monkeypatch.setattr(dyn.BasicPath, "row_sweep", vars(dyn.InhomPath)["row_sweep"])

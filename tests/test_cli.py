@@ -500,6 +500,7 @@ BAD_INPUTS = {
     "chains-reads-no-n": (["verify", "chains", "--n", "3"], {}),
     "decomposition-reads-no-count": (["verify", "decomposition", "--count", "5"], {}),
     "steps-negative": (["evolve", "--steps", "-3"], {}),
+    "steps-past-ssize-t": (["evolve", "--steps", "99999999999999999999"], {}),
     "operator-capacity-zero": (["evolve", "--operator", "Tl:0"], {}),
     "operator-capacity-not-int": (["evolve", "--operator", "Tl:x"], {}),
     "count-negative": (["verify", "theorem", "--count", "-5"], {}),

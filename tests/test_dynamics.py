@@ -664,11 +664,16 @@ def test_inline_basic_passes_match_the_crystal_maps():
 
 
 def _core_driven_sweeps():
-    """Give basic paths `InhomPath`'s untraced column sweeps, which call the path's cores."""
+    """Give basic paths `InhomPath`'s untraced sweeps, which call the path's cores."""
     inhom = vars(dyn.InhomPath)
     return mock.patch.multiple(
-        dyn.BasicPath, col_sweep=inhom["col_sweep"], inv_col_sweep=inhom["inv_col_sweep"]
+        dyn.BasicPath, **{name: inhom[name] for name in ("row_sweep", "col_sweep", "inv_col_sweep")}
     )
+
+
+def _row_swept(p, capacities):
+    """Per capacity, the untraced T_l image of `p` and the index its sweep gave it."""
+    return [(q, vars(q)["occupied"]) for q in (dyn.carrier_evolution(p, c) for c in capacities)]
 
 
 def _decoded(p):
@@ -682,11 +687,44 @@ def _decoded(p):
 @pytest.mark.parametrize("length, balls", [(4000, 1000), (10_000, 100)])
 def test_inline_basic_passes_match_the_core_driven_sweep_on_long_paths(length, balls):
     p = seeded_basic_path(length + balls, length, balls, 6)
-    got = _decoded(dyn.BasicPath(p.sites, 6))
+    capacities = (1, 2, 3, 50, None)
+
+    def swept():  # fresh paths, each scanning its own index
+        fresh = partial(dyn.BasicPath, p.sites, 6)
+        return _decoded(fresh()), _row_swept(fresh(), capacities)
+
+    got = swept()
     with _core_driven_sweeps():
-        want = _decoded(dyn.BasicPath(p.sites, 6))
+        want = swept()
     assert got == want
-    assert got[4] == p and len(got[3]) > balls // 2
+    assert got[0][4] == p and len(got[0][3]) > balls // 2
+
+
+def test_the_inline_row_sweep_matches_the_core_driven_sweep_on_every_small_path():
+    """Every basic path with n = 4 and L <= 7, at capacities 1, 2, 3 and inf: the
+    T_l image and its index."""
+    capacities = (1, 2, 3, None)
+    paths = list(basic_paths(4, 7))
+    got = [_row_swept(p, capacities) for p in paths]
+    with _core_driven_sweeps():
+        want = [_row_swept(p, capacities) for p in paths]
+    assert got == want and len(got) == 4**7
+    assert all(vars(q)["occupied"] == _fresh_scan(q) for row in got for q, _ in row)
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [(3,) * 10**4, (6,) * 10**4 + (2,) * 10**4, (4,) * 20_000],
+    ids=["block-of-3s", "6s-then-2s", "run-of-20000"],
+)
+def test_t_inf_on_long_blocks_of_equal_letters_is_t(sites):
+    """A block loads the carrier with thousands of balls at once, and lands each ball of a
+    letter round past the one before it: a carrier kept as a flat list, or a landing search
+    that rescans the block, is quadratic here.  `time_evolution` shares no code with T_inf."""
+    p = dyn.BasicPath(sites, max(sites))
+    want = dyn.time_evolution(p)
+    assert dyn.carrier_evolution(p) == want and want.sites != p.sites
+    assert vars(want)["occupied"] == _fresh_scan(want)
 
 
 @pytest.mark.parametrize("letter", [3.0, True, 2.5])

@@ -9,6 +9,7 @@ from boxball import isomorphisms as iso
 from boxball import separation as sep
 from boxball import verify
 from boxball.cli import report_document
+from conftest import recompiled
 
 SHAPE_POOL = [(1,), (2,), (3,), (1, 1)]
 
@@ -496,6 +497,32 @@ def test_a_planted_row_core_fault_fails_both_path_suites(
     first = verify.random_basic_path(rng, rng.randint(2, 5))  # as the suite draws it
     assert not rep.passed and rep.domain == 600
     assert rep.counterexample.startswith(f"path #0 {first}: {mismatch}")
+
+
+# one-line faults of the inline row kernel: (old, new) in `dynamics._basic_row_sweep`
+ROW_SWEEP_FAULTS = {
+    "bump-takes-the-smallest": ("out[k], row[i - 1] = row[i - 1], beta",
+                                "out[k], row[lo] = row[lo], beta"),
+    "full-one-early": ("hi - lo < capacity", "hi - lo < capacity - 1"),
+    "busy-drops-the-smallest": ("hi -= 1\n            out[j] = row[hi]",
+                                "out[j] = row[lo]\n            lo += 1"),
+    "tail-unloads-smallest-first": ("reversed(row[lo:hi])", "row[lo:hi]"),
+}
+
+
+@pytest.mark.parametrize("old, new", ROW_SWEEP_FAULTS.values(), ids=list(ROW_SWEEP_FAULTS))
+def test_a_planted_row_sweep_fault_fails_both_path_suites_and_t_inf(monkeypatch, old, new):
+    """The untraced row sweep of basic paths runs no core: each fault in it fails
+    both basic path suites and T = T_inf against the letter-moving `time_evolution`."""
+    planted = recompiled(dyn._basic_row_sweep, old, new)
+    monkeypatch.setattr(dyn.BasicPath, "row_sweep", staticmethod(planted))
+    for relation in verify.PATH_RELATIONS:
+        assert not verify.check_path_suite(relation, "basic", 5, 100, 0, [1, 2, 3, None]).passed
+    rng, wrong = random.Random(0), 0
+    for _ in range(200):
+        p = verify.random_basic_path(rng, rng.randint(2, 6))
+        wrong += dyn.carrier_evolution(p) != dyn.time_evolution(p)
+    assert wrong
 
 
 def test_an_unknown_relation_or_mode_names_the_known_ones():
