@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(run=lambda a: [verify.check_carrier_composition(
         a.l, a.carriers, a.boxes, a.n, a.seed, a.count)])
     kinds = list(verify.PATH_KINDS)
-    for name in verify.PATH_RELATIONS:  # each relation of the table is a subcommand
-        suite = checks.add_parser(name, parents=[seeded])
+    for name, check in verify.PATH_RELATIONS.items():  # each relation is a subcommand
+        suite = checks.add_parser(name, parents=[seeded], help=check.__doc__)
         suite.add_argument("--count", type=int, default=100)
         suite.add_argument("--mode", choices=kinds, default=kinds[0])
         suite.add_argument("--capacities", default="1,2,3,inf")

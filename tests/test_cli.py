@@ -370,11 +370,11 @@ def test_verify_theorem_cli(monkeypatch, capsys):
     assert json.loads(out.splitlines()[0])["result"] == "pass"
 
 
-def test_verify_conservation_cli_inhom(monkeypatch, capsys):
+def test_verify_theorem_cli_inhom(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch,
         capsys,
-        ["verify", "conservation", "--mode", "inhom", "--n", "4", "--count", "10",
+        ["verify", "theorem", "--mode", "inhom", "--n", "4", "--count", "10",
          "--seed", "1", "--capacities", "1,inf"],
     )
     assert code == 0
@@ -390,10 +390,7 @@ VERIFY_GOLDEN = [  # argv, then the (relation, domain) of each report, in order
     ("composition --l 2 --carriers 2 --boxes 2 --n 3 --count 30 --seed 7",
      [("carrier-composition[l=2,N=2,L=2,n=3;random]", 30)]),
     ("theorem --count 5", [("theorem[mode=basic, n<=3, count=5, seed=0]", 20)]),
-    ("conservation --count 5", [("conservation[mode=basic, n<=3, count=5, seed=0]", 20)]),
     ("theorem --mode inhom --count 5", [("theorem[mode=inhom, n<=3, count=5, seed=0]", 20)]),
-    ("conservation --mode inhom --count 5",
-     [("conservation[mode=inhom, n<=3, count=5, seed=0]", 20)]),
     ("image --mode inhom --size 3", [("image[mode=inhom, n=3, size=3]", 464)]),
     ("chains", [("highest-weight-chains", 36)]),
     ("decomposition", [
@@ -449,6 +446,20 @@ def test_a_fault_raised_in_a_suite_fails_it(monkeypatch, capsys, full_carrier_sw
                                          "this is a bug")
 
 
+@pytest.mark.parametrize("check, flags", [("theorem", "--count 3"), ("image", "--size 2")],
+                         ids=["theorem", "image"])
+def test_any_exception_of_separate_fails_a_suite_without_a_traceback(monkeypatch, capsys,
+                                                                      check, flags):
+    def planted(p):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(boxball.verify, "separate", planted)
+    code, out, err = run_cli(monkeypatch, capsys, ["verify", check, *flags.split()])
+    assert (code, err) == (1, "")
+    assert out.startswith(f"fail  {check}[")
+    assert out.splitlines()[1].endswith(" raised IndexError: planted")
+
+
 def test_domain_cap_env_is_respected(monkeypatch, capsys):
     # 2,131,746,903 elements, far past crystals.MAX_DOMAIN
     code, _, err = run_cli(
@@ -490,7 +501,7 @@ BAD_INPUTS = {
     "braid-n1": (["verify", "braid", "--n", "1"], {}),
     "composition-n1": (["verify", "composition", "--n", "1"], {}),
     "theorem-n1": (["verify", "theorem", "--n", "1"], {}),
-    "conservation-n1": (["verify", "conservation", "--n", "1"], {}),
+    "conservation-removed": (["verify", "conservation"], {}),  # theorem checks the word
     "shape-zero": (["verify", "braid", "--shapes", "0"], {}),
     "row-capacity-zero": (["verify", "composition", "--l", "0"], {}),
     "carriers-negative": (["verify", "composition", "--carriers", "-1"], {}),

@@ -325,7 +325,7 @@ def test_a_composition_check_swaps_each_distinct_factor_pair_once(monkeypatch):
         lambda: verify.check_carrier_composition(2, 1, 0, 3),
         lambda: verify.check_carrier_composition(2, 1, 1, 3, count=0),
         lambda: verify.check_path_suite("theorem", "basic", 3, 0, 0, [1]),
-        lambda: verify.check_path_suite("conservation", "basic", 3, 5, 0, []),
+        lambda: verify.check_path_suite("theorem", "basic", 3, 5, 0, []),
         lambda: verify.check_path_suite("theorum", "basic", 3, 5, 0, [1]),
         lambda: verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1]),
     ],
@@ -486,16 +486,19 @@ def test_a_column_carrier_that_never_settles_fails_the_suite(monkeypatch, fresh_
 
 
 @pytest.mark.parametrize(
-    "relation, mismatch",
-    [("theorem", "monochrome parts differ: "), ("conservation", "word changed under capacity 3")],
+    "capacities, mismatch",
+    [([3], "words differ: "), ([2, 3, None], "monochrome parts differ: ")],
+    ids=["word", "monochrome"],
 )
-def test_a_planted_row_core_fault_fails_both_path_suites(
-    bump_sends_the_smallest_letter, relation, mismatch
+def test_a_planted_row_core_fault_fails_both_theorem_checks(
+    bump_sends_the_smallest_letter, capacities, mismatch
 ):
-    rep = verify.check_path_suite(relation, "basic", 5, 200, 1, [2, 3, None])
+    """`theorem` checks the word first: on path #0 the fault keeps the word at capacity 2
+    but not the monochrome part, and changes the word at capacity 3."""
+    rep = verify.check_path_suite("theorem", "basic", 5, 200, 1, capacities)
     rng = random.Random(1)
     first = verify.random_basic_path(rng, rng.randint(2, 5))  # as the suite draws it
-    assert not rep.passed and rep.domain == 600
+    assert not rep.passed and rep.domain == 200 * len(capacities)
     assert rep.counterexample.startswith(f"path #0 {first}: {mismatch}")
 
 
@@ -513,7 +516,7 @@ ROW_SWEEP_FAULTS = {
 @pytest.mark.parametrize("old, new", ROW_SWEEP_FAULTS.values(), ids=list(ROW_SWEEP_FAULTS))
 def test_a_planted_row_sweep_fault_fails_both_path_suites_and_t_inf(monkeypatch, old, new):
     """The untraced row sweep of basic paths runs no core: each fault in it fails
-    both basic path suites and T = T_inf against the letter-moving `time_evolution`."""
+    every basic path suite and T = T_inf against the letter-moving `time_evolution`."""
     planted = recompiled(dyn._basic_row_sweep, old, new)
     monkeypatch.setattr(dyn.BasicPath, "row_sweep", staticmethod(planted))
     for relation in verify.PATH_RELATIONS:
@@ -526,14 +529,15 @@ def test_a_planted_row_sweep_fault_fails_both_path_suites_and_t_inf(monkeypatch,
 
 
 def test_an_unknown_relation_or_mode_names_the_known_ones():
-    with pytest.raises(ValueError, match="want one of theorem, conservation"):
-        verify.check_path_suite("theorum", "basic", 3, 5, 0, [1])
+    for relation in ("theorum", "conservation"):
+        with pytest.raises(ValueError, match=f"^unknown '{relation}'; want one of theorem$"):
+            verify.check_path_suite(relation, "basic", 3, 5, 0, [1])
     with pytest.raises(ValueError, match="want one of basic, inhom"):
         verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1])
 
 
 @pytest.mark.parametrize("mode", ["basic", "inhom"])
-@pytest.mark.parametrize("relation", ["theorem", "conservation"])
+@pytest.mark.parametrize("relation", list(verify.PATH_RELATIONS))
 def test_a_path_suite_scans_each_path_once(monkeypatch, relation, mode):
     """A path computes its index once and keeps it, so however many times the
     suite sweeps a generated path, only the path itself is scanned: its sweeps'
@@ -608,3 +612,29 @@ def test_a_runtime_error_of_separate_fails_the_image_check(monkeypatch):
     rep = verify.check_image("basic", 3, 2)  # the first pair is the vacuum path's
     assert (rep.domain, rep.counterexample) == (
         1, "separate(combine(, ())) raised RuntimeError: decoding failed to terminate; this is a bug")
+
+
+@pytest.mark.parametrize("name, accepted, message", [
+    ("separate", 1, "separate(combine(, ())) raised IndexError: planted"),
+    ("combine", 0, "combine(, ()) raised IndexError: planted"),
+], ids=["separate", "combine"])
+def test_any_other_exception_of_combine_or_separate_fails_the_image_check(monkeypatch, name,
+                                                                         accepted, message):
+    """Only combine's InvalidWordError is a skip: any other exception is a counterexample."""
+    def planted(*args):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(verify, name, planted)
+    rep = verify.check_image("basic", 3, 2)  # the first pair is the vacuum path's
+    assert (rep.domain, rep.counterexample) == (accepted, message)
+
+
+def test_any_exception_of_separate_fails_the_path_suite(monkeypatch):
+    def planted(p):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(verify, "separate", planted)
+    rep = verify.check_path_suite("theorem", "basic", 3, 3, 0, [1])
+    rng = random.Random(0)
+    first = verify.random_basic_path(rng, rng.randint(2, 3))  # as the suite draws it
+    assert rep.counterexample == f"path #0 {first}: raised IndexError: planted"
