@@ -15,7 +15,6 @@ unique index with a_{i-1} <= v < a_i (used by the inverses).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from operator import add, sub
 
 from .crystals import (
@@ -147,37 +146,37 @@ def col_row_core(
 
 
 # ---------------------------------------------------------------------------
-# row (x) row, the piecewise linear map on count vectors.  With D_m = sum_{t<m} (y_t - x_t),
-# a_m = D_m + y_m, Delta = |y| - |x|: P_i = max(max_{m>=i} a_m, max_{m<i} a_m + Delta) - D_i.
-
-
-def carrier_potential(x: CountVector, y: CountVector) -> tuple[int, ...]:
-    """The cyclic partial-sum maxima (P_1..P_n) of the pair (x, y), from two running maxima."""
-    if len(x) != len(y) or not x:  # an alphabet has a letter
-        raise ValueError("count vectors must share one alphabet")
-    d = [0, *accumulate(map(sub, y, x))]  # D_0..D_n
-    delta = d.pop()
-    a = [*map(add, d, y)]
-    p, best = [], a[-1]
-    for m in reversed(a):  # p[i] = max(a[i:])
-        if m > best:
-            best = m
-        p.append(best)
-    p.reverse()
-    best = a[0] + delta  # max(a[:i]) + delta, the wrapped sums
-    for i in range(1, len(a)):
-        if best > p[i]:
-            p[i] = best
-        if a[i] + delta > best:
-            best = a[i] + delta
-    return tuple(map(sub, p, d))
+# row (x) row on count vectors, by the Nakayashiki-Yamada pairing in O(n)
 
 
 def combinatorial_r(x: CountVector, y: CountVector) -> tuple[CountVector, CountVector]:
-    """Swap two count-vector rows; capacities interchange."""
-    p = carrier_potential(x, y)
-    step = [*map(sub, p[1:] + p[:1], p)]  # P_{i+1} - P_i, cyclically
-    return tuple(map(add, y, step)), tuple(map(sub, x, step))
+    """Swap two count-vector rows, capacities interchanged.  When |x| >= |y|, each letter of
+    y, from the largest down, pairs with the largest unpaired letter of x strictly below it,
+    or once there is none with the largest unpaired letter of x; the paired letters are the
+    new left row, the rest of x plus y the new right row.  When |x| < |y|, the rule runs on
+    the mirror pair (y, x), each reversed.
+
+    >>> combinatorial_r((3, 0, 0), (1, 1, 0))
+    ((2, 0, 0), (2, 1, 0))
+    """
+    n = len(x)
+    if n != len(y) or not n:  # an alphabet has a letter
+        raise ValueError("count vectors must share one alphabet")
+    flip = sum(x) < sum(y)  # then y's letters pair with x's, up the alphabet (the mirror)
+    u, v, order = (y, x, range(n)) if flip else (x, y, range(n - 1, -1, -1))
+    site, free = [0] * n, 0  # free: the letters of v passed and not yet paired
+    for a in order:  # each pairs with the nearest unpaired letter of u strictly past it
+        take = site[a] = free if free < u[a] else u[a]
+        free += v[a] - take
+    for b in order:  # the letters still unpaired wind to the first letters of u left
+        if not free:
+            break
+        left = u[b] - site[b]
+        take = free if free < left else left
+        site[b] += take
+        free -= take
+    rest = tuple(map(sub, map(add, x, y), site))
+    return (rest, tuple(site)) if flip else (tuple(site), rest)
 
 
 # ---------------------------------------------------------------------------

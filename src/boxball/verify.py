@@ -6,7 +6,7 @@ the integer tables `crystals.factor_tables` makes anew per call and calls no `is
 function, so it shares no code with the swaps it checks.  The rest scan exhaustive or
 seeded-random domains and report the first counterexample instead of raising; a path suite
 runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
-on seeded paths of a `PATH_KINDS` row, and `check_image` on every small monochrome path of
+on seeded paths of a `PATH_KINDS` row, and `check_image` on every small path of
 a `PATH_DOMAINS` row.  The symmetric-group and composition checks swap each distinct factor
 pair once per call: their `swap_pair` memo lives for one call, so it sees a fault planted
 before the call, and the `isomorphisms` functions stay uncached.
@@ -175,12 +175,11 @@ PATH_DOMAINS = {"basic": basic_paths, "inhom": inhom_paths}
 
 
 def check_image(mode: str, n: int, size: int) -> RelationReport:
-    """`combine` accepts exactly the image of `separate`: for each monochrome path m of
-    `PATH_DOMAINS[mode](n, size)` and word w over 2..n of at most `ball_count(m)` letters,
-    `combine(m, w)` raises InvalidWordError or `separate` gives back (m, w), not another
-    pair; any other exception of either fails.  The domain is the number of pairs `combine`
-    accepts; the pairs tried are under the `MAX_DOMAIN` guard.  Only the monochrome paths
-    are built."""
+    """`combine` accepts exactly the image of `separate`: it gives back each path p of
+    `PATH_DOMAINS[mode](n, size)` from `separate(p)`, and for each monochrome m of the
+    domain and word w over 2..n of at most `ball_count(m)` letters, `combine(m, w)` raises
+    InvalidWordError or `separate` gives back (m, w).  Any other exception fails.  The
+    domain is the number of pairs `combine` accepts; paths and pairs are under `MAX_DOMAIN`."""
     t0 = time.perf_counter()
     monos = list(PATH_DOMAINS[mode](n, size, monochrome=True))
     if sum((n - 1) ** k for m in monos for k in range(ball_count(m) + 1)) > MAX_DOMAIN:
@@ -205,6 +204,16 @@ def check_image(mode: str, n: int, size: int) -> RelationReport:
             break
         if (rec.monochrome, rec.word) != (m, w):
             wrong.append(f"separate(combine({m}, {w})) gives ({rec.monochrome}, {rec.word})")
+            break
+    for p in () if wrong else PATH_DOMAINS[mode](n, size):  # each path is in the image
+        try:
+            rec = separate(p)
+            back = combine(rec.monochrome, rec.word)
+        except Exception as exc:
+            wrong.append(f"combine(separate({p})) raised {type(exc).__name__}: {exc}")
+            break
+        if back != p:
+            wrong.append(f"combine(separate({p})) gives {back}")
             break
     return _report(f"image[mode={mode}, n={n}, size={size}]", accepted, wrong, t0)
 

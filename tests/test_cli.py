@@ -20,7 +20,13 @@ from boxball.cli import (
     state_document,
 )
 from boxball.separation import combine, separate
-from boxball.dynamics import BasicPath, InhomPath, carrier_evolution, decoding_pass
+from boxball.dynamics import (
+    BasicPath,
+    InhomPath,
+    InvalidWordError,
+    carrier_evolution,
+    decoding_pass,
+)
 from conftest import seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
 
@@ -458,6 +464,22 @@ def test_any_exception_of_separate_fails_a_suite_without_a_traceback(monkeypatch
     assert (code, err) == (1, "")
     assert out.startswith(f"fail  {check}[")
     assert out.splitlines()[1].endswith(" raised IndexError: planted")
+
+
+def test_a_combine_that_accepts_nothing_fails_the_image_check(monkeypatch, capsys):
+    """`combine` must give back every path of the domain from its `separate` record: a
+    check of the pairs it accepts alone passes when it accepts none."""
+    def planted(mono, word):
+        raise InvalidWordError("planted")
+
+    monkeypatch.setattr(boxball.verify, "combine", planted)
+    rep = boxball.verify.check_image("basic", 3, 4)
+    assert (rep.passed, rep.domain) == (False, 0)
+    # the first path is the vacuum path
+    assert rep.counterexample == "combine(separate()) raised InvalidWordError: planted"
+    code, out, err = run_cli(monkeypatch, capsys, ["verify", "image"])
+    assert (code, err) == (1, "")
+    assert out.startswith("fail  image[mode=basic, n=3, size=4]")
 
 
 def test_domain_cap_env_is_respected(monkeypatch, capsys):

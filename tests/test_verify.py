@@ -578,7 +578,7 @@ def test_a_monochrome_domain_is_the_monochrome_part_of_its_domain_in_order(mode,
         verify.PATH_DOMAINS[mode](9, 12, monochrome=True)
 
 
-def test_the_image_check_builds_only_the_monochrome_paths(monkeypatch):
+def test_the_image_check_builds_the_monochrome_paths_then_each_path_once(monkeypatch):
     built = []
 
     def counted(sites, n):
@@ -587,7 +587,8 @@ def test_the_image_check_builds_only_the_monochrome_paths(monkeypatch):
 
     monkeypatch.setattr(verify, "BasicPath", counted)
     assert verify.check_image("basic", 4, 4).passed
-    assert len(built) == 2**4 and all(set(sites) <= {1, 2} for sites in built)
+    assert len(built) == 2**4 + 4**4 and all(set(sites) <= {1, 2} for sites in built[:2**4])
+    assert built[2**4:] == list(itertools.product(range(1, 5), repeat=4))
 
 
 def test_a_path_domain_or_image_over_the_cap_is_refused_before_any_path(monkeypatch):
