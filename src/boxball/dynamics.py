@@ -13,9 +13,10 @@ Given a `trace` list, a sweep calls the cores at every stored site and appends a
 named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
 untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
 
-An idle carrier passes an empty box unchanged, and the seeded column carrier (1,2) a box
-with no letter >= 3: a row pass makes O(occupied + unloaded) swaps, a column pass
-O(coloured + busy boxes), not O(L); traced ones visit all sites.  Untraced sweeps read a
+An idle carrier passes an empty box unchanged: a row pass makes O(occupied + unloaded)
+swaps, a column pass O(occupied + busy boxes), not O(L); traced ones visit all sites.  A
+column with an empty top meets a ball in two cases, an exchange with its bottom or an
+emptied box: the seeded (1,2) exchanges a 2 for a 2, not a skip.  Untraced sweeps read a
 path's `occupied` index of boxes holding a ball: a path scans for it once, on first use,
 and keeps it, and a sweep gives its output a new one.  No public function changes a path it
 is given; constructors store any iterable of ints as a tuple.  A sweep rewrites a working
@@ -44,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect, bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
+from itertools import chain
 from operator import lt, ne
 
 from .crystals import (
@@ -147,8 +149,9 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
 
 
 def _basic_column_sweep(w) -> tuple[int, int]:
-    """The untraced decoding `_sweep` of a basic path, `col_box_core` inline.  A
-    busy carrier (top > 1) settles in the first empty box it meets."""
+    """The untraced decoding `_sweep` of a basic path, `col_box_core` inline.  An empty top
+    meets a ball g in two cases: bottom and g exchange (g <= bottom: the seeded (1,2) passes
+    a colourless box so) or the box empties.  A busy carrier settles in the first empty box."""
     out, index, i = w.sites, w.occupied, w.__dict__.get("colourless", 0)
     rest = iter(index[i:] if i else index)
     for k in rest:  # the seeded carrier passes the boxes before the first colour
@@ -163,18 +166,21 @@ def _basic_column_sweep(w) -> tuple[int, int]:
         if top != 1 and j < k:  # the empty box j takes top
             out[j], top = top, 1
             occupied.append(j)
-        if top == 1 and bottom == 2 and out[k] <= 2:
-            occupied.append(k)
-            continue
         g = out[k]
+        if top == 1:
+            if g <= bottom:  # exchange: the box takes bottom, bottom becomes g
+                out[k], bottom = bottom, g
+                occupied.append(k)
+            else:  # the box empties, (top, bottom) becomes (bottom, g)
+                out[k], top, bottom, j = 1, bottom, g, k + 1
+            continue
         if g <= top:  # the box takes top, top becomes g
             out[k], top = top, g
         elif g <= bottom:  # the box takes bottom, bottom becomes g
             out[k], bottom = bottom, g
         else:  # the box takes top, (top, bottom) becomes (bottom, g)
             out[k], top, bottom = top, bottom, g
-        if out[k] != 1:
-            occupied.append(k)
+        occupied.append(k)
         j = k + 1
     if top != 1:  # past the last ball: box j is trailing vacuum or past the end
         out[j : j + 1], top = [top], 1
@@ -215,29 +221,31 @@ def _basic_row_sweep(w, capacity: int) -> None:
 
 
 def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
-    """`_inv_column_sweep` of a basic path, `box_col_core` inline.  A busy
-    carrier settles in the first empty box it meets, if any is left."""
+    """`_inv_column_sweep` of a basic path, `box_col_core` inline.  An empty top empties a
+    box c < bottom, else exchanges bottom and c; a busy carrier settles in the next empty box."""
     out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
     top, bottom, last = 1, letter, index[i - 1] if i else -1  # the last box known without colour
-    j = len(out) - 1  # the box before the last one visited
-    for k in (*reversed(index), -1):
+    for k in chain(reversed(index), (-1,)):
         if top != 1 and j > k:  # the empty box j gets bottom, (top, bottom) becomes (1, top)
             out[j], top, bottom = bottom, 1, top
             occupied.append(j)
         if k <= last and (k < 0 or top == 1 and bottom == 2):  # the rest passes unchanged
             break
-        if top == 1 and bottom == 2 and out[k] <= 2:
-            occupied.append(k)
-            continue
         c = out[k]
+        if top == 1:
+            if c < bottom:  # the box empties: it gets top, top becomes c
+                out[k], top, j = 1, c, k - 1  # j: the box before the last one visited
+            else:  # exchange: the box gets bottom, bottom becomes c
+                out[k], bottom = bottom, c
+                occupied.append(k)
+            continue
         if c < top:  # the box gets bottom, (top, bottom) becomes (c, top)
             out[k], top, bottom = bottom, c, top
         elif c < bottom:  # the box gets top, top becomes c
             out[k], top = top, c
         else:  # the box gets bottom, bottom becomes c
             out[k], bottom = bottom, c
-        if out[k] != 1:
-            occupied.append(k)
+        occupied.append(k)
         j = k - 1
     occupied.reverse()
     i = w.__dict__["colourless"] = bisect(index, k)  # the entries up to k, unvisited

@@ -684,6 +684,32 @@ def _decoded(p):
     return rows, rec.monochrome, rec.monochrome.occupied, rec.word, back, back.occupied
 
 
+def test_chained_basic_passes_match_the_core_driven_sweeps_on_every_small_path():
+    """`separate` and `combine` carry one working copy and its `colourless` count from pass
+    to pass, which a standalone pass on a fresh copy never does.  On every basic path with
+    n <= 4 and L <= 6: `_decoded` inline against the core-driven sweeps, and the monochrome
+    part combined with every word over 2..n of at most 2 letters, the same path and index
+    or an InvalidWordError on both sides."""
+    def chained(p):
+        decoded, combined = _decoded(p), []
+        for word in (w for k in range(3) for w in product(range(2, p.n + 1), repeat=k)):
+            try:
+                q = sep.combine(decoded[1], word)
+            except dyn.InvalidWordError:
+                combined.append(None)
+                continue
+            combined.append((q, q.occupied))
+        return decoded, combined
+
+    paths = [p for n in (2, 3, 4) for p in basic_paths(n, 6)]
+    got = [chained(p) for p in paths]
+    with _core_driven_sweeps():
+        want = [chained(p) for p in paths]
+    assert got == want and len(got) == 2**6 + 3**6 + 4**6
+    outcomes = Counter(q is None for _, combined in got for q in combined)
+    assert outcomes[True] and outcomes[False]
+
+
 @pytest.mark.parametrize("length, balls", [(4000, 1000), (10_000, 100)])
 def test_inline_basic_passes_match_the_core_driven_sweep_on_long_paths(length, balls):
     p = seeded_basic_path(length + balls, length, balls, 6)

@@ -13,6 +13,7 @@ from boxball.cli import main, separation_document
 from boxball.verify import (
     basic_paths,
     check_image,
+    check_path_suite,
     inhom_paths,
     random_basic_path,
     random_inhom_path,
@@ -412,6 +413,28 @@ def test_a_planted_basic_inverse_sweep_fault_fails_the_domain_test(monkeypatch, 
     assert rep.counterexample == "separate(combine(....22, (3,))) gives (...2.2, (3,))"
     assert main(["verify", "image", "--mode", "basic", "--n", str(n), "--size", str(size)]) == 1
     assert capsys.readouterr().out.startswith("fail  image[mode=basic, n=5, size=6]")
+
+
+# one-line faults of the two cases a basic column kernel splits an empty top into: (kernel,
+# the `BasicPath` attribute holding it, a line of it, the planted line, whether the basic
+# path suite fails too).  Each makes the box empty where a ball equal to the carrier's bottom
+# should exchange with it; only `check_image` reaches the inverse kernel.
+EMPTY_TOP_FAULTS = {
+    "decode": (dyn._basic_column_sweep, "col_sweep",
+               "if g <= bottom:  # exchange", "if g < bottom:  # exchange", True),
+    "encode": (dyn._basic_inv_column_sweep, "inv_col_sweep",
+               "if c < bottom:  # the box empties", "if c <= bottom:  # the box empties", False),
+}
+
+
+@pytest.mark.parametrize("fault", EMPTY_TOP_FAULTS)
+def test_a_planted_empty_top_fault_fails_the_domain_test(monkeypatch, fresh_cores, fault):
+    kernel, name, old, new, suite_fails = EMPTY_TOP_FAULTS[fault]
+    monkeypatch.setattr(dyn.BasicPath, name, staticmethod(recompiled(kernel, old, new)))
+    n, size, _ = IMAGE_DOMAINS["basic"]
+    assert not check_image("basic", n, size).passed
+    rep = check_path_suite("theorem", "basic", 5, 100, 0, [1, 2, 3, None])
+    assert rep.passed is not suite_fails
 
 
 @pytest.mark.parametrize("case", ["2", "3", "4"])
