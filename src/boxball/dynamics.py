@@ -22,9 +22,9 @@ and keeps it, and a sweep gives its output a new one.  No public function change
 is given; constructors store any iterable of ints as a tuple.  A sweep rewrites a working
 copy (list sites and index) in place: a public sweep copies in and out, O(L), but `separate`
 and `combine` thaw once for all passes, and their copy counts its leading index entries
-known to hold no colour (`colourless`).  No column pass changes those or moves the first
-colour left, so there a pass walks the index from the first colour, and an inverse one
-stops at (1,2) left of it; a standalone pass, on a fresh copy, walks the whole index.
+known to hold no colour (`colourless`; `separate` scans for it).  No column pass changes
+those or moves the first colour left, so there a pass walks the index from the first
+colour, and an inverse one stops at (1,2) left of it; a fresh copy walks the whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
 check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps, and
@@ -149,20 +149,12 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
 
 
 def _basic_column_sweep(w) -> tuple[int, int]:
-    """The untraced decoding `_sweep` of a basic path, `col_box_core` inline.  An empty top
-    meets a ball g in two cases: bottom and g exchange (g <= bottom: the seeded (1,2) passes
-    a colourless box so) or the box empties.  A busy carrier settles in the first empty box."""
+    """The untraced decoding `_sweep` of a basic path from index entry `colourless` on, with
+    `col_box_core` inline.  An empty top meets a ball g in two cases: bottom and g exchange
+    (g <= bottom: the seeded (1,2) passes a colourless box so) or the box empties."""
     out, index, i = w.sites, w.occupied, w.__dict__.get("colourless", 0)
-    rest = iter(index[i:] if i else index)
-    for k in rest:  # the seeded carrier passes the boxes before the first colour
-        if out[k] > 2:
-            break
-        i += 1
-    else:  # no colour
-        return 1, 2
-    w.__dict__["colourless"], occupied = i, index[:i]
-    top, bottom, out[k], j = 2, out[k], 1, k + 1  # the first colour's box empties (case d)
-    for k in rest:
+    occupied, top, bottom, j = index[:i], 1, 2, 0  # j: the box after the last one visited
+    for k in index[i:] if i else index:
         if top != 1 and j < k:  # the empty box j takes top
             out[j], top = top, 1
             occupied.append(j)
@@ -435,8 +427,8 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # its sites in `order` (all stored sites when traced, else the occupied ones).  A carrier is
 # idle when its first entry is back at its start (a row's capacity, a column's top 1); a busy
 # one passes the skipped empty boxes until it is idle.  Given `coloured` (untraced columns)
-# the walk starts at the first box `coloured`, and the seeded (1,2) passes the boxes not
-# `coloured` uncalled.  The visited boxes holding a ball form the new index.
+# the walk starts at index entry `colourless` (0 on a fresh copy), and the seeded (1,2)
+# passes the boxes not `coloured` uncalled.  The visited boxes holding a ball form the index.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
@@ -451,13 +443,8 @@ def _sweep(w, carrier: tuple, core, order, coloured=None) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
     idle, out, holds, occupied = carrier[0], w.sites, w.holds_ball, []
     j = 0  # the box after the last one visited
-    if coloured is not None:  # a seeded column starts at the first colour
-        i = w.__dict__.get("colourless", 0)
-        for k in order[i:]:
-            if coloured(out[k]):
-                break
-            i += 1
-        w.__dict__["colourless"], occupied, order = i, w.occupied[:i], order[i:]
+    if coloured is not None and (i := w.__dict__.get("colourless")):  # from the first colour
+        occupied, order = w.occupied[:i], order[i:]
     for k in order:
         while j <= k:
             if carrier[0] == idle:

@@ -49,24 +49,28 @@ class SeparationRecord(Value):
 
 
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:
-    """Decode a working copy of `p`, copied once in and once out (<= B passes).  A list
-    `steps` receives a `DecodeStep` per pass (its letter and an index-free copy of the state
-    it began from), then the monochrome part's; without one, no `DecodeStep` is built."""
-    left = sum(p.holds_colour(p.sites[k]) for k in p.occupied)
+    """Decode a working copy of `p`, copied once in and once out (<= B passes), each pass from
+    the first colour: one scan of the index finds them all, as a pass keeps the entries before
+    it.  A list `steps` receives a `DecodeStep` per pass (its letter and an index-free copy of
+    the state it began from), then the monochrome part's; without one, none is built."""
     w = _thawed(p)
-    removed: list[int] = []
+    sites, coloured, removed = w.sites, w.holds_colour, []
+    i = 0  # the leading index entries known to hold no colour
     for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
-        if not left:
+        occupied = w.occupied  # the index the last pass rebuilt
+        while i < len(occupied) and not coloured(sites[occupied[i]]):
+            i += 1
+        if i == len(occupied):  # no colour left
             mono = _frozen(w)
             if steps is not None:
                 steps.append(DecodeStep(index, mono, None))
             return SeparationRecord(p, mono, tuple(reversed(removed)))
+        w.__dict__["colourless"] = i
         row = None if steps is None else _frozen(w, indexed=False)
         bottom = decoding_pass(w)[1].bottom  # rewrites w in place
         if steps is not None:
             steps.append(DecodeStep(index, row, bottom))
         removed.append(bottom)
-        left -= bottom >= 3  # the pass turned the removed letter into a 2
     raise RuntimeError("decoding failed to terminate; this is a bug")
 
 

@@ -230,6 +230,8 @@ def check_path_suite(
         if name not in table:
             raise ValueError(f"unknown {name!r}; want one of {', '.join(table)}")
     _cap_alphabet(n)
+    if (domain := count * len(capacities)) > MAX_DOMAIN:
+        raise DomainSizeError(f"path suite domain of {domain} checks, cap is {MAX_DOMAIN}")
     rng = random.Random(seed)
 
     def counterexamples():
@@ -244,7 +246,7 @@ def check_path_suite(
                 yield f"path #{k} {p}: raised {type(exc).__name__}: {exc}"
 
     label = f"{relation}[mode={mode}, n<={n}, count={count}, seed={seed}]"
-    return _report(label, count * len(capacities), counterexamples(), time.perf_counter())
+    return _report(label, domain, counterexamples(), time.perf_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +333,8 @@ def _domain(shapes, n: int, seed: int, count: int | None):
         raise ValueError(f"count must be >= 1, got {count}")
     if count > MAX_DOMAIN:
         raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
+    if (letters := sum(map(sum, shapes))) > MAX_DOMAIN:  # each element is drawn letter by letter
+        raise DomainSizeError(f"random elements of {letters} letters, cap is {MAX_DOMAIN}")
     rng = random.Random(seed)
     return "random", count, (random_tensor(rng, shapes, n) for _ in range(count))
 
@@ -460,6 +464,8 @@ def check_carrier_composition(
     t0 = time.perf_counter()
     if n_carriers < 1 or n_boxes < 1:
         raise ValueError(f"need >= 1 carrier and box, got {n_carriers} and {n_boxes}")
+    if (swaps := n_carriers * n_boxes + n_carriers + n_boxes) > MAX_DOMAIN:  # in each word
+        raise DomainSizeError(f"swap words of {swaps} swaps, cap is {MAX_DOMAIN}")
     shapes = [(ell,)] + [(1, 1)] * n_carriers + [(1,)] * n_boxes
     mode, size, elements = _domain(shapes, n, seed, count)
     pairs = [("compositions differ on {t}", *composition_words(n_carriers, n_boxes))]

@@ -578,6 +578,10 @@ BAD_INPUTS = {
     "image-size-zero": (["verify", "image", "--size", "0"], {}),
     "image-over-cap": (["verify", "image", "--mode", "basic", "--n", "9", "--size", "12"], {}),
     "image-pairs-over-cap": (["verify", "image", "--mode", "inhom", "--n", "8", "--size", "1"], {}),
+    "theorem-count-over-cap": (["verify", "theorem", "--count", "2000000"], {}),
+    "carriers-over-cap": (["verify", "composition", "--carriers", "1000000000"], {}),
+    "boxes-over-cap": (["verify", "composition", "--boxes", "1000000000"], {}),
+    "row-over-cap": (["verify", "composition", "--l", "1000000000000", "--count", "1"], {}),
 }
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
@@ -666,6 +670,10 @@ def test_ascii_input_refuses_an_alphabet_past_9(monkeypatch, capsys):
         ("evolve-n-over-cap", "alphabet of 256 letters, cap is 255"),
         ("doc-n-over-cap", "alphabet of 100000000 letters, cap is 255"),
         ("image-over-cap", "basic paths of n=9 up to size 12: over the cap of 1000000"),
+        ("theorem-count-over-cap", "path suite domain of 8000000 checks, cap is 1000000"),
+        ("carriers-over-cap", "swap words of 2000000001 swaps, cap is 1000000"),
+        ("boxes-over-cap", "swap words of 2000000001 swaps, cap is 1000000"),
+        ("row-over-cap", "random elements of 1000000000003 letters, cap is 1000000"),
     ],
 )
 def test_an_alphabet_over_the_cap_exits_2_with_its_message(tmp_path, monkeypatch, capsys,
@@ -729,29 +737,75 @@ def state_documents(draw):
 
 ASCII_TEXTS = st.text(".23456789\n ", max_size=12) | st.text(st.characters(max_codepoint=127),
                                                              max_size=12)
-COMMANDS = st.sampled_from([["separate"], ["separate", "--json"], ["evolve", "--steps", "0"],
-                            ["evolve", "--steps", "1"], ["evolve", "--steps", "2"]])
+_NUMBERS = st.sampled_from(["-1", "0", "1", "2", "3", str(10**12)])  # a numeric flag's values
+_ALPHABETS = st.sampled_from(["-1", "1", "2", "3", "256"])
+_LISTS = st.text("123c,x- ", max_size=4)  # short junk for --shapes and --capacities
+_MODES = st.sampled_from(["basic", "inhom", "x"])
+_SEEDED = {"--n": _ALPHABETS, "--seed": _NUMBERS, "--count": _NUMBERS}
+# each command's flags and the values drawn for them (None: a switch); evolve takes at most
+# 2 steps, as its text table holds every row (ROADMAP item 21)
+COMMAND_FLAGS = {
+    "separate": {"--n": _ALPHABETS, "--trace": None, "--json": None},
+    "evolve": {"--n": _ALPHABETS, "--steps": st.sampled_from("012"), "--json": None,
+               "--operator": st.sampled_from(["T", "Tnat", "Tl:0", "Tl:2", "Tl:inf", "Tl:x"])},
+    "verify braid": {**_SEEDED, "--shapes": _LISTS, "--json": None},
+    "verify composition": {**_SEEDED, "--l": _NUMBERS, "--carriers": _NUMBERS,
+                           "--boxes": _NUMBERS, "--json": None},
+    "verify theorem": {**_SEEDED, "--mode": _MODES, "--capacities": _LISTS | st.just("1,inf"),
+                       "--json": None},
+    "verify image": {"--n": _ALPHABETS, "--mode": _MODES, "--size": _NUMBERS, "--json": None},
+    "verify chains": {"--json": None},
+    "verify decomposition": {"--json": None},
+}
 
 
-@settings(max_examples=400, deadline=None)
+@st.composite
+def commands(draw):
+    """A command line of `COMMAND_FLAGS`, a command and some of its flags: `separate` or
+    `evolve` half of the time, as only those read the drawn input."""
+    command = draw(st.sampled_from(["separate", "evolve"]) | st.sampled_from(list(COMMAND_FLAGS)))
+    argv = command.split()
+    for flag, values in COMMAND_FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+COMMANDS = commands()
+
+
+@settings(max_examples=800, deadline=None)
 @given(COMMANDS, state_documents() | ASCII_TEXTS)
 def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, text):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        code = main(argv)  # no exception escapes
     out, err = out.getvalue(), err.getvalue()
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         return
     assert (code, err) == (0, "")
-    if argv[-1] == "--json":
+    if argv[0] == "verify":  # every report passes
+        lines = out.splitlines()
+        if "--json" in argv:
+            assert lines and all(json.loads(line)["result"] == "pass" for line in lines)
+        else:
+            assert lines and all(line.startswith("pass  ") for line in lines)
+        return
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else None
+    if "--json" in argv and argv[0] == "evolve":
+        doc = json.loads(out)
+        assert len(doc["rows"]) == doc["steps"] + 1
+        assert parse_state(json.dumps(doc["rows"][0])) == parse_state(text, n)
+        return
+    if "--json" in argv:
         doc = json.loads(out)
         n, mono = doc["n"], doc["monochrome"]
         if doc["mode"] == "inhom":
             mono = InhomPath(tuple(map(tuple, mono)), n, doc["tail_capacity"])
         else:
             mono = BasicPath.from_string(mono, n) if n <= 9 else BasicPath(mono, n)
-        assert combine(mono, tuple(map(int, doc["word"]))) == parse_state(text)
+        assert combine(mono, tuple(map(int, doc["word"]))) == parse_state(text, n)
         return
     rows = [line for line in out.splitlines() if line[:2] in ("t=", "s=")]
     assert rows and all(line[7:8].strip() for line in rows), out  # every row has a cell

@@ -9,6 +9,7 @@ from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 from boxball import separation as sep
+from boxball import verify
 from boxball.cli import main, separation_document
 from boxball.verify import (
     basic_paths,
@@ -452,17 +453,16 @@ def test_a_planted_inverse_core_fault_fails_the_domain_test(monkeypatch, fresh_c
     assert not check_image("inhom", n, size).passed
 
 
-# the walks from the first colour: (path kind, walker, the path class attribute holding it,
-# or None for the module's `_sweep`, a line of it, the planted line).  A forward count one too
-# large skips a box that may hold the next first colour; an inverse walk that takes the last
-# ball for the last box known without colour stops on a seeded carrier right of the first
-# colour.
+# the walks from the first colour: (path kind, function, the path class attribute holding
+# it, or None for `separate`, a line of it, the planted line).  A first-colour count one too
+# large makes every forward walker skip a box that may hold the next first colour, and the
+# decode never ends; an inverse walk that takes the last ball for the last box known without
+# colour stops on a seeded carrier right of the first colour.
+_COUNT = 'w.__dict__["colourless"] = i', 'w.__dict__["colourless"] = i + 1'
 _LAST, _BALL = "index[i - 1] if i else -1", "index[-1] if index else -1"
 PREFIX_FAULTS = {
-    "basic-count": ("basic", dyn._basic_column_sweep, "col_sweep",
-                    "occupied = i, index[:i]", "occupied = i + 1, index[:i]"),
-    "inhom-count": ("inhom", dyn._sweep, None,
-                    "order = i, w.occupied[:i]", "order = i + 1, w.occupied[:i]"),
+    "basic-count": ("basic", sep.separate, None, *_COUNT),
+    "inhom-count": ("inhom", sep.separate, None, *_COUNT),
     "basic-stop": ("basic", dyn._basic_inv_column_sweep, "inv_col_sweep", _LAST, _BALL),
     "inhom-stop": ("inhom", dyn._inv_column_sweep, "inv_col_sweep", _LAST, _BALL),
 }
@@ -470,16 +470,43 @@ PREFIX_FAULTS = {
 
 @pytest.mark.parametrize("fault", PREFIX_FAULTS)
 def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, fault):
-    kind, walker, name, old, new = PREFIX_FAULTS[fault]
-    planted = recompiled(walker, old, new)
-    if name is None:  # `InhomPath.col_sweep` calls the module's `_sweep`
-        monkeypatch.setattr(dyn, walker.__name__, planted)
+    kind, fn, name, old, new = PREFIX_FAULTS[fault]
+    planted = recompiled(fn, old, new)
+    if name is None:  # `verify` imports `separate` by name
+        monkeypatch.setattr(sep, "separate", planted)
+        monkeypatch.setattr(verify, "separate", planted)
     else:
         cls = dyn.BasicPath if kind == "basic" else dyn.InhomPath
         monkeypatch.setattr(cls, name, staticmethod(planted))
     n, size, accepted = IMAGE_DOMAINS[kind]
     rep = check_image(kind, n, size)
     assert (rep.domain, rep.passed) != (accepted, True)
+    if name is None:
+        assert rep.counterexample.endswith(
+            "raised RuntimeError: decoding failed to terminate; this is a bug")
+
+
+def test_separate_starts_each_pass_at_the_first_colour(monkeypatch):
+    """The contract between `separate` and the forward walkers: each pass is told to start
+    at index entry `colourless`, the first to hold a colour, and `separate` stops when no
+    entry holds one."""
+    starts, real = [], sep.decoding_pass
+
+    def watched_pass(w):
+        i, index = w.colourless, w.occupied
+        assert not any(w.holds_colour(w.sites[k]) for k in index[:i])
+        assert w.holds_colour(w.sites[index[i]])
+        starts.append(i)
+        return real(w)
+
+    monkeypatch.setattr(sep, "decoding_pass", watched_pass)
+    rng = random.Random(46)
+    paths = [p for n in range(2, 5) for p in basic_paths(n, 6)]
+    paths += [random_inhom_path(rng, rng.randint(2, 5)) for _ in range(500)]
+    for p in paths:
+        passes, rec = len(starts), sep.separate(p)
+        assert rec.n_passes == len(starts) - passes and sep.is_monochrome(rec.monochrome)
+    assert len(starts) > 10_000 and sum(i > 0 for i in starts) > len(starts) // 4
 
 
 def test_separate_holds_only_the_live_state():

@@ -288,6 +288,43 @@ def test_a_random_domain_above_the_cap_raises_before_any_draw(monkeypatch, check
     assert draws == []
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: verify.check_symmetric_group([(10**12,), (1,)], 3, 0, 1),
+         "random elements of 1000000000001 letters"),
+        (lambda: verify.check_carrier_composition(10**12, 1, 1, 3, 0, 1),
+         "random elements of 1000000000003 letters"),
+        (lambda: verify.check_carrier_composition(2, 10**9, 1, 3, 0, 1),
+         "swap words of 2000000001 swaps"),
+        (lambda: verify.check_carrier_composition(2, 1, 10**9, 3),
+         "swap words of 2000000001 swaps"),
+        (lambda: verify.check_path_suite("theorem", "basic", 3, 2 * 10**6, 0, [1, 2, 3, None]),
+         "path suite domain of 8000000 checks"),
+    ],
+    ids=["braid-row", "composition-row", "carriers", "boxes", "path-suite"],
+)
+def test_a_check_over_the_cap_raises_before_it_builds_anything(monkeypatch, check, message):
+    """A factor, a swap word or a path suite too large to check is refused before any
+    element, word or path is made."""
+    for name in ("random_tensor", "composition_words"):
+        _counted(monkeypatch, verify, name, fail=True)
+    for mode in verify.PATH_KINDS:
+        monkeypatch.setitem(verify.PATH_KINDS, mode, None)
+    with pytest.raises(cr.DomainSizeError, match=f"^{message}, cap is 1000000$"):
+        check()
+
+
+def test_the_caps_on_a_swap_word_and_a_path_suite_are_inclusive(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_DOMAIN", 4)  # the crystals' own guard keeps its cap
+    assert verify.check_carrier_composition(2, 1, 1, 3).passed  # words of 3 swaps
+    assert verify.check_path_suite("theorem", "inhom", 3, 2, 0, [1, None]).domain == 4
+    with pytest.raises(cr.DomainSizeError, match="^swap words of 5 swaps, cap is 4$"):
+        verify.check_carrier_composition(2, 1, 2, 3)
+    with pytest.raises(cr.DomainSizeError, match="^path suite domain of 6 checks, cap is 4$"):
+        verify.check_path_suite("theorem", "inhom", 3, 3, 0, [1, None])
+
+
 def test_a_random_domain_is_drawn_as_it_is_checked(monkeypatch, wrong_case_g):
     """A failing random check stops drawing at its first counterexample."""
     draws = _counted(monkeypatch, verify, "random_tensor")
