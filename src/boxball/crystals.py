@@ -334,10 +334,15 @@ def tensor_size(shapes, n: int) -> int:
     return prod(crystal_size(s, n) for s in shapes)
 
 
-def _check_domain(shapes, n: int) -> None:
-    """The `MAX_DOMAIN` guard of every exhaustive enumeration."""
-    if (size := tensor_size(shapes, n)) > MAX_DOMAIN:
-        raise DomainSizeError(f"product crystal has {size} elements, cap is {MAX_DOMAIN}")
+def _check_domain(shapes, n: int) -> int:
+    """The `MAX_DOMAIN` guard of every exhaustive enumeration: the product crystal's size,
+    multiplied out only while it stays within the cap."""
+    size = 1
+    for shape in shapes:
+        if (size := size * crystal_size(shape, n)) > MAX_DOMAIN:
+            raise DomainSizeError(f"product crystal of {len(shapes)} factors at n={n}: over the "
+                                  f"cap of {MAX_DOMAIN} elements")
+    return size
 
 
 def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:

@@ -13,18 +13,20 @@ Given a `trace` list, a sweep calls the cores at every stored site and appends a
 named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
 untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
 
-An idle carrier passes an empty box unchanged: a row pass makes O(occupied + unloaded)
-swaps, a column pass O(occupied + busy boxes), not O(L); traced ones visit all sites.  A
-column with an empty top meets a ball in two cases, an exchange with its bottom or an
-emptied box: the seeded (1,2) exchanges a 2 for a 2, not a skip.  Untraced sweeps read a
-path's `occupied` index of boxes holding a ball: a path scans for it once, on first use,
-and keeps it, and a sweep gives its output a new one.  No public function changes a path it
-is given; constructors store any iterable of ints as a tuple.  A sweep rewrites a working
-copy (list sites and index) in place: a public sweep copies in and out, O(L), but `separate`
-and `combine` thaw once for all passes, and their copy counts its leading index entries
-known to hold no colour (`colourless`; `separate` scans for it).  No column pass changes
-those or moves the first colour left, so there a pass walks the index from the first
-colour, and an inverse one stops at (1,2) left of it; a fresh copy walks the whole index.
+An idle carrier passes an empty box uncalled, and every ball a walk meets goes through a
+swap (a core or an inline case split): a row pass makes O(occupied + unloaded) swaps, a
+column pass O(occupied + busy boxes), not O(L); traced ones visit all sites.  A column with
+an empty top meets a ball in two cases, an exchange with its bottom or an emptied box: the
+seeded (1,2) exchanges a 2 for a 2 (`col_row_core` I-III, `row_col_core` 3-5), no skip.
+Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans for it
+once, on first use, and keeps it, and a sweep gives its output a new one.  No public
+function changes a path it is given; constructors store any iterable of ints as a tuple.  A
+sweep rewrites a working copy (list sites and index) in place: a public sweep copies in and
+out, O(L), but `separate` and `combine` thaw once for all passes, and their copy counts its
+leading index entries known to hold no colour (`colourless`; `separate` scans for it).  No
+column pass changes those or moves the first colour left, so there a pass walks the index
+from the first colour, and an inverse one stops at (1,2) left of it; a fresh copy walks the
+whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
 check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps, and
@@ -246,11 +248,11 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
 
 
 def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
-    core, holds, coloured = w.inv_col_core, w.holds_ball, w.holds_colour
+    core, holds = w.inv_col_core, w.holds_ball
     out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
     top, bottom, last = 1, letter, index[i - 1] if i else -1
     j = len(out) - 1
-    for k in (*reversed(index), -1):  # past the first ball a busy carrier settles
+    for k in chain(reversed(index), (-1,)):  # past the first ball a busy carrier settles
         if top == 1 and bottom == 2 and k <= last:  # the rest passes unchanged
             break
         while j >= k:
@@ -258,9 +260,6 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
                 if k < 0:
                     break
                 j = k  # an idle carrier passes the empty boxes after k
-                if bottom == 2 and not coloured(out[k]):
-                    occupied.append(k)  # and the seeded one a box without colour
-                    break
             elif j < 0:
                 break
             top, bottom, out[j], _ = core(out[j], top, bottom)
@@ -335,7 +334,7 @@ class InhomPath(Value):
     col_core = staticmethod(_memo(_col_row_counts))
     inv_col_core = staticmethod(_memo(_row_col_counts))
     row_sweep = staticmethod(lambda w, cap: _sweep(w, _empty_row(w, cap), w.row_core, w.occupied))
-    col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied, w.holds_colour))
+    col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied))
     inv_col_sweep = staticmethod(_inv_column_sweep)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
@@ -426,9 +425,10 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # `_sweep`, the one forward walk, rewrites a working path (see `_thawed`) in place, visiting
 # its sites in `order` (all stored sites when traced, else the occupied ones).  A carrier is
 # idle when its first entry is back at its start (a row's capacity, a column's top 1); a busy
-# one passes the skipped empty boxes until it is idle.  Given `coloured` (untraced columns)
-# the walk starts at index entry `colourless` (0 on a fresh copy), and the seeded (1,2)
-# passes the boxes not `coloured` uncalled.  The visited boxes holding a ball form the index.
+# one passes the skipped empty boxes until it is idle.  The walk starts at index entry
+# `colourless`, which only `separate` and `combine` set on their copies and `_frozen` drops:
+# no row sweep and no traced one, whose `order` it must not slice, sees it.  The visited
+# boxes holding a ball form the index.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
@@ -439,19 +439,16 @@ def _traced_core(core, trace, base, carrier, site):
     return emitted, new, tag
 
 
-def _sweep(w, carrier: tuple, core, order, coloured=None) -> tuple:
+def _sweep(w, carrier: tuple, core, order) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
     idle, out, holds, occupied = carrier[0], w.sites, w.holds_ball, []
     j = 0  # the box after the last one visited
-    if coloured is not None and (i := w.__dict__.get("colourless")):  # from the first colour
+    if i := w.__dict__.get("colourless"):  # from the first colour
         occupied, order = w.occupied[:i], order[i:]
     for k in order:
         while j <= k:
             if carrier[0] == idle:
                 j = k  # an idle carrier passes the empty boxes before k
-                if coloured is not None and carrier[1] == 2 and not coloured(out[k]):
-                    occupied.append(k)  # and the seeded column a box without colour
-                    break
             out[j], carrier, _ = core(carrier, out[j])
             if holds(out[j]):
                 occupied.append(j)

@@ -28,6 +28,7 @@ from .crystals import (
     TensorElement,
     Value,
     _cap_alphabet,
+    _check_domain,
     box,
     col,
     counts_to_row,
@@ -324,19 +325,24 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
 # symmetric group relations
 
 
-def _domain(shapes, n: int, seed: int, count: int | None):
+def _domain(shapes, n: int, seed: int, count: int | None, work: int, unit: str):
     """(mode, size, elements): the product crystal ("exhaustive") or `count` <= `MAX_DOMAIN`
-    elements drawn with `seed` ("random"), each made only as the check reaches it."""
+    elements drawn with `seed` ("random"), each made only as the check reaches it.  A check
+    of `work` `unit`s per element is refused over `MAX_DOMAIN` in all, before any is made."""
+    if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if count > MAX_DOMAIN:
+            raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
+        if (letters := sum(map(sum, shapes))) > MAX_DOMAIN:  # each is drawn letter by letter
+            raise DomainSizeError(f"random elements of {letters} letters, cap is {MAX_DOMAIN}")
+    size = _check_domain(shapes, n) if count is None else count
+    if size * work > MAX_DOMAIN:
+        raise DomainSizeError(f"{size} elements x {work} {unit}, cap is {MAX_DOMAIN}")
     if count is None:
-        return "exhaustive", tensor_size(shapes, n), iter_tensor(shapes, n)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > MAX_DOMAIN:
-        raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
-    if (letters := sum(map(sum, shapes))) > MAX_DOMAIN:  # each element is drawn letter by letter
-        raise DomainSizeError(f"random elements of {letters} letters, cap is {MAX_DOMAIN}")
+        return "exhaustive", size, iter_tensor(shapes, n)
     rng = random.Random(seed)
-    return "random", count, (random_tensor(rng, shapes, n) for _ in range(count))
+    return "random", size, (random_tensor(rng, shapes, n) for _ in range(count))
 
 
 def check_symmetric_group(
@@ -347,7 +353,8 @@ def check_symmetric_group(
     k = len(shapes)
     if k < 2:
         raise ValueError(f"the relations need at least 2 shapes, got {k}")
-    mode, size, elements = _domain(shapes, n, seed, count)
+    words = (k - 1) + (k - 2) + (k - 2) * (k - 3) // 2  # involutions, braids, far pairs
+    mode, size, elements = _domain(shapes, n, seed, count, words, "relation words")
     pairs = [("swap_%d^2 != id at {t}" % i, [i, i], []) for i in range(1, k)]
     braid = "braid fails at position %d on {t}: {lhs} vs {rhs}"
     pairs += [(braid % i, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
@@ -467,7 +474,7 @@ def check_carrier_composition(
     if (swaps := n_carriers * n_boxes + n_carriers + n_boxes) > MAX_DOMAIN:  # in each word
         raise DomainSizeError(f"swap words of {swaps} swaps, cap is {MAX_DOMAIN}")
     shapes = [(ell,)] + [(1, 1)] * n_carriers + [(1,)] * n_boxes
-    mode, size, elements = _domain(shapes, n, seed, count)
+    mode, size, elements = _domain(shapes, n, seed, count, swaps, "swaps in each word")
     pairs = [("compositions differ on {t}", *composition_words(n_carriers, n_boxes))]
     relation = f"carrier-composition[l={ell},N={n_carriers},L={n_boxes},n={n};{mode}]"
     return _report(relation, size, _words_disagree(elements, pairs), t0)

@@ -582,6 +582,14 @@ BAD_INPUTS = {
     "carriers-over-cap": (["verify", "composition", "--carriers", "1000000000"], {}),
     "boxes-over-cap": (["verify", "composition", "--boxes", "1000000000"], {}),
     "row-over-cap": (["verify", "composition", "--l", "1000000000000", "--count", "1"], {}),
+    "braid-columns-over-cap": (["verify", "braid", "--shapes", ",".join(["c"] * 1000),
+                                "--n", "255"], {}),
+    "composition-columns-over-cap": (["verify", "composition", "--carriers", "60000",
+                                      "--n", "255"], {}),
+    "composition-work-over-cap": (["verify", "composition", "--carriers", "999", "--boxes",
+                                   "999", "--count", "1000000"], {}),
+    "composition-exhaustive-work-over-cap": (["verify", "composition", "--n", "2",
+                                              "--carriers", "200", "--boxes", "10"], {}),
 }
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
@@ -674,6 +682,14 @@ def test_ascii_input_refuses_an_alphabet_past_9(monkeypatch, capsys):
         ("carriers-over-cap", "swap words of 2000000001 swaps, cap is 1000000"),
         ("boxes-over-cap", "swap words of 2000000001 swaps, cap is 1000000"),
         ("row-over-cap", "random elements of 1000000000003 letters, cap is 1000000"),
+        ("braid-columns-over-cap",
+         "product crystal of 1000 factors at n=255: over the cap of 1000000 elements"),
+        ("composition-columns-over-cap",
+         "product crystal of 60002 factors at n=255: over the cap of 1000000 elements"),
+        ("composition-work-over-cap",
+         "1000000 elements x 999999 swaps in each word, cap is 1000000"),
+        ("composition-exhaustive-work-over-cap",
+         "3072 elements x 2210 swaps in each word, cap is 1000000"),
     ],
 )
 def test_an_alphabet_over_the_cap_exits_2_with_its_message(tmp_path, monkeypatch, capsys,

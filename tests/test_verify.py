@@ -292,37 +292,68 @@ def test_a_random_domain_above_the_cap_raises_before_any_draw(monkeypatch, check
     "check, message",
     [
         (lambda: verify.check_symmetric_group([(10**12,), (1,)], 3, 0, 1),
-         "random elements of 1000000000001 letters"),
+         "random elements of 1000000000001 letters, cap is 1000000"),
         (lambda: verify.check_carrier_composition(10**12, 1, 1, 3, 0, 1),
-         "random elements of 1000000000003 letters"),
+         "random elements of 1000000000003 letters, cap is 1000000"),
         (lambda: verify.check_carrier_composition(2, 10**9, 1, 3, 0, 1),
-         "swap words of 2000000001 swaps"),
+         "swap words of 2000000001 swaps, cap is 1000000"),
         (lambda: verify.check_carrier_composition(2, 1, 10**9, 3),
-         "swap words of 2000000001 swaps"),
+         "swap words of 2000000001 swaps, cap is 1000000"),
         (lambda: verify.check_path_suite("theorem", "basic", 3, 2 * 10**6, 0, [1, 2, 3, None]),
-         "path suite domain of 8000000 checks"),
+         "path suite domain of 8000000 checks, cap is 1000000"),
+        (lambda: verify.check_symmetric_group([(1, 1)] * 1000, 255),
+         "product crystal of 1000 factors at n=255: over the cap of 1000000 elements"),
+        (lambda: verify.check_carrier_composition(2, 60000, 1, 255),
+         "product crystal of 60002 factors at n=255: over the cap of 1000000 elements"),
+        (lambda: verify.check_carrier_composition(2, 999, 999, 3, 0, 10**6),
+         "1000000 elements x 999999 swaps in each word, cap is 1000000"),
+        (lambda: verify.check_carrier_composition(2, 200, 10, 2),
+         "3072 elements x 2210 swaps in each word, cap is 1000000"),
+        (lambda: verify.check_symmetric_group([(1,)] * 1000, 3, 0, 3),
+         "3 elements x 499500 relation words, cap is 1000000"),
     ],
-    ids=["braid-row", "composition-row", "carriers", "boxes", "path-suite"],
+    ids=["braid-row", "composition-row", "carriers", "boxes", "path-suite", "braid-columns",
+         "composition-columns", "composition-work", "composition-exhaustive-work",
+         "braid-work"],
 )
 def test_a_check_over_the_cap_raises_before_it_builds_anything(monkeypatch, check, message):
-    """A factor, a swap word or a path suite too large to check is refused before any
-    element, word or path is made."""
-    for name in ("random_tensor", "composition_words"):
+    """A factor, a product crystal, a swap word, a word check's total work or a path suite
+    too large to check is refused before any element, word or path is made."""
+    for name in ("random_tensor", "iter_tensor", "composition_words", "_words_disagree"):
         _counted(monkeypatch, verify, name, fail=True)
     for mode in verify.PATH_KINDS:
         monkeypatch.setitem(verify.PATH_KINDS, mode, None)
-    with pytest.raises(cr.DomainSizeError, match=f"^{message}, cap is 1000000$"):
+    with pytest.raises(cr.DomainSizeError, match=f"^{message}$"):
         check()
 
 
 def test_the_caps_on_a_swap_word_and_a_path_suite_are_inclusive(monkeypatch):
     monkeypatch.setattr(verify, "MAX_DOMAIN", 4)  # the crystals' own guard keeps its cap
-    assert verify.check_carrier_composition(2, 1, 1, 3).passed  # words of 3 swaps
+    assert verify.check_carrier_composition(1, 1, 1, 3, count=1).passed  # words of 3 swaps
     assert verify.check_path_suite("theorem", "inhom", 3, 2, 0, [1, None]).domain == 4
     with pytest.raises(cr.DomainSizeError, match="^swap words of 5 swaps, cap is 4$"):
         verify.check_carrier_composition(2, 1, 2, 3)
     with pytest.raises(cr.DomainSizeError, match="^path suite domain of 6 checks, cap is 4$"):
         verify.check_path_suite("theorem", "inhom", 3, 3, 0, [1, None])
+
+
+def test_the_caps_on_a_word_check_s_work_are_inclusive(monkeypatch):
+    """A check's elements times its relation words, or times the swaps in each of its words,
+    may equal the cap, not pass it; the relation words are counted before they are built."""
+    words = _counted(monkeypatch, verify, "_words_disagree")
+    for k in range(2, 7):
+        size = 2**k * ((k - 1) + (k - 2) + (k - 2) * (k - 3) // 2)
+        monkeypatch.setattr(verify, "MAX_DOMAIN", size)  # the crystals' own guard keeps its cap
+        assert verify.check_symmetric_group([(1,)] * k, 2).passed
+        assert 2**k * len(words.pop()[1]) == size
+        monkeypatch.setattr(verify, "MAX_DOMAIN", size - 1)
+        message = f"^{2**k} elements x {size >> k} relation words, cap is {size - 1}$"
+        with pytest.raises(cr.DomainSizeError, match=message):
+            verify.check_symmetric_group([(1,)] * k, 2)
+    monkeypatch.setattr(verify, "MAX_DOMAIN", 6)
+    assert verify.check_carrier_composition(1, 1, 1, 3, 0, 2).passed  # 2 elements x 3 swaps
+    with pytest.raises(cr.DomainSizeError, match="^3 elements x 3 swaps in each word, cap is 6$"):
+        verify.check_carrier_composition(1, 1, 1, 3, 0, 3)
 
 
 def test_a_random_domain_is_drawn_as_it_is_checked(monkeypatch, wrong_case_g):
