@@ -325,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     sep = sub.add_parser("separate", help="decode a path into monochrome part + word")
     sep.add_argument("input", nargs="?", help="state file (default: stdin)")
     sep.add_argument("--n", type=int, default=None)
-    sep.add_argument("--json", action="store_true")
-    sep.add_argument("--trace", action="store_true", help="print per-site case tags")
+    output = sep.add_mutually_exclusive_group()  # a JSON document carries no trace
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--trace", action="store_true", help="print per-site case tags")
     sep.set_defaults(func=cmd_separate)
 
     # each check takes only the flags it reads; its runner looks up `verify.<check>` per call

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, prod
+from math import comb
 from operator import add, attrgetter
 
 Weight = tuple[int, ...]
@@ -331,10 +331,6 @@ def iter_crystal(shape: Shape, n: int) -> Iterator[Factor]:
 
 
 def tensor_size(shapes, n: int) -> int:
-    return prod(crystal_size(s, n) for s in shapes)
-
-
-def _check_domain(shapes, n: int) -> int:
     """The `MAX_DOMAIN` guard of every exhaustive enumeration: the product crystal's size,
     multiplied out only while it stays within the cap."""
     size = 1
@@ -347,7 +343,7 @@ def _check_domain(shapes, n: int) -> int:
 
 def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
     """Every element of the product crystal; guarded by `MAX_DOMAIN`."""
-    _check_domain(shapes, n)
+    tensor_size(shapes, n)
     pools = [tuple(iter_crystal(s, n)) for s in shapes]
     for fs in product(*pools):
         yield TensorElement(fs)
@@ -361,7 +357,7 @@ FactorTable = namedtuple("FactorTable", "elements eps_phi lowered weights")
 
 def factor_tables(shapes, n: int) -> list[FactorTable]:
     """The factors' tables under the `MAX_DOMAIN` guard, made anew per call: no cache keeps one."""
-    _check_domain(shapes, n)
+    tensor_size(shapes, n)
     tables = []
     for shape in shapes:
         elements = list(iter_crystal(shape, n))

@@ -7,8 +7,9 @@ the decoding pass that removes one letter per sweep.  One forward walker, `_swee
 both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier
 is idle when its first entry is back at its start, and past the last ball a busy one needs
 at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
-swap cores of its boxes and its untraced sweeps: basic ones run `_row_box_counts` and the
-case splits of `col_box_core` / `box_col_core` inline, inhomogeneous ones call the cores.
+swap cores of its boxes and its untraced sweeps: basic ones run the rules of `row_box_core`,
+`col_box_core` and `box_col_core` inline, inhomogeneous ones call the cores.  Both row cores
+are `combinatorial_r`, a basic path's (`_row_box_counts`) on a one-letter row.
 Given a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
 named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
 untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
@@ -107,22 +108,12 @@ def _scan_occupied(p) -> tuple[int, ...]:
 
 # adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier, tag)
 def _row_box_counts(carrier: CountVector, beta: int):
-    """`row_box_core` on a count vector, O(n) at any capacity: the largest
-    letter below `beta` leaves (bump), else the largest letter (head)."""
-    k = beta - 2
-    while k >= 0 and not carrier[k]:
-        k -= 1
-    tag = "bump"
-    if k < 0:
-        k, tag = len(carrier) - 1, "head"
-        while not carrier[k]:
-            k -= 1
-        if k == beta - 1:  # every carrier letter is beta
-            return beta, carrier, tag
-    new = list(carrier)
-    new[k] -= 1
-    new[beta - 1] += 1
-    return k + 1, tuple(new), tag
+    """`row_box_core` on a count vector: R on a one-letter row, O(n) at any capacity."""
+    box = [0] * len(carrier)
+    box[beta - 1] = 1
+    emitted, new = combinatorial_r(carrier, tuple(box))
+    letter = emitted.index(1) + 1
+    return letter, new, "bump" if letter < beta else "head"
 
 
 def _empty_row(p, capacity: int) -> CountVector:
@@ -184,7 +175,7 @@ def _basic_column_sweep(w) -> tuple[int, int]:
 
 
 def _basic_row_sweep(w, capacity: int) -> None:
-    """The untraced row `_sweep` of a basic path, `_row_box_counts` inline.  The carrier's
+    """The untraced row `_sweep` of a basic path, `row_box_core` inline.  The carrier's
     balls lie sorted in row[lo:hi]: a letter replaces the largest one below it in place or
     enters at lo - 1, and the largest leaves from hi - 1, so lo falls at most once per ball,
     hi never rises and no letter moves in memory: O(log load) a box at any capacity."""

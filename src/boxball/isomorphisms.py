@@ -43,7 +43,7 @@ class SwapResult(Value):
 
 
 # ---------------------------------------------------------------------------
-# row (x) box  <->  box (x) row
+# row (x) box  ->  box (x) row; the inverse is `combinatorial_r`'s B_1 (x) B_l case
 
 
 def row_box_core(entries: tuple[int, ...], beta: int) -> tuple[int, tuple[int, ...], str]:
@@ -54,14 +54,6 @@ def row_box_core(entries: tuple[int, ...], beta: int) -> tuple[int, tuple[int, .
     # beta bumps the rightmost entry below it
     k = bisect_left(entries, beta) - 1
     return entries[k], entries[:k] + (beta,) + entries[k + 1 :], "bump"
-
-
-def box_row_core(c: int, entries: tuple[int, ...]) -> tuple[tuple[int, ...], int, str]:
-    """Inverse of `row_box_core`; returns (original row, original box, tag)."""
-    if c >= entries[-1]:
-        return entries[1:] + (c,), entries[0], "head"
-    k = bisect_right(entries, c)
-    return entries[:k] + (c,) + entries[k + 1 :], entries[k], "bump"
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +189,10 @@ def swap_pair(left: Factor, right: Factor) -> SwapResult:
         if right.capacity == 1:
             emitted, new, tag = row_box_core(left.entries, right.entries[0])
             return SwapResult(RowTableau((emitted,), n), RowTableau(new, n), tag)
-        if left.capacity == 1:
-            new, emitted, tag = box_row_core(left.entries[0], right.entries)
-            return SwapResult(RowTableau(new, n), RowTableau((emitted,), n), tag)
-        x2, y2 = combinatorial_r(left.counts(), right.counts())
-        return SwapResult(counts_to_row(x2), counts_to_row(y2), "R")
+        x2, y2 = map(counts_to_row, combinatorial_r(left.counts(), right.counts()))
+        if left.capacity == 1:  # inverts `row_box_core`, whose bump sends out a letter below beta
+            return SwapResult(x2, y2, "bump" if y2.entries[0] > left.entries[0] else "head")
+        return SwapResult(x2, y2, "R")
     if isinstance(left, RowTableau):  # row (x) column; else column (x) row
         if left.capacity == 1:
             top, bottom, emitted, tag = box_col_core(left.entries[0], right.top, right.bottom)

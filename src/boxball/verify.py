@@ -28,7 +28,6 @@ from .crystals import (
     TensorElement,
     Value,
     _cap_alphabet,
-    _check_domain,
     box,
     col,
     counts_to_row,
@@ -336,7 +335,7 @@ def _domain(shapes, n: int, seed: int, count: int | None, work: int, unit: str):
             raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
         if (letters := sum(map(sum, shapes))) > MAX_DOMAIN:  # each is drawn letter by letter
             raise DomainSizeError(f"random elements of {letters} letters, cap is {MAX_DOMAIN}")
-    size = _check_domain(shapes, n) if count is None else count
+    size = tensor_size(shapes, n) if count is None else count
     if size * work > MAX_DOMAIN:
         raise DomainSizeError(f"{size} elements x {work} {unit}, cap is {MAX_DOMAIN}")
     if count is None:

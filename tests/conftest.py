@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 
@@ -37,6 +38,23 @@ def recompiled(fn, old, new):
     names = {}
     exec(source.replace(old, new), fn.__globals__, names)
     return names[fn.__name__]
+
+
+def first_row_core_disagreement():
+    """The first (row, box) on which the basic paths' count-vector row core, R on a one-letter
+    row, differs from `row_box_core` on counts, case tag included, at n <= 7 and capacity
+    <= 7, and the number of pairs tried: the pairing against the bisecting closed form."""
+    tried = 0
+    for n in range(2, 8):
+        for capacity in range(1, 8):
+            for row in cr.iter_crystal((capacity,), n):
+                for beta in range(1, n + 1):
+                    tried += 1
+                    emitted, new, tag = dyn.BasicPath.row_core(row.counts(), beta)
+                    got = emitted, cr.counts_to_entries(new), tag
+                    if got != iso.row_box_core(row.entries, beta):
+                        return (row, beta), tried
+    return None, tried
 
 
 def clear_memoised_cores():

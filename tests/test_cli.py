@@ -559,6 +559,7 @@ BAD_INPUTS = {
     "digit-arabic-indic": (["separate", "arabic-indic.txt"], {}),
     "digit-superscript": (["separate", "superscript.txt"], {}),
     "ascii-second-line": (["separate", "two-lines.txt"], {}),
+    "separate-json-trace": (["separate", "--json", "--trace"], {}),  # JSON carries no trace
     "doc-nested-too-deep": (["separate", "nested.json"], {}),
     "doc-mode-unknown": (["evolve", "mode-unknown.json"], {}),
     "doc-mode-null": (["evolve", "mode-null.json"], {}),

@@ -11,11 +11,12 @@ from boxball import isomorphisms as iso
 from boxball.verify import (
     check_highest_weight_chains,
     check_path_suite,
+    check_symmetric_group,
     isomorphism_table,
     random_factor,
     random_tensor,
 )
-from conftest import recompiled
+from conftest import first_row_core_disagreement, recompiled
 
 SHAPE_POOL = [(1,), (2,), (3,), (1, 1)]
 
@@ -50,11 +51,9 @@ def test_box_row_examples():
 def test_row_box_round_trips(n, ell):
     for b in cr.iter_crystal((ell,), n):
         for c in cr.iter_crystal((1,), n):
-            if ell == 1:  # swap_pair answers "id" on two boxes, so check the cores
-                emitted, new, _ = iso.row_box_core(b.entries, c.entries[0])
-                assert iso.box_row_core(emitted, new)[:2] == (b.entries, c.entries[0])
-                new, emitted, _ = iso.box_row_core(c.entries[0], b.entries)
-                assert iso.row_box_core(new, emitted)[:2] == (c.entries[0], b.entries)
+            if ell == 1:  # swap_pair answers "id" on two boxes, and so do both rules
+                assert iso.row_box_core(b.entries, c.entries[0])[:2] == (b.entries[0], c.entries)
+                assert iso.combinatorial_r(b.counts(), c.counts()) == (b.counts(), c.counts())
                 continue
             res = iso.swap_pair(b, c)
             back = iso.swap_pair(res.left, res.right)
@@ -62,6 +61,8 @@ def test_row_box_round_trips(n, ell):
             res = iso.swap_pair(c, b)
             back = iso.swap_pair(res.left, res.right)
             assert (back.left, back.right) == (c, b)
+            # the tag of the `row_box_core` case that R inverts on box (x) row
+            assert res.case_tag == ("head" if c.entries[0] >= b.entries[-1] else "bump")
 
 
 # --- column x box ----------------------------------------------------------
@@ -315,8 +316,9 @@ def test_r_is_the_quadratic_definition_on_every_small_pair():
 
 
 # one-line faults of the pairing: (old line, new line of `combinatorial_r`, whether the
-# fixture chains catch it).  The chains' row pairs hold one letter on the side that
-# winds, so they cannot see the direction of the wind: a known gap (ROADMAP item 16).
+# fixture chains catch it).  The chains' row pairs hold one letter on the side that winds,
+# so they cannot see the direction of the wind; the braid check on (3,),(1,),(1,1) does, as
+# it swaps (3,)x(1,) by `row_box_core` and back by R, whose head case is that wind.
 PAIRING_FAULTS = {
     "pairs-an-equal-letter": ("take = site[a] = free if free < u[a] else u[a]",
                               "take = site[a] = min(free + v[a], u[a])", True),
@@ -327,14 +329,17 @@ PAIRING_FAULTS = {
 @pytest.mark.parametrize("old, new, chains", PAIRING_FAULTS.values(), ids=PAIRING_FAULTS)
 def test_a_planted_pairing_fault_fails_the_exhaustive_check_and_the_inhom_path_suite(
         monkeypatch, fresh_cores, old, new, chains):
-    """A fault in R is caught at small scope and by the inhomogeneous path suite, which
-    reaches it through the sweeps' memoised row core; the chains reach it by `swap_pair`."""
+    """A fault in R is caught at small scope, by the basic row core against `row_box_core`,
+    by the braid check and by the inhomogeneous path suite, which reaches it through the
+    sweeps' memoised row core; the braid check and the chains reach it by `swap_pair`."""
     planted = recompiled(iso.combinatorial_r, old, new)
     monkeypatch.setattr(iso, "combinatorial_r", planted)  # its mirror case and `swap_pair`
     monkeypatch.setattr(dyn, "combinatorial_r", planted)
     pair, _ = first_disagreement_with_the_quadratic_definition()
     assert pair is not None
     assert planted(*pair) != quadratic_r(*pair)
+    assert first_row_core_disagreement()[0] is not None
+    assert not check_symmetric_group([(3,), (1,), (1, 1)], 3).passed
     assert not check_path_suite("theorem", "inhom", 5, 100, 0, [1, 2, 3, None]).passed
     assert check_highest_weight_chains().passed is not chains
 
