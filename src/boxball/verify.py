@@ -7,17 +7,18 @@ function, so it shares no code with the swaps it checks.  The rest scan exhausti
 seeded-random domains and report the first counterexample instead of raising; a path suite
 runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
 on seeded paths of a `PATH_KINDS` row, and `check_image` on every small path of
-a `PATH_DOMAINS` row.  The symmetric-group and composition checks swap each distinct factor
-pair once per call: their `swap_pair` memo lives for one call, so it sees a fault planted
-before the call, and the `isomorphisms` functions stay uncached.
+a `PATH_DOMAINS` row.  The symmetric-group and composition checks run their swap words on
+factor ids interned by value per call and swap each distinct pair of ids once by `swap_pair`:
+the memo lives for one call, so it sees a fault planted before the call, and the
+`isomorphisms` functions stay uncached.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .crystals import (
     MAX_DOMAIN,
@@ -77,21 +78,48 @@ def _report(relation: str, domain: int, counterexamples, t0: float) -> RelationR
 def _words_disagree(elements, pairs):
     """For each element in turn, the message of every (message, word_a, word_b)
     row whose two swap words send it to different elements.  A message may
-    name the element `{t}` and the two images `{lhs}`, `{rhs}`."""
-    swap = lru_cache(maxsize=None)(swap_pair)  # this call's memo (see the module docstring)
+    name the element `{t}` and the two images `{lhs}`, `{rhs}`.  The words run on
+    factor ids (see the module docstring) at the positions i - 1, i of their
+    letters i, renumbered in order: a word costs its length whatever k is, and
+    the factors no word of a row touches are equal on both sides."""
+    ids: dict = {}  # factor -> id
+    factors: list = []  # id -> factor
+    memo: dict = {}  # (id, id) -> (id, id)
 
-    def image(t, word):  # the rightmost letter swaps first; one element is built
-        fs = list(t.factors)
-        for i in reversed(word):
-            res = swap(fs[i - 1], fs[i])
-            fs[i - 1 : i + 1] = res.left, res.right
-        return TensorElement(tuple(fs))
+    def intern(f):
+        if (i := ids.get(f)) is None:
+            i = ids[f] = len(factors)
+            factors.append(f)
+        return i
 
+    def image(fs, word):  # `word` holds its swaps (j, j + 1), rightmost first
+        fs = list(fs)
+        for j, i in word:
+            if (got := memo.get(pair := (fs[j], fs[i]))) is None:
+                res = swap_pair(factors[fs[j]], factors[fs[i]])
+                got = memo[pair] = intern(res.left), intern(res.right)
+            fs[j], fs[i] = got
+        return fs
+
+    def element(fs, touched, sub):  # `fs` with `sub` spliced back in at `touched`
+        at = dict(zip(touched, sub))
+        return TensorElement(tuple(factors[at.get(p, f)] for p, f in enumerate(fs)))
+
+    rows = []
+    for message, word_a, word_b in pairs:
+        letters = {*word_a, *word_b}
+        touched = sorted(letters.union([i - 1 for i in letters]))
+        at = dict(zip(touched, range(len(touched))))  # i - 1 and i stay adjacent
+        rows.append((message, touched, itemgetter(*touched),
+                     [(at[i] - 1, at[i]) for i in reversed(word_a)],
+                     [(at[i] - 1, at[i]) for i in reversed(word_b)]))
     for t in elements:
-        for message, word_a, word_b in pairs:
-            lhs, rhs = image(t, word_a), image(t, word_b)
-            if lhs != rhs:
-                yield message.format(t=t, lhs=lhs, rhs=rhs)
+        fs = list(map(intern, t.factors))
+        for message, touched, pick, word_a, word_b in rows:
+            sub = pick(fs)
+            if (lhs := image(sub, word_a)) != (rhs := image(sub, word_b)):
+                yield message.format(t=t, lhs=element(fs, touched, lhs),
+                                     rhs=element(fs, touched, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -759,10 +759,11 @@ _ALPHABETS = st.sampled_from(["-1", "1", "2", "3", "256"])
 _LISTS = st.text("123c,x- ", max_size=4)  # short junk for --shapes and --capacities
 _MODES = st.sampled_from(["basic", "inhom", "x"])
 _SEEDED = {"--n": _ALPHABETS, "--seed": _NUMBERS, "--count": _NUMBERS}
-# each command's flags and the values drawn for them (None: a switch); evolve takes at most
-# 2 steps, as its text table holds every row (ROADMAP item 21)
+# each command's flags and the values drawn for them (None: a switch, or one of the mutually
+# exclusive switches "a | b"); evolve takes at most 2 steps, as its text table holds every
+# row (ROADMAP item 21)
 COMMAND_FLAGS = {
-    "separate": {"--n": _ALPHABETS, "--trace": None, "--json": None},
+    "separate": {"--n": _ALPHABETS, "--trace | --json": None},
     "evolve": {"--n": _ALPHABETS, "--steps": st.sampled_from("012"), "--json": None,
                "--operator": st.sampled_from(["T", "Tnat", "Tl:0", "Tl:2", "Tl:inf", "Tl:x"])},
     "verify braid": {**_SEEDED, "--shapes": _LISTS, "--json": None},
@@ -784,7 +785,10 @@ def commands(draw):
     argv = command.split()
     for flag, values in COMMAND_FLAGS[command].items():
         if draw(st.booleans()):
-            argv += [flag] if values is None else [flag, draw(values)]
+            if values is None:
+                argv.append(draw(st.sampled_from(flag.split(" | "))))
+            else:
+                argv += [flag, draw(values)]
     return argv
 
 

@@ -376,11 +376,44 @@ def test_a_fault_planted_after_a_clean_call_is_reported(request):
     assert rep.counterexample == "compositions differ on <11>*[2/3]*<4>"
 
 
-def test_a_composition_check_swaps_each_distinct_factor_pair_once(monkeypatch):
+@pytest.mark.parametrize(
+    "check, domain, pairs",
+    [
+        (lambda: verify.check_symmetric_group([(3,), (1,), (1, 1), (2,)], 4), 4800, 488),
+        (lambda: verify.check_carrier_composition(2, 3, 3, 3), 4374, 45),
+    ],
+    ids=["symmetric-group", "composition"],
+)
+def test_a_word_check_swaps_each_distinct_factor_pair_once_per_call(monkeypatch, check,
+                                                                     domain, pairs):
+    """One `swap_pair` call per distinct factor pair met; a second check makes its own memo
+    and calls it again."""
     swaps = _counted(monkeypatch, verify, "swap_pair")
-    rep = verify.check_carrier_composition(2, 3, 3, 3)
-    assert rep.passed and rep.domain == 4374
-    assert swaps and len(swaps) == len(set(swaps))
+    for _ in range(2):
+        rep = check()
+        assert rep.passed and rep.domain == domain
+        assert len(swaps) == len(set(swaps)) == pairs
+        swaps.clear()
+
+
+@pytest.mark.parametrize(
+    "shapes, count, message",
+    [
+        ([(1,), (1, 1), (1,), (2,), (1,)], None,
+         "braid fails at position 2 on <1>*[1/2]*<3>*<14>*<1>: "
+         "<1>*<11>*<2>*[3/4]*<1> vs <1>*<11>*<3>*[2/4]*<1>"),
+        ([(1,), (1,), (1, 1), (1,), (2,), (1,)], 300,
+         "braid fails at position 3 on <4>*<4>*[2/4]*<3>*<24>*<2>: "
+         "<4>*<4>*<24>*<2>*[3/4]*<2> vs <4>*<4>*<24>*<3>*[2/4]*<2>"),
+    ],
+    ids=["exhaustive", "random"],
+)
+def test_a_braid_failing_inside_a_longer_product_names_whole_elements(wrong_case_g, shapes,
+                                                                     count, message):
+    """The images of a window with factors on both sides are spliced back into the whole
+    element, so the text names the drawn element and both whole images."""
+    rep = verify.check_symmetric_group(shapes, 4, seed=5, count=count)
+    assert rep.counterexample == message
 
 
 @pytest.mark.parametrize(
