@@ -67,7 +67,7 @@ def parse_state(text: str, n_override: int | None = None):
     if text.startswith("{"):
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int of too many digits
             raise CliError(f"bad JSON state document: {exc}") from exc
         return _state_from_document(doc, n_override)
     if n_override is not None and n_override > 9:

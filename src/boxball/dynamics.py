@@ -22,12 +22,12 @@ seeded (1,2) exchanges a 2 for a 2 (`col_row_core` I-III, `row_col_core` 3-5), n
 Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans for it
 once, on first use, and keeps it, and a sweep gives its output a new one.  No public
 function changes a path it is given; constructors store any iterable of ints as a tuple.  A
-sweep rewrites a working copy (list sites and index) in place: a public sweep copies in and
-out, O(L), but `separate` and `combine` thaw once for all passes, and their copy counts its
-leading index entries known to hold no colour (`colourless`; `separate` scans for it).  No
-column pass changes those or moves the first colour left, so there a pass walks the index
-from the first colour, and an inverse one stops at (1,2) left of it; a fresh copy walks the
-whole index.
+sweep rewrites a working copy (list sites and index) in place: a public call copies in, O(L),
+and its working copy, trimmed and frozen in place, becomes the path it returns; `separate` and
+`combine` thaw once for all passes, and their copy counts its leading index entries known to
+hold no colour (`colourless`; `separate` scans for it).  No column pass changes those or moves
+the first colour left, so there a pass walks the index from the first colour, and an inverse
+one stops at (1,2) left of it; a fresh copy walks the whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
 check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps, and
@@ -89,16 +89,19 @@ def _thawed(p):
 
 
 def _frozen(w, indexed: bool = True):
-    """A kept path with the boxes of the working path `w`, less trailing vacuum."""
+    """The working path `w`, less trailing vacuum, made a kept path in place (tuple sites and
+    index, no `colourless`); not `indexed`, a new path holding a copy of its boxes only."""
     sites, vacuum = w.sites, w.vacuum
     while sites and sites[-1] == vacuum:
         sites.pop()
-    q = object.__new__(type(w))
-    q.__dict__.update(w.__dict__, sites=tuple(sites), occupied=tuple(w.occupied))
-    q.__dict__.pop("colourless", None)
-    if not indexed:
-        del q.__dict__["occupied"]
-    return q
+    if not indexed:  # a snapshot: `w` works on
+        q = object.__new__(type(w))
+        q.__dict__.update(w.__dict__, sites=tuple(sites))
+        del q.__dict__["occupied"], q.__dict__["colourless"]
+        return q
+    w.__dict__.update(sites=tuple(sites), occupied=tuple(w.occupied))
+    w.__dict__.pop("colourless", None)
+    return w
 
 
 def _scan_occupied(p) -> tuple[int, ...]:
@@ -341,11 +344,8 @@ class InhomPath(Value):
                 raise ValueError(f"bad count vector at site {k + 1}: {c}")
         _set(self, "n", n)
         _set(self, "tail_capacity", tail_capacity)
-        _trim(self, sites)  # reads the vacuum box, so after n and tail_capacity
-
-    @property
-    def vacuum(self) -> CountVector:
-        return _empty_row(self, self.tail_capacity)
+        _set(self, "vacuum", _empty_row(self, tail_capacity))
+        _trim(self, sites)  # reads the vacuum box, so after it
 
     def time_step(self) -> "InhomPath":
         """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""

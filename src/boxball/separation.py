@@ -49,10 +49,10 @@ class SeparationRecord(Value):
 
 
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:
-    """Decode a working copy of `p`, copied once in and once out (<= B passes), each pass from
-    the first colour: one scan of the index finds them all, as a pass keeps the entries before
-    it.  A list `steps` receives a `DecodeStep` per pass (its letter and an index-free copy of
-    the state it began from), then the monochrome part's; without one, none is built."""
+    """Decode a working copy of `p`, which becomes the monochrome part, in <= B passes, each
+    from the first colour: one scan of the index finds them all, as a pass keeps the entries
+    before it.  A list `steps` receives a `DecodeStep` per pass (its letter and an index-free
+    copy of the state it began from), then the monochrome part's; without one, none is built."""
     w = _thawed(p)
     sites, coloured, removed = w.sites, w.holds_colour, []
     i = 0  # the leading index entries known to hold no colour

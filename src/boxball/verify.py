@@ -76,12 +76,12 @@ def _report(relation: str, domain: int, counterexamples, t0: float) -> RelationR
 
 
 def _words_disagree(elements, pairs):
-    """For each element in turn, the message of every (message, word_a, word_b)
-    row whose two swap words send it to different elements.  A message may
-    name the element `{t}` and the two images `{lhs}`, `{rhs}`.  The words run on
-    factor ids (see the module docstring) at the positions i - 1, i of their
-    letters i, renumbered in order: a word costs its length whatever k is, and
-    the factors no word of a row touches are equal on both sides."""
+    """For each element in turn, the message of every (message, word_a, word_b) row whose
+    two swap words send it to different elements, formatted only then: it may name the
+    element `{t}`, the images `{lhs}`, `{rhs}` and the letters `{a}` of word_a.  The words
+    run on factor ids (see the module docstring) at the positions i - 1, i of their letters
+    i, renumbered in order: a word costs its length whatever k is, and the factors no word
+    of a row touches are equal on both sides."""
     ids: dict = {}  # factor -> id
     factors: list = []  # id -> factor
     memo: dict = {}  # (id, id) -> (id, id)
@@ -110,15 +110,15 @@ def _words_disagree(elements, pairs):
         letters = {*word_a, *word_b}
         touched = sorted(letters.union([i - 1 for i in letters]))
         at = dict(zip(touched, range(len(touched))))  # i - 1 and i stay adjacent
-        rows.append((message, touched, itemgetter(*touched),
+        rows.append((message, word_a, touched, itemgetter(*touched),
                      [(at[i] - 1, at[i]) for i in reversed(word_a)],
                      [(at[i] - 1, at[i]) for i in reversed(word_b)]))
     for t in elements:
         fs = list(map(intern, t.factors))
-        for message, touched, pick, word_a, word_b in rows:
+        for message, letters, touched, pick, word_a, word_b in rows:
             sub = pick(fs)
             if (lhs := image(sub, word_a)) != (rhs := image(sub, word_b)):
-                yield message.format(t=t, lhs=element(fs, touched, lhs),
+                yield message.format(t=t, a=letters, lhs=element(fs, touched, lhs),
                                      rhs=element(fs, touched, rhs))
 
 
@@ -382,11 +382,11 @@ def check_symmetric_group(
         raise ValueError(f"the relations need at least 2 shapes, got {k}")
     words = (k - 1) + (k - 2) + (k - 2) * (k - 3) // 2  # involutions, braids, far pairs
     mode, size, elements = _domain(shapes, n, seed, count, words, "relation words")
-    pairs = [("swap_%d^2 != id at {t}" % i, [i, i], []) for i in range(1, k)]
-    braid = "braid fails at position %d on {t}: {lhs} vs {rhs}"
-    pairs += [(braid % i, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
-    far = "far commutation fails at (%d,%d) on {t}"
-    pairs += [(far % (i, j), [i, j], [j, i]) for i in range(1, k) for j in range(i + 2, k)]
+    pairs = [("swap_{a[0]}^2 != id at {t}", [i, i], []) for i in range(1, k)]
+    braid = "braid fails at position {a[0]} on {t}: {lhs} vs {rhs}"
+    pairs += [(braid, [i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
+    far = "far commutation fails at ({a[0]},{a[1]}) on {t}"
+    pairs += [(far, [i, j], [j, i]) for i in range(1, k) for j in range(i + 2, k)]
     label = ",".join(str(tuple(s)) for s in shapes)
     relation = f"symmetric-group[{label}; n={n}; {mode}]"
     return _report(relation, size, _words_disagree(elements, pairs), t0)

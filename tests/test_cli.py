@@ -561,6 +561,9 @@ BAD_INPUTS = {
     "ascii-second-line": (["separate", "two-lines.txt"], {}),
     "separate-json-trace": (["separate", "--json", "--trace"], {}),  # JSON carries no trace
     "doc-nested-too-deep": (["separate", "nested.json"], {}),
+    "doc-letter-huge": (["separate", "letter-huge.json"], {}),
+    "doc-n-huge": (["evolve", "n-huge.json"], {}),
+    "doc-tail-huge": (["evolve", "tail-huge.json"], {}),
     "doc-mode-unknown": (["evolve", "mode-unknown.json"], {}),
     "doc-mode-null": (["evolve", "mode-null.json"], {}),
     "doc-mode-list": (["evolve", "mode-list.json"], {}),
@@ -600,6 +603,11 @@ BAD_TEXTS = {
     "superscript.txt": "2\u00b2\n",
     "two-lines.txt": "2.3\n4..\n",
     "nested.json": '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    # ints of 5,000 digits, which json.loads refuses under Python's int-to-str digit limit
+    "letter-huge.json": '{"n": 5, "state": [' + "1" * 5000 + "]}",
+    "n-huge.json": '{"n": ' + "1" * 5000 + ', "state": [2]}',
+    "tail-huge.json": '{"n": 3, "mode": "inhom", "tail_capacity": ' + "1" * 5000
+                      + ', "sites": [{"capacity": 1, "counts": [0, 1, 0]}]}',
 }
 
 

@@ -918,6 +918,42 @@ def test_no_public_function_changes_a_path_it_is_given(case, build, indexed):
             assert (out[0] if isinstance(out, tuple) else out) is not p, name
 
 
+def _kept_paths(out):
+    """The paths a public call returned: a path, a pass's path, a record's monochrome part."""
+    if isinstance(out, tuple):
+        return [out[0]]
+    if isinstance(out, sep.SeparationRecord):
+        return [out.monochrome]
+    return [] if isinstance(out, sep.CommutationReport) else [out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
+def test_a_returned_path_is_its_working_copy_frozen_in_place(case):
+    """Each call's output, and the monochrome part of its record, has tuple sites and
+    index, holds no `colourless` count, names its vacuum box, and evolves and decodes as
+    its twin built by the constructor does."""
+    source, _ = case
+    record = sep.separate(source)
+    for subject in (source, record.monochrome):
+        for name, call in _path_calls(source.n, record.word):
+            try:
+                out = call(subject)
+            except ValueError:  # a word the path cannot take, or T on mixed boxes
+                continue
+            for q in _kept_paths(out):
+                for p in (q, sep.separate(q).monochrome):
+                    twin = _built(p, tuple)
+                    assert "colourless" not in vars(p), name
+                    assert type(p.sites) is tuple and type(p.occupied) is tuple, name
+                    assert p == twin and p.occupied == twin.occupied, name
+                    if p.mode == "inhom":
+                        assert p.vacuum == (p.tail_capacity,) + (0,) * (p.n - 1), name
+                    assert dyn.decoding_pass(p) == dyn.decoding_pass(twin), name
+                    assert dyn.carrier_evolution(p, 1) == dyn.carrier_evolution(twin, 1), name
+                    assert sep.separate(p) == sep.separate(twin), name
+
+
 def test_constructors_store_any_iterable_of_ints_as_a_tuple():
     p, want = dyn.BasicPath([3, 2, 1, 1], 3), dyn.BasicPath((3, 2), 3)
     assert p == want and type(p.sites) is tuple and hash(p) == hash(want)
