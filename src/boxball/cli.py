@@ -50,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(args) -> str:
     source = args.input if args.input and args.input != "-" else None
     try:
-        if source is None:
-            return sys.stdin.read()
+        if source is None:  # its bytes, decoded as a file's; a text stream without them as is
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

@@ -31,8 +31,14 @@ from conftest import seeded_basic_path
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WORD
 
 
+def stdin_of(data):
+    """A process's `sys.stdin` holding `data`, bytes or text (UTF-8 encoded)."""
+    data = data.encode() if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def run_cli(monkeypatch, capsys, argv, stdin_text=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin_text))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -518,6 +524,7 @@ def test_empty_input_rejected(monkeypatch, capsys):
 BAD_INPUTS = {
     "missing-file": (["evolve", "missing.txt"], {}),
     "file-not-utf8": (["evolve", "binary.txt"], {}),
+    "stdin-not-utf8": (["separate"], {}),  # reads `BAD_STDIN`, not ".2.\n"
     "capacity-not-int": (["verify", "theorem", "--capacities", "1,x"], {}),
     "capacity-zero": (["verify", "theorem", "--capacities", "0"], {}),
     "braid-n1": (["verify", "braid", "--n", "1"], {}),
@@ -595,6 +602,8 @@ BAD_INPUTS = {
     "composition-exhaustive-work-over-cap": (["verify", "composition", "--n", "2",
                                               "--carriers", "200", "--boxes", "10"], {}),
 }
+
+BAD_STDIN = {"stdin-not-utf8": b".2\xff\n"}
 
 # ASCII paths admit only '.' and the ASCII digits 2..9, on one line; a JSON document
 # nested deeper than the decoder's recursion limit is bad JSON too
@@ -715,31 +724,45 @@ def test_the_largest_alphabet_is_taken(monkeypatch, capsys):
     assert (code, err) == (0, "") and json.loads(out)["word"] == [255, 3]
 
 
-@pytest.mark.parametrize("argv, env", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, env):
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, name):
+    argv, env = BAD_INPUTS[name]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe.2\n")
-    for name, doc in BAD_DOCUMENTS.items():
-        (tmp_path / name).write_text(json.dumps(doc))
-    for name, text in BAD_TEXTS.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for file, doc in BAD_DOCUMENTS.items():
+        (tmp_path / file).write_text(json.dumps(doc))
+    for file, text in BAD_TEXTS.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    code, out, err = run_cli(monkeypatch, capsys, argv, ".2.\n")
+    code, out, err = run_cli(monkeypatch, capsys, argv, BAD_STDIN.get(name, ".2.\n"))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 
+def test_stdin_that_is_not_utf8_is_reported_as_a_file_is(tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.txt").write_bytes(BAD_STDIN["stdin-not-utf8"])
+    for argv, source in ((["separate"], "stdin"), (["separate", str(tmp_path / "bad.txt")],
+                                                    tmp_path / "bad.txt")):
+        code, out, err = run_cli(monkeypatch, capsys, argv, BAD_STDIN["stdin-not-utf8"])
+        assert (code, out, err) == (2, "", f"error: {source} is not UTF-8 text: "
+                                           "invalid start byte\n")
+
+
 _JUNK = (st.none() | st.booleans() | st.floats() | st.integers(-3, 300) | st.text(max_size=3)
          | st.lists(st.integers(-1, 3), max_size=3) | st.just({}))
+# JSON a drawn field may hold through its mark: an int past Python's int-to-str digit limit,
+# which json.dumps cannot write, and lists nested 1,000 deep
+_HUGE = {"@int": "1" * 5000, "@nest": "[" * 1000 + "]" * 1000}
 
 
 @st.composite
 def state_documents(draw):
     """JSON state documents of n <= 5 and at most 4 sites of capacity <= 5, vacuum ones too,
-    with up to two fields (a site's too) missing or of the wrong type, null included."""
+    with up to two fields (a site's too) missing or of the wrong type, null and `_HUGE`
+    included."""
     n = draw(st.integers(2, 5))
     letters = st.lists(st.integers(1, n), min_size=1, max_size=5)
     if draw(st.booleans()):
@@ -756,8 +779,11 @@ def state_documents(draw):
             if draw(st.booleans()):
                 del fields[key]
             else:
-                fields[key] = draw(_JUNK)
-    return json.dumps(doc)
+                fields[key] = draw(_JUNK | st.sampled_from(list(_HUGE)))
+    text = json.dumps(doc)
+    for mark, raw in _HUGE.items():
+        text = text.replace(json.dumps(mark), raw)
+    return text
 
 
 ASCII_TEXTS = st.text(".23456789\n ", max_size=12) | st.text(st.characters(max_codepoint=127),
@@ -801,13 +827,15 @@ def commands(draw):
 
 
 COMMANDS = commands()
+# stdin's bytes: the drawn documents and texts, UTF-8 encoded, or any bytes at all
+INPUTS = (state_documents() | ASCII_TEXTS).map(str.encode) | st.binary(max_size=12)
 
 
 @settings(max_examples=800, deadline=None)
-@given(COMMANDS, state_documents() | ASCII_TEXTS)
-def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, text):
+@given(COMMANDS, INPUTS)
+def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, data):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+    with mock.patch("sys.stdin", stdin_of(data)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)  # no exception escapes
     out, err = out.getvalue(), err.getvalue()
     if code == 2:
@@ -821,6 +849,7 @@ def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, text):
         else:
             assert lines and all(line.startswith("pass  ") for line in lines)
         return
+    text = data.decode()  # the command read it, so it is UTF-8
     n = int(argv[argv.index("--n") + 1]) if "--n" in argv else None
     if "--json" in argv and argv[0] == "evolve":
         doc = json.loads(out)

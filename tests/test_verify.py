@@ -309,8 +309,8 @@ def test_a_random_domain_above_the_cap_raises_before_any_draw(monkeypatch, check
          "1000000 elements x 999999 swaps in each word, cap is 1000000"),
         (lambda: verify.check_carrier_composition(2, 200, 10, 2),
          "3072 elements x 2210 swaps in each word, cap is 1000000"),
-        (lambda: verify.check_symmetric_group([(1,)] * 1000, 3, 0, 3),
-         "3 elements x 499500 relation words, cap is 1000000"),
+        (lambda: verify.check_symmetric_group([(1,)] * 200_000, 3, 0, 3),
+         "3 elements x 399997 relation words, cap is 1000000"),
     ],
     ids=["braid-row", "composition-row", "carriers", "boxes", "path-suite", "braid-columns",
          "composition-columns", "composition-work", "composition-exhaustive-work",
@@ -342,7 +342,7 @@ def test_the_caps_on_a_word_check_s_work_are_inclusive(monkeypatch):
     may equal the cap, not pass it; the relation words are counted before they are built."""
     words = _counted(monkeypatch, verify, "_words_disagree")
     for k in range(2, 7):
-        size = 2**k * ((k - 1) + (k - 2) + (k - 2) * (k - 3) // 2)
+        size = 2**k * ((k - 1) + (k - 2))
         monkeypatch.setattr(verify, "MAX_DOMAIN", size)  # the crystals' own guard keeps its cap
         assert verify.check_symmetric_group([(1,)] * k, 2).passed
         assert 2**k * len(words.pop()[1]) == size
@@ -354,6 +354,36 @@ def test_the_caps_on_a_word_check_s_work_are_inclusive(monkeypatch):
     assert verify.check_carrier_composition(1, 1, 1, 3, 0, 2).passed  # 2 elements x 3 swaps
     with pytest.raises(cr.DomainSizeError, match="^3 elements x 3 swaps in each word, cap is 6$"):
         verify.check_carrier_composition(1, 1, 1, 3, 0, 3)
+
+
+def test_the_symmetric_group_check_runs_the_involutions_and_braids_only(monkeypatch):
+    """(k - 1) + (k - 2) relation words on k shapes, each on a run of adjacent factors."""
+    rows = _counted(monkeypatch, verify, "_words_disagree")
+    for k in range(2, 8):
+        assert verify.check_symmetric_group([(1,)] * k, 2, count=1).passed
+        words = [(a, b) for _, a, b in rows.pop()[1]]
+        assert words == [([i, i], []) for i in range(1, k)] + [
+            ([i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, k - 1)]
+
+
+def test_far_commutation_cannot_fail_in_a_word_check(monkeypatch, wrong_case_g):
+    """Swaps of disjoint factors commute whatever the swap map does, as the memo gives one
+    image per factor pair: under a planted fault, and under a swap that picks a random
+    order on each call, the far rows find nothing while the involutions fail."""
+    shapes, k = [(1, 1), (1,), (1, 1), (1,), (2,)], 5
+    far = [("far", [i, j], [j, i]) for i in range(1, k) for j in range(i + 2, k)]
+    involutions = [("involution", [i, i], []) for i in range(1, k)]
+
+    def disagreements(rows):
+        return list(verify._words_disagree(cr.iter_tensor(shapes, 4), rows))
+
+    assert len(far) == 3 and disagreements(far) == []
+    assert len(disagreements(involutions)) == 720
+    rng = random.Random(0)
+    monkeypatch.setattr(verify, "swap_pair", lambda a, b: iso.SwapResult(
+        *rng.sample([a, b], 2), ""))
+    assert disagreements(far) == []
+    assert disagreements(involutions)
 
 
 def test_a_random_domain_is_drawn_as_it_is_checked(monkeypatch, wrong_case_g):
@@ -635,6 +665,12 @@ def test_an_unknown_relation_or_mode_names_the_known_ones():
             verify.check_path_suite(relation, "basic", 3, 5, 0, [1])
     with pytest.raises(ValueError, match="want one of basic, inhom"):
         verify.check_path_suite("theorem", "inhomm", 3, 5, 0, [1])
+    with pytest.raises(ValueError, match="^unknown 'x'; want one of basic, inhom$"):
+        verify.check_image("x", 3, 2)
+    for check in (lambda: verify.check_path_suite("theorem", "basic", 1, 1, 0, [1]),
+                  lambda: verify.check_image("inhom", 1, 2)):  # a domain of no path, not a pass
+        with pytest.raises(ValueError, match="^alphabet size must be an int >= 2, got 1$"):
+            check()
 
 
 @pytest.mark.parametrize("mode", ["basic", "inhom"])
