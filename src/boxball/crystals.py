@@ -312,8 +312,8 @@ def is_highest_weight(x: Factor | TensorElement) -> bool:
 
 
 def is_column(shape: Shape) -> bool:
-    """True for the column (1, 1), False for a row (k,); any other shape raises."""
-    if (shape := tuple(shape)) != (1, 1) and len(shape) != 1:
+    """True for the column (1, 1), False for a row (k,), k >= 1; any other shape raises."""
+    if (shape := tuple(shape)) != (1, 1) and (len(shape) != 1 or shape[0] < 1):
         raise ValueError(f"unsupported shape {shape}")
     return shape == (1, 1)
 
@@ -332,7 +332,8 @@ def iter_crystal(shape: Shape, n: int) -> Iterator[Factor]:
 
 def tensor_size(shapes, n: int) -> int:
     """The `MAX_DOMAIN` guard of every exhaustive enumeration: the product crystal's size,
-    multiplied out only while it stays within the cap."""
+    multiplied out only while it stays within the cap; a bad alphabet or shape raises."""
+    _check_alphabet(n)
     size = 1
     for shape in shapes:
         if (size := size * crystal_size(shape, n)) > MAX_DOMAIN:

@@ -29,7 +29,6 @@ from .crystals import (
     Value,
     _cap_alphabet,
     _check_alphabet,
-    box,
     col,
     counts_to_row,
     crystal_size,
@@ -41,11 +40,9 @@ from .crystals import (
     iter_crystal,
     iter_tensor,
     lowered_at,
-    row,
     tensor,
     tensor_at,
     tensor_size,
-    vacuum_row,
 )
 from .dynamics import BasicPath, InhomPath, InvalidWordError, ball_count
 from .isomorphisms import swap_adjacent, swap_pair
@@ -69,9 +66,12 @@ class DecompositionFixture(Value):
 
 
 def _report(relation: str, domain: int, counterexamples, t0: float) -> RelationReport:
-    """The report on the first of `counterexamples` (pass if there is none),
-    timed from `t0`."""
-    counterexample = next(iter(counterexamples), None)
+    """The report on the first of `counterexamples` (pass if there is none), timed from
+    `t0`; an exception raised while it is sought is that counterexample."""
+    try:
+        counterexample = next(iter(counterexamples), None)
+    except Exception as exc:
+        counterexample = f"raised {type(exc).__name__}: {exc}"
     return RelationReport(relation, domain, counterexample, time.perf_counter() - t0)
 
 
@@ -329,21 +329,17 @@ def isomorphism_table(
 
 def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> RelationReport:
     """Closed-form swap versus the oracle mapping, on the full pair domain.  An unsupported
-    shape raises; an oracle that cannot be built (`isomorphism_table`'s ValueError) fails."""
+    shape or alphabet raises; a raise of the oracle (one that cannot be built) or of the
+    swap fails the check."""
     t0 = time.perf_counter()
-    size = tensor_size([shape_a, shape_b], n)  # `is_column` refuses a bad shape before any table
+    size = tensor_size([shape_a, shape_b], n)  # refuses bad arguments before any table
 
     def counterexamples():
-        try:
-            table = isomorphism_table(shape_a, shape_b, n)
-        except ValueError as exc:
-            yield f"raised {type(exc).__name__}: {exc}"
-        else:
-            for t, expected in table.items():
-                res = swap_pair(t.factors[0], t.factors[1])
-                got = TensorElement((res.left, res.right))
-                if got != expected:
-                    yield f"{t} -> {got}, oracle says {expected}"
+        for t, expected in isomorphism_table(shape_a, shape_b, n).items():
+            res = swap_pair(t.factors[0], t.factors[1])
+            got = TensorElement((res.left, res.right))
+            if got != expected:
+                yield f"{t} -> {got}, oracle says {expected}"
 
     return _report(f"oracle[{shape_a}x{shape_b}, n={n}]", size, counterexamples(), t0)
 
@@ -356,9 +352,12 @@ def _domain(shapes, n: int, seed: int, count: int | None, work: int, unit: str):
     """(mode, size, elements): the product crystal ("exhaustive") or `count` <= `MAX_DOMAIN`
     elements drawn with `seed` ("random"), each made only as the check reaches it.  A check
     of `work` `unit`s per element is refused over `MAX_DOMAIN` in all, before any is made."""
-    if count is not None:
+    if count is not None:  # `tensor_size` checks the alphabet and shapes of the other branch
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        _check_alphabet(n)
+        for shape in shapes:
+            is_column(shape)
         if count > MAX_DOMAIN:
             raise DomainSizeError(f"random domain of {count} elements, cap is {MAX_DOMAIN}")
         if (letters := sum(map(sum, shapes))) > MAX_DOMAIN:  # each is drawn letter by letter
@@ -392,32 +391,8 @@ def check_symmetric_group(
 
 
 # ---------------------------------------------------------------------------
-# fixture chains: the two six-step cycles on row x box x column (n=3) and
-# their count-vector analogues on row x row x column
-
-
-def _chain_fixtures_row_box_col():
-    n = 3
-    u = vacuum_row(3, n)
-    chain1 = [
-        tensor(u, box(1, n), col(2, 3, n)),
-        tensor(box(1, n), u, col(2, 3, n)),
-        tensor(box(1, n), col(1, 2, n), row((1, 1, 3), n)),
-        tensor(col(1, 2, n), box(1, n), row((1, 1, 3), n)),
-        tensor(col(1, 2, n), u, box(3, n)),
-        tensor(u, col(1, 2, n), box(3, n)),
-        tensor(u, box(1, n), col(2, 3, n)),
-    ]
-    chain2 = [
-        tensor(u, box(2, n), col(1, 3, n)),
-        tensor(box(1, n), row((1, 1, 2), n), col(1, 3, n)),
-        tensor(box(1, n), col(2, 3, n), u),
-        tensor(col(1, 2, n), box(3, n), u),
-        tensor(col(1, 2, n), row((1, 1, 3), n), box(1, n)),
-        tensor(u, col(2, 3, n), box(1, n)),
-        tensor(u, box(2, n), col(1, 3, n)),
-    ]
-    return [("chain-1", chain1), ("chain-2", chain2)]
+# fixture chains: the two six-step cycles on row x row x column (n=3), by count vectors;
+# the paper's row x box x column cycles are their l2 = 1 members
 
 
 def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int):
@@ -451,14 +426,14 @@ def _chain_fixtures_two_rows_col(l1: int, l2: int, x: int):
 
 
 def check_highest_weight_chains() -> RelationReport:
-    """Replay the fixture cycles, asserting every intermediate exactly.
+    """Replay the fixture cycles of row (3) x row (l2) x column, asserting every
+    intermediate exactly: the row x box x column cycles (l2 = 1), then l2 = 2 at x = 0, 1.
 
     Each cycle alternates swaps at positions 1 and 2 six times and must
     return to its starting highest weight element."""
     t0 = time.perf_counter()
-    fixtures = list(_chain_fixtures_row_box_col())
-    for x in (0, 1):
-        fixtures.extend(_chain_fixtures_two_rows_col(3, 2, x))
+    fixtures = [chain for l2, x in ((1, 0), (2, 0), (2, 1))
+                for chain in _chain_fixtures_two_rows_col(3, l2, x)]
 
     def counterexamples():
         for name, chain in fixtures:
@@ -521,17 +496,6 @@ def row_box_fixture(ell: int, n: int) -> DecompositionFixture:
     return _fixture(((ell,), (1,)), n, [((ell + 1,), 1), ((ell, 1), 1)])
 
 
-def row_box_col_fixture(ell: int, n: int) -> DecompositionFixture:
-    expected = [
-        ((ell, 1, 1, 1), 1),
-        ((ell, 2, 1), 1),
-        ((ell + 1, 2), 1),
-        ((ell + 2, 1), 1),
-        ((ell + 1, 1, 1), 2),
-    ]
-    return _fixture(((ell,), (1,), (1, 1)), n, expected)
-
-
 def two_rows_col_fixture(l1: int, l2: int, n: int) -> DecompositionFixture:
     expected: list[tuple[Shape, int]] = []
     for x in range(1, l2 + 1):
@@ -560,8 +524,8 @@ def check_decomposition(fixture: DecompositionFixture) -> RelationReport:
 def standard_decomposition_fixtures() -> list[DecompositionFixture]:
     return [
         row_box_fixture(2, 3),
-        row_box_col_fixture(3, 5),
-        row_box_col_fixture(3, 3),
+        two_rows_col_fixture(3, 1, 5),  # row x box x column
+        two_rows_col_fixture(3, 1, 3),
         two_rows_col_fixture(3, 2, 5),
         two_rows_col_fixture(3, 2, 3),
         two_rows_col_fixture(2, 2, 3),

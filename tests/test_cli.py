@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -11,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxball.isomorphisms
 import boxball.verify
 from boxball.cli import (
     _print_table,
@@ -472,6 +474,27 @@ def test_any_exception_of_separate_fails_a_suite_without_a_traceback(monkeypatch
     assert out.splitlines()[1].endswith(" raised IndexError: planted")
 
 
+@pytest.mark.parametrize("check, core, fires", [
+    ("braid", "col_box_core", lambda top, bottom, g: g == top),
+    ("composition", "col_box_core", lambda top, bottom, g: g == top),
+    ("chains", "col_row_core", lambda *args: True),
+], ids=["braid", "composition", "chains"])
+def test_a_core_that_raises_fails_a_crystal_suite_without_a_traceback(monkeypatch, capsys,
+                                                                     check, core, fires):
+    real = getattr(boxball.isomorphisms, core)
+
+    def planted(*args):
+        if fires(*args):
+            raise IndexError(f"planted in {core}")
+        return real(*args)
+
+    monkeypatch.setattr(boxball.isomorphisms, core, planted)
+    code, out, err = run_cli(monkeypatch, capsys, ["verify", check])
+    assert (code, err) == (1, "")
+    assert out.startswith("fail  ")
+    assert out.splitlines()[1].strip() == f"raised IndexError: planted in {core}"
+
+
 def test_a_combine_that_accepts_nothing_fails_the_image_check(monkeypatch, capsys):
     """`combine` must give back every path of the domain from its `separate` record: a
     check of the pairs it accepts alone passes when it accepts none."""
@@ -811,12 +834,20 @@ COMMAND_FLAGS = {
 }
 
 
+# the positional inputs `commands` draws, by their names in a temporary directory: a missing
+# path, the directory itself, and a regular file holding the drawn bytes
+_SOURCES = {"@missing": "missing", "@directory": "", "@file": "input"}
+
+
 @st.composite
 def commands(draw):
     """A command line of `COMMAND_FLAGS`, a command and some of its flags: `separate` or
-    `evolve` half of the time, as only those read the drawn input."""
+    `evolve` half of the time, as only those read the drawn input, from stdin or from the
+    positional input: `-`, or a mark of the test's `_SOURCES`."""
     command = draw(st.sampled_from(["separate", "evolve"]) | st.sampled_from(list(COMMAND_FLAGS)))
     argv = command.split()
+    if argv[0] != "verify":
+        argv += draw(st.sampled_from([[], ["-"], *([mark] for mark in _SOURCES)]))
     for flag, values in COMMAND_FLAGS[command].items():
         if draw(st.booleans()):
             if values is None:
@@ -831,13 +862,33 @@ COMMANDS = commands()
 INPUTS = (state_documents() | ASCII_TEXTS).map(str.encode) | st.binary(max_size=12)
 
 
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 @settings(max_examples=800, deadline=None)
 @given(COMMANDS, INPUTS)
 def test_hostile_input_exits_0_or_2_and_prints_whole_rows(argv, data):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", stdin_of(data)), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)  # no exception escapes
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {mark: os.path.join(tmp, name) for mark, name in _SOURCES.items()}
+        with open(paths["@file"], "wb") as fh:
+            fh.write(data)
+        source = next((paths[a] for a in argv if a in paths), "stdin")
+        argv = [paths.get(a, a) for a in argv]
+        with mock.patch("sys.stdin", stdin_of(data)), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)  # no exception escapes
     out, err = out.getvalue(), err.getvalue()
+    # a command whose flags pass reads its input first, and names an unreadable one
+    if argv[0] != "verify" and ("--n" not in argv or argv[argv.index("--n") + 1] in ("2", "3")):
+        if source in (paths["@missing"], paths["@directory"]):
+            assert err.startswith(f"error: cannot read {source}: "), err
+        elif not _is_utf8(data):
+            assert err.startswith(f"error: {source} is not UTF-8 text: "), err
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         return

@@ -471,6 +471,36 @@ def test_a_random_domain_of_an_unsupported_shape_is_refused():
         verify.check_symmetric_group([(2, 1), (1,)], 3, count=5)
 
 
+def test_an_empty_row_or_a_one_letter_alphabet_raises_before_any_element_is_made(monkeypatch):
+    def unmade(*args):
+        raise AssertionError("an element was made")
+
+    for name in ("isomorphism_table", "iter_tensor", "random_tensor"):
+        monkeypatch.setattr(verify, name, unmade)
+    checks = {
+        r"^unsupported shape \(0,\)$": [
+            lambda: verify.check_swap_against_oracle((0,), (1,), 3),
+            lambda: verify.check_symmetric_group([(1,), (0,)], 3),
+            lambda: verify.check_symmetric_group([(1,), (0,)], 3, count=5),
+            lambda: verify.check_carrier_composition(0, 1, 1, 3),
+            lambda: verify.check_carrier_composition(0, 1, 1, 3, count=5),
+        ],
+        r"^alphabet size must be an int >= 2, got 1$": [
+            lambda: verify.check_swap_against_oracle((1,), (1,), 1),
+            lambda: verify.check_symmetric_group([(1,), (2,)], 1),
+            lambda: verify.check_symmetric_group([(1,), (2,)], 1, count=5),
+            lambda: verify.check_carrier_composition(2, 1, 1, 1),
+            lambda: verify.check_carrier_composition(2, 1, 1, 1, count=5),
+        ],
+    }
+    for message, cases in checks.items():
+        for check in cases:
+            with pytest.raises(ValueError, match=message):
+                check()
+    with pytest.raises(ValueError, match=r"^unsupported shape \(0,\)$"):
+        cr.is_column((0,))
+
+
 def test_decomposition_fixtures_pass():
     for fixture in verify.standard_decomposition_fixtures():
         rep = verify.check_decomposition(fixture)
@@ -478,7 +508,7 @@ def test_decomposition_fixtures_pass():
 
 
 def test_decomposition_multiplicity_two_where_stated():
-    fixture = verify.row_box_col_fixture(3, 5)
+    fixture = verify.two_rows_col_fixture(3, 1, 5)
     assert ((4, 1, 1), 2) in fixture.expected
     fixture = verify.two_rows_col_fixture(3, 2, 5)
     assert ((5, 1, 1), 2) in fixture.expected
@@ -486,7 +516,7 @@ def test_decomposition_multiplicity_two_where_stated():
 
 
 def test_decomposition_drops_shapes_too_tall_for_alphabet():
-    fixture = verify.row_box_col_fixture(3, 3)
+    fixture = verify.two_rows_col_fixture(3, 1, 3)
     assert all(len(s) <= 3 for s, _ in fixture.expected)
     assert ((3, 1, 1, 1), 1) not in fixture.expected
 
@@ -552,6 +582,15 @@ def test_oracle_check_reports_planted_fault(wrong_case_g):
     assert rep.counterexample == "[2/3]*<4> -> <3>*[2/4], oracle says <2>*[3/4]"
 
 
+def test_a_raise_of_a_swap_core_fails_the_oracle_check(monkeypatch):
+    def planted(a, b, entries):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(iso, "col_row_core", planted)
+    rep = verify.check_swap_against_oracle((1, 1), (3,), 3)
+    assert (rep.passed, rep.domain, rep.counterexample) == (False, 30, "raised IndexError: planted")
+
+
 def test_highest_weight_chains_report_planted_fault(monkeypatch):
     real = iso.col_row_core
 
@@ -564,13 +603,14 @@ def test_highest_weight_chains_report_planted_fault(monkeypatch):
     rep = verify.check_highest_weight_chains()
     assert not rep.passed
     assert rep.counterexample == (
-        "chain-2 step 5: got <113>*[1/2]*<1>, expected <111>*[2/3]*<1>"
+        "count-chain-2[l1=3,l2=1,x=0] step 5: got <113>*[1/2]*<1>, expected <111>*[2/3]*<1>"
     )
 
 
 def test_a_chain_that_does_not_start_at_a_highest_weight_fails(monkeypatch):
     start = cr.tensor(cr.box(2, 3), cr.box(2, 3), cr.col(2, 3, 3))  # weight (0, 3, 1)
-    monkeypatch.setattr(verify, "_chain_fixtures_row_box_col", lambda: [("planted", [start] * 7)])
+    monkeypatch.setattr(verify, "_chain_fixtures_two_rows_col",
+                        lambda l1, l2, x: [("planted", [start] * 7)])
     rep = verify.check_highest_weight_chains()
     assert not rep.passed
     assert rep.counterexample == f"planted: start {start} is not highest weight"
