@@ -12,7 +12,9 @@ State documents are either a bare ASCII path on one line ('.'=empty, digits
 
 `evolve` and `separate` keep each row only as its output text (its table line or
 JSON fragment) and write row by row: O(L) memory per row of text, never the rows
-as paths.  A closed output pipe ends a command quietly, with exit code 1.
+as paths.  A text table is aligned to its widest row, so it is held whole: `evolve`
+takes at most `MAX_TABLE_STEPS` steps without `--json`, which streams any number.  A
+closed output pipe ends a command quietly, with exit code 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .dynamics import (
     decoding_pass,
 )
 from .separation import separate
+
+
+MAX_TABLE_STEPS = 10_000  # the most steps `evolve` holds as text rows to align its table
 
 
 class CliError(Exception):
@@ -197,6 +202,13 @@ def _write_json(doc: dict, key: str, fragments) -> None:
     sys.stdout.writelines(chain([f'{head}"{key}": ['], body, [f"]{tail}\n"]))
 
 
+def _box_count(p) -> int:
+    """The stored boxes of `p`, a basic path's read off its last ball."""
+    if p.mode == "basic":
+        return p.occupied[-1] + 1 if p.occupied else 0
+    return len(p.sites)
+
+
 def _print_table(state, text: str, rows) -> None:
     """Print rows `(line, cells, boxes)`, `line` holding `{}` for the state's `cells`
     padded as `render(width)` pads, to the widest row and the ASCII input `text`."""
@@ -219,7 +231,7 @@ def cmd_evolve(args) -> int:
         docs = (json.dumps(state_document(r)) for r in rows)
         _write_json({"steps": args.steps, "rows": []}, "rows", docs)
     else:
-        _print_table(state, text, [(f"t={t:<4} {{}}", r.render(), len(r.sites))
+        _print_table(state, text, [(f"t={t:<4} {{}}", r.render(), _box_count(r))
                                    for t, r in enumerate(rows)])
     return 0
 
@@ -234,7 +246,7 @@ def cmd_separate(args) -> int:
             rows.append(json.dumps(_step_json(step)))
             return
         line = f"s={step.index:<4} {{}}" + ("" if step.removed is None else f" {step.removed}")
-        rows.append((line, step.state.render(), len(step.state.sites)))
+        rows.append((line, step.state.render(), _box_count(step.state)))
         if args.trace and step.removed is not None:
             trace = []
             _, carrier = decoding_pass(step.state, trace)
@@ -305,6 +317,9 @@ def _check_flags(args) -> None:
             raise CliError(f"--{flag} must be >= {least}, got {value}")
     if getattr(args, "steps", 0) > sys.maxsize:  # the most `itertools.repeat` takes
         raise CliError(f"--steps must be <= {sys.maxsize}, got {args.steps}")
+    if getattr(args, "steps", 0) > MAX_TABLE_STEPS and not args.json:  # a table is held whole
+        raise CliError(f"a text table takes at most {MAX_TABLE_STEPS} steps, got {args.steps}; "
+                       "--json streams any number")
     if getattr(args, "n", None) is not None:
         _cap_alphabet(args.n)
 

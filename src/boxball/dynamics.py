@@ -21,17 +21,27 @@ an empty top meets a ball in two cases, an exchange with its bottom or an emptie
 seeded (1,2) exchanges a 2 for a 2 (`col_row_core` I-III, `row_col_core` 3-5), no skip.
 Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans for it
 once, on first use, and keeps it, and a sweep gives its output a new one.  No public
-function changes a path it is given; constructors store any iterable of ints as a tuple.  A
-sweep rewrites a working copy (list sites and index) in place: a public call copies in, O(L),
-and its working copy, trimmed and frozen in place, becomes the path it returns; `separate` and
-`combine` thaw once for all passes, and their copy counts its leading index entries known to
-hold no colour (`colourless`; `separate` scans for it).  No column pass changes those or moves
-the first colour left, so there a pass walks the index from the first colour, and an inverse
-one stops at (1,2) left of it; a fresh copy walks the whole index.
+function changes a path it is given; constructors store any iterable of ints as a tuple.
+
+A basic path is its balls: a sweep's output stores only its index and their `letters`; its
+boxes (`sites`) are made from them on first read, O(L), as a constructed path's balls are
+scanned from its boxes.  A sweep rewrites a working copy in place: a basic one's index and
+letters lists, an inhomogeneous one's list sites and index (its empty boxes of other
+capacities are not vacuum).  A public call copies in, and its working copy, frozen in place,
+becomes the path it returns.  So on a basic path a sweep made, the untraced
+`carrier_evolution`, `decoding_pass` and `encoding_pass`, each pass of `separate` and
+`combine`, `is_monochrome` and `ball_count` cost O(B) steps and copies, and `render` O(B)
+steps into an O(L) row; reading `sites`, a traced sweep (it spreads the balls over a list of
+boxes and gathers them back), T and every call on an inhomogeneous path cost O(L).
+`separate` and `combine` thaw once for all passes, and their copy counts its leading index
+entries known to hold no colour (`colourless`; `separate` scans for it).  No column pass
+changes those or moves the first colour left, so there a pass walks the index from the first
+colour, and an inverse one stops at (1,2) left of it; a fresh copy walks the whole index.
 
 T (`time_evolution`, basic paths only) moves letters and calls no swap core, so it can
-check them: it moves each ball of a working copy once, O(L) copying plus O(B + n) steps, and
-its C-level searches for empty boxes read no box twice in a letter's round: O(L) per round.
+check them: it spreads a path's balls over a list of boxes, O(L), moves each ball once,
+O(B + n) steps, and keeps the moved balls; its C-level searches for empty boxes read no box
+twice in a letter's round: O(L) per round.
 
 A count-vector swap is a pure map a sweep meets again and again (20 steps of a 150-site n = 5
 path: 2,600-3,400 `row_core` calls at 660-860 distinct arguments under T_2, 1,060-1,670 under
@@ -49,7 +59,7 @@ from bisect import bisect, bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from itertools import chain
-from operator import lt, ne
+from operator import attrgetter, lt, ne
 
 from .crystals import (
     ColumnPair,
@@ -82,31 +92,76 @@ def _trim(p, sites: tuple) -> None:
 
 
 def _thawed(p):
-    """A working copy of `p` (list sites and index)."""
+    """A working copy of `p`: a basic path's balls (list index and letters), an
+    inhomogeneous one's boxes (list sites and index)."""
     w = object.__new__(type(p))
-    w.__dict__.update(p.__dict__, sites=list(p.sites), occupied=list(p.occupied))
+    if p.mode == "basic":
+        w.__dict__.update(n=p.n, occupied=list(p.occupied), letters=list(p.letters))
+    else:
+        w.__dict__.update(p.__dict__, sites=list(p.sites), occupied=list(p.occupied))
     return w
 
 
 def _frozen(w, indexed: bool = True):
-    """The working path `w`, less trailing vacuum, made a kept path in place (tuple sites and
-    index, no `colourless`); not `indexed`, a new path holding a copy of its boxes only."""
-    sites, vacuum = w.sites, w.vacuum
-    while sites and sites[-1] == vacuum:
+    """The working path `w` made a kept path in place, with no `colourless`: a basic one its
+    balls (tuple index and letters), an inhomogeneous one its boxes less trailing vacuum
+    (tuple sites and index).  Not `indexed`, a new path holding a copy of the balls of a basic
+    `w`, or of the boxes alone of an inhomogeneous one: `w` works on."""
+    d = w.__dict__
+    if w.mode == "basic":  # any `sites` it holds are boxes read mid-walk
+        q = w if indexed else object.__new__(type(w))
+        _set(q, "__dict__", {"n": w.n, "occupied": tuple(d["occupied"]),
+                             "letters": tuple(d["letters"])})
+        return q
+    sites = d["sites"]
+    while sites and sites[-1] == w.vacuum:
         sites.pop()
-    if not indexed:  # a snapshot: `w` works on
+    if not indexed:
         q = object.__new__(type(w))
-        q.__dict__.update(w.__dict__, sites=tuple(sites))
+        q.__dict__.update(d, sites=tuple(sites))
         del q.__dict__["occupied"], q.__dict__["colourless"]
         return q
-    w.__dict__.update(sites=tuple(sites), occupied=tuple(w.occupied))
-    w.__dict__.pop("colourless", None)
+    d.update(sites=tuple(sites), occupied=tuple(d["occupied"]))
+    d.pop("colourless", None)
     return w
 
 
 def _scan_occupied(p) -> tuple[int, ...]:
-    """The sorted indices of the boxes of `p` holding a ball."""
-    return tuple(k for k, v in enumerate(p.sites) if p.holds_ball(v))
+    """The sorted indices of the boxes of `p` holding a ball; a basic path keeps their
+    letters from the same scan, so it scans once whichever of the two it reads first."""
+    sites = p.sites
+    if p.mode == "inhom":
+        return tuple(k for k, c in enumerate(sites) if p.holds_ball(c))
+    index = [k for k, v in enumerate(sites) if v != 1]
+    _set(p, "letters", tuple(map(sites.__getitem__, index)))
+    return tuple(index)
+
+
+def _scan_letters(p) -> tuple[int, ...]:
+    """The letters of a basic path's balls in index order, scanned with its index."""
+    _set(p, "occupied", _scan_occupied(p))
+    return p.__dict__["letters"]
+
+
+def _boxes(p) -> list[int]:
+    """The boxes of a basic path up to its last ball, made from its balls: 1 off the index."""
+    index = p.occupied
+    sites = [1] * (index[-1] + 1 if index else 0)
+    for k, v in zip(index, p.letters):
+        sites[k] = v
+    return sites
+
+
+def _spread(w) -> list:
+    """A basic working copy's boxes as the list a walk over boxes rewrites, O(L), held until
+    `_gather` collects its balls back into its index and letters."""
+    sites = w.__dict__["sites"] = _boxes(w)
+    return sites
+
+
+def _gather(w) -> None:
+    sites = w.__dict__.pop("sites")
+    w.__dict__["letters"] = list(map(sites.__getitem__, w.occupied))
 
 
 # adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier, tag)
@@ -144,36 +199,44 @@ def _row_col_counts(counts: CountVector, top: int, bottom: int):
     return top, bottom, entries_to_counts(orig, len(counts)), tag
 
 
+# The basic kernels rewrite a working copy's index and letters lists in place: a ball only
+# moves right under a forward carrier and left under an inverse one, and a carrier holds a
+# ball or two, so the slot a kernel writes never passes the ball it reads.  A column carrier
+# that is idle (top 1) holds one ball, so the ball it reads sits in the slot it writes next,
+# m; a busy one holds two, so that ball sits one slot on.
 def _basic_column_sweep(w) -> tuple[int, int]:
     """The untraced decoding `_sweep` of a basic path from index entry `colourless` on, with
     `col_box_core` inline.  An empty top meets a ball g in two cases: bottom and g exchange
-    (g <= bottom: the seeded (1,2) passes a colourless box so) or the box empties."""
-    out, index, i = w.sites, w.occupied, w.__dict__.get("colourless", 0)
-    occupied, top, bottom, j = index[:i], 1, 2, 0  # j: the box after the last one visited
-    for k in index[i:] if i else index:
-        if top != 1 and j < k:  # the empty box j takes top
-            out[j], top = top, 1
-            occupied.append(j)
-        g = out[k]
-        if top == 1:
-            if g <= bottom:  # exchange: the box takes bottom, bottom becomes g
-                out[k], bottom = bottom, g
-                occupied.append(k)
-            else:  # the box empties, (top, bottom) becomes (bottom, g)
-                out[k], top, bottom, j = 1, bottom, g, k + 1
-            continue
-        if g <= top:  # the box takes top, top becomes g
-            out[k], top = top, g
-        elif g <= bottom:  # the box takes bottom, bottom becomes g
-            out[k], bottom = bottom, g
-        else:  # the box takes top, (top, bottom) becomes (bottom, g)
-            out[k], top, bottom = top, bottom, g
-        occupied.append(k)
-        j = k + 1
-    if top != 1:  # past the last ball: box j is trailing vacuum or past the end
-        out[j : j + 1], top = [top], 1
-        occupied.append(j)
-    w.__dict__["occupied"] = occupied
+    (g <= bottom: the seeded (1,2) passes a colourless box so) or the box empties, which
+    starts a busy spell."""
+    index, letters, m = w.occupied, w.letters, w.__dict__.get("colourless", 0)  # m: next slot
+    w.__dict__.pop("sites", None)  # boxes read between passes go stale
+    top, bottom, j = 1, 2, 0  # j: the box after the last one visited
+    for k in index[m:]:
+        if top != 1:
+            if j < k:  # the empty box j takes top
+                index[m], letters[m], top = j, top, 1
+                m += 1
+            else:
+                g = letters[m + 1]
+                if g <= top:  # the box takes top, top becomes g
+                    letters[m], top = top, g
+                elif g <= bottom:  # the box takes bottom, bottom becomes g
+                    letters[m], bottom = bottom, g
+                else:  # the box takes top, (top, bottom) becomes (bottom, g)
+                    letters[m], top, bottom = top, bottom, g
+                index[m] = k
+                m += 1
+                j = k + 1
+                continue
+        g = letters[m]
+        if g <= bottom:  # exchange: the box takes bottom, bottom becomes g
+            letters[m], bottom = bottom, g
+            m += 1
+        else:  # the box empties, (top, bottom) becomes (bottom, g)
+            top, bottom, j = bottom, g, k + 1
+    if top != 1:  # past the last ball: box j, trailing vacuum, takes top into the last slot
+        index[m], letters[m], top = j, top, 1
     return top, bottom
 
 
@@ -181,69 +244,82 @@ def _basic_row_sweep(w, capacity: int) -> None:
     """The untraced row `_sweep` of a basic path, `row_box_core` inline.  The carrier's
     balls lie sorted in row[lo:hi]: a letter replaces the largest one below it in place or
     enters at lo - 1, and the largest leaves from hi - 1, so lo falls at most once per ball,
-    hi never rises and no letter moves in memory: O(log load) a box at any capacity."""
-    out, occupied, j = w.sites, [], 0  # j: the box after the last one visited
-    lo = hi = len(w.occupied)
+    hi never rises and no letter moves in memory: O(log load) a ball at any capacity."""
+    index, letters = w.occupied, w.letters
+    lo = hi = len(index)
     row = [0] * hi  # 0: no letter
-    for k in w.occupied:
+    m = j = 0  # m: the next slot; j: the box after the last one visited
+    for k, beta in zip(index, letters):
         while lo < hi and j < k:  # the busy carrier drops its largest letter into box j
             hi -= 1
-            out[j] = row[hi]
-            occupied.append(j)
+            index[m], letters[m] = j, row[hi]
+            m += 1
             j += 1
-        beta, j = out[k], k + 1
+        j = k + 1
         i = bisect_left(row, beta, lo, hi)
         if i > lo:  # bump: the largest letter below beta leaves
-            out[k], row[i - 1] = row[i - 1], beta
-        elif hi - lo < capacity:  # an empty slot leaves, beta enters
+            letters[m], row[i - 1] = row[i - 1], beta
+        elif hi - lo < capacity:  # an empty slot leaves, beta enters: the box empties
             lo -= 1
-            out[k], row[lo] = 1, beta
+            row[lo] = beta
             continue
         else:  # full of letters >= beta: the largest leaves
             hi, lo = hi - 1, lo - 1
-            out[k], row[lo] = row[hi], beta
-        occupied.append(k)
-    out[j : j + hi - lo] = reversed(row[lo:hi])  # past the last ball, largest first
-    occupied += range(j, j + hi - lo)
-    w.__dict__["occupied"] = occupied
+            letters[m], row[lo] = row[hi], beta
+        index[m] = k
+        m += 1
+    index[m:] = range(j, j + hi - lo)  # past the last ball, largest first
+    letters[m:] = reversed(row[lo:hi])
 
 
 def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
-    """`_inv_column_sweep` of a basic path, `box_col_core` inline.  An empty top empties a
-    box c < bottom, else exchanges bottom and c; a busy carrier settles in the next empty box."""
-    out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
+    """`_inv_column_sweep` of a basic path, `box_col_core` inline, its slots written from the
+    right.  An empty top empties a box c < bottom, else exchanges bottom and c; a busy carrier
+    settles in the next empty box."""
+    index, letters, i = w.occupied, w.letters, w.__dict__.get("colourless", 0)
+    w.__dict__.pop("sites", None)  # boxes read between passes go stale
     top, bottom, last = 1, letter, index[i - 1] if i else -1  # the last box known without colour
-    for k in chain(reversed(index), (-1,)):
-        if top != 1 and j > k:  # the empty box j gets bottom, (top, bottom) becomes (1, top)
-            out[j], top, bottom = bottom, 1, top
-            occupied.append(j)
-        if k <= last and (k < 0 or top == 1 and bottom == 2):  # the rest passes unchanged
+    m = len(index) - 1  # the next slot
+    for k in reversed(index):
+        if top != 1:
+            if j > k:  # the empty box j gets bottom, (top, bottom) becomes (1, top)
+                index[m], letters[m], top, bottom = j, bottom, 1, top
+                m -= 1
+            else:
+                c = letters[m - 1]
+                if c < top:  # the box gets bottom, (top, bottom) becomes (c, top)
+                    letters[m], top, bottom = bottom, c, top
+                elif c < bottom:  # the box gets top, top becomes c
+                    letters[m], top = top, c
+                else:  # the box gets bottom, bottom becomes c
+                    letters[m], bottom = bottom, c
+                index[m] = k
+                m -= 1
+                j = k - 1
+                continue
+        if k <= last and bottom == 2:  # the rest passes unchanged
             break
-        c = out[k]
-        if top == 1:
-            if c < bottom:  # the box empties: it gets top, top becomes c
-                out[k], top, j = 1, c, k - 1  # j: the box before the last one visited
-            else:  # exchange: the box gets bottom, bottom becomes c
-                out[k], bottom = bottom, c
-                occupied.append(k)
-            continue
-        if c < top:  # the box gets bottom, (top, bottom) becomes (c, top)
-            out[k], top, bottom = bottom, c, top
-        elif c < bottom:  # the box gets top, top becomes c
-            out[k], top = top, c
-        else:  # the box gets bottom, bottom becomes c
-            out[k], bottom = bottom, c
-        occupied.append(k)
-        j = k - 1
-    occupied.reverse()
-    i = w.__dict__["colourless"] = bisect(index, k)  # the entries up to k, unvisited
-    index[i:] = occupied
+        c = letters[m]
+        if c < bottom:  # the box empties: it gets top, top becomes c
+            top, j = c, k - 1  # j: the box before the last one visited
+        else:  # exchange: the box gets bottom, bottom becomes c
+            letters[m], bottom = bottom, c
+            m -= 1
+    else:  # past the first ball a busy carrier settles in box j, if there is one
+        if top != 1 and j >= 0:
+            index[m], letters[m], top, bottom = j, bottom, 1, top
+            m -= 1
+    # back at (1,2) the carrier holds the one ball it came in with, so slots 0..m hold the
+    # entries up to k, unvisited
+    w.__dict__["colourless"] = m + 1
     return top, bottom
 
 
 def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
     core, holds = w.inv_col_core, w.holds_ball
-    out, index, occupied, i = w.sites, w.occupied, [], w.__dict__.get("colourless", 0)
+    basic = w.mode == "basic"  # a basic copy's balls are spread over boxes and gathered back
+    out, occupied, i = _spread(w) if basic else w.sites, [], w.__dict__.get("colourless", 0)
+    index = w.occupied
     top, bottom, last = 1, letter, index[i - 1] if i else -1
     j = len(out) - 1
     for k in chain(reversed(index), (-1,)):  # past the first ball a busy carrier settles
@@ -263,6 +339,8 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
     occupied.reverse()
     i = w.__dict__["colourless"] = bisect(index, k)
     index[i:] = occupied
+    if basic:
+        _gather(w)
     return top, bottom
 
 
@@ -275,7 +353,10 @@ _NOT_CELLS = str.maketrans("", "", _CELL_ALPHABET)  # deletes every cell: what i
 
 
 class BasicPath(Value):
-    """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed."""
+    """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed.  A constructed path
+    holds its boxes (`sites`), a swept one its balls (`occupied` and `letters`); either gives
+    the other on first read and keeps it.  The balls are canonical: equality and hash read
+    them, so two swept paths compare without their boxes."""
 
     mode = "basic"
     vacuum = 1
@@ -287,7 +368,9 @@ class BasicPath(Value):
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
     holds_ball = staticmethod(partial(ne, 1))  # 1 != v, with no Python frame per call
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
+    sites = cached_property(lambda p: tuple(_boxes(p)))
     occupied = cached_property(_scan_occupied)
+    letters = cached_property(_scan_letters)
 
     def __init__(self, sites: tuple[int, ...], n: int) -> None:
         _check_alphabet(n)
@@ -310,13 +393,25 @@ class BasicPath(Value):
         return time_evolution(self)
 
     def render(self, width: int | None = None) -> str:
-        """'.' for an empty box, padded to `width` boxes; comma-separated when n > 9."""
-        if self.n <= 9:  # one C-level translate of the letters' bytes
-            return bytes(self.sites).translate(_CELLS).decode().ljust(width or 0, ".")
-        cells = ["." if v == 1 else str(v) for v in self.sites]
-        return ",".join(cells + ["."] * ((width or 0) - len(cells)))
+        """'.' for an empty box, padded to `width` boxes; comma-separated when n > 9.  The
+        cells are written at the balls: one C-level byte translation of the letters when
+        n <= 9."""
+        index = self.occupied
+        boxes = max(index[-1] + 1 if index else 0, width or 0)
+        if self.n <= 9:
+            row = bytearray(b".") * boxes
+            for k, cell in zip(index, bytes(self.letters).translate(_CELLS)):
+                row[k] = cell
+            return row.decode()
+        cells = ["."] * boxes
+        for k, v in zip(index, self.letters):
+            cells[k] = str(v)
+        return ",".join(cells)
 
     __str__ = render
+
+
+BasicPath._key = attrgetter("letters", "occupied", "n")  # `Value` equality and hash: the balls
 
 
 class InhomPath(Value):
@@ -374,26 +469,27 @@ TraceStep = namedtuple("TraceStep", "site tag carrier_before carrier_after site_
 # the letter-moving evolution on basic paths
 
 
-def _moved(p: BasicPath, letters) -> BasicPath:
-    """`p` after moving the balls of each of `letters` in turn (`move_letter`).
+def _moved(p: BasicPath, rounds) -> BasicPath:
+    """`p` after moving the balls of each letter of `rounds` in turn (`move_letter`).
     A ball moves only in its letter's round, so the index, bucketed by letter
     once, gives every round its positions."""
     if p.mode != "basic":
         raise ValueError("mixed capacities move no letters; their T is InhomPath.time_step")
-    w = _thawed(p)
-    sites = w.sites
+    index = p.occupied
+    sites = [1] * ((index[-1] + 1 if index else 0) + len(index))  # B boxes past the end may fill
     balls: list[list[int]] = [[] for _ in range(p.n + 1)]
-    for k in w.occupied:
-        balls[sites[k]].append(k)
-    sites += [1] * len(w.occupied)  # each ball moves once: at most B boxes past the end fill
-    for letter in letters:
+    for k, v in zip(index, p.letters):  # each ball spread into its box and bucketed
+        sites[k] = v
+        balls[v].append(k)
+    for letter in rounds:
         moved = balls[letter]
         j = 0  # each ball lands right of the one before it: no box of a round is read twice
         for i, pos in enumerate(moved):
             j = moved[i] = sites.index(1, (pos if pos > j else j) + 1)
             sites[j], sites[pos] = letter, 1
-    occupied = w.__dict__["occupied"] = sorted(k for ks in balls for k in ks)
-    del sites[occupied[-1] + 1 if occupied else 0 :]  # the trailing vacuum in one slice
+    w = object.__new__(BasicPath)  # a working copy of the moved balls
+    index = sorted(chain.from_iterable(balls))
+    w.__dict__.update(n=p.n, occupied=index, letters=list(map(sites.__getitem__, index)))
     return _frozen(w)
 
 
@@ -413,13 +509,13 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # ---------------------------------------------------------------------------
 # carrier sweeps
 #
-# `_sweep`, the one forward walk, rewrites a working path (see `_thawed`) in place, visiting
-# its sites in `order` (all stored sites when traced, else the occupied ones).  A carrier is
-# idle when its first entry is back at its start (a row's capacity, a column's top 1); a busy
-# one passes the skipped empty boxes until it is idle.  The walk starts at index entry
-# `colourless`, which only `separate` and `combine` set on their copies and `_frozen` drops:
-# no row sweep and no traced one, whose `order` it must not slice, sees it.  The visited
-# boxes holding a ball form the index.
+# `_sweep`, the one forward walk, rewrites the boxes of a working path (see `_spread`) in
+# place, visiting them in `order` (every stored box when None, as traced sweeps do, else the
+# occupied ones).  A carrier is idle when its first entry is back at its start (a row's
+# capacity, a column's top 1); a busy one passes the skipped empty boxes until it is idle.
+# The walk starts at index entry `colourless`, which only `separate` and `combine` set on
+# their copies and `_frozen` drops: no row sweep and no traced one, whose `order` it must
+# not slice, sees it.  The visited boxes holding a ball form the index.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
@@ -430,9 +526,12 @@ def _traced_core(core, trace, base, carrier, site):
     return emitted, new, tag
 
 
-def _sweep(w, carrier: tuple, core, order) -> tuple:
+def _sweep(w, carrier: tuple, core, order=None) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
-    idle, out, holds, occupied = carrier[0], w.sites, w.holds_ball, []
+    basic = w.mode == "basic"  # a basic copy's balls are spread over boxes and gathered back
+    idle, out, holds, occupied = carrier[0], _spread(w) if basic else w.sites, w.holds_ball, []
+    if order is None:
+        order = range(len(out))
     j = 0  # the box after the last one visited
     if i := w.__dict__.get("colourless"):  # from the first colour
         occupied, order = w.occupied[:i], order[i:]
@@ -456,6 +555,8 @@ def _sweep(w, carrier: tuple, core, order) -> tuple:
         if carrier[0] != idle:
             raise RuntimeError("carrier sweep failed to unload; this is a bug")
     w.__dict__["occupied"] = occupied
+    if basic:
+        _gather(w)
     return carrier
 
 
@@ -473,8 +574,7 @@ def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None =
     if trace is None:
         p.row_sweep(w, capacity)
     else:
-        core = partial(_traced_core, p.row_core, trace, len(trace) - 1)
-        _sweep(w, _empty_row(p, capacity), core, range(len(p.sites)))
+        _sweep(w, _empty_row(p, capacity), partial(_traced_core, p.row_core, trace, len(trace) - 1))
     return _frozen(w)
 
 
@@ -486,12 +586,11 @@ def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]
     is inert, so the sweep stops at most one box past it.  A `trace` list
     is filled as by `carrier_evolution`.
     """
-    w = p if type(p.sites) is list else _thawed(p)
+    w = p if type(p.occupied) is list else _thawed(p)  # a working copy passes in place
     if trace is None:
         _, bottom = p.col_sweep(w)
     else:
-        core = partial(_traced_core, p.col_core, trace, len(trace) - 1)
-        _, bottom = _sweep(w, (1, 2), core, range(len(p.sites)))
+        _, bottom = _sweep(w, (1, 2), partial(_traced_core, p.col_core, trace, len(trace) - 1))
     return w if w is p else _frozen(w), _outgoing(1, bottom, p.n)
 
 
@@ -502,7 +601,7 @@ def encoding_pass(p: Path, removed_letter: int) -> Path:
     raises InvalidWordError."""
     if type(removed_letter) is not int or not 2 <= removed_letter <= p.n:
         raise InvalidWordError(f"word letters must be ints in 2..{p.n}, got {removed_letter!r}")
-    w = p if type(p.sites) is list else _thawed(p)
+    w = p if type(p.occupied) is list else _thawed(p)
     top, bottom = p.inv_col_sweep(w, removed_letter)
     if (top, bottom) != (1, 2):
         raise InvalidWordError(

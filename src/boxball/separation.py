@@ -19,8 +19,9 @@ ColourWord = tuple[int, ...]
 
 
 def is_monochrome(p: Path) -> bool:
-    """True when no letter exceeds 2; reads the occupied boxes only."""
-    return not any(p.holds_colour(p.sites[k]) for k in p.occupied)
+    """True when no letter exceeds 2; reads the balls only."""
+    balls = p.letters if p.mode == "basic" else map(p.sites.__getitem__, p.occupied)
+    return not any(map(p.holds_colour, balls))
 
 
 class DecodeStep(Value):
@@ -51,14 +52,15 @@ class SeparationRecord(Value):
 def separate(p: Path, steps: list | None = None) -> SeparationRecord:
     """Decode a working copy of `p`, which becomes the monochrome part, in <= B passes, each
     from the first colour: one scan of the index finds them all, as a pass keeps the entries
-    before it.  A list `steps` receives a `DecodeStep` per pass (its letter and an index-free
-    copy of the state it began from), then the monochrome part's; without one, none is built."""
+    before it.  A list `steps` receives a `DecodeStep` per pass (its letter and a copy of the
+    state it began from: a basic path's balls, an inhomogeneous path's boxes without their
+    index), then the monochrome part's; without one, none is built."""
     w = _thawed(p)
-    sites, coloured, removed = w.sites, w.holds_colour, []
+    coloured, removed, basic = w.holds_colour, [], w.mode == "basic"
     i = 0  # the leading index entries known to hold no colour
     for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
         occupied = w.occupied  # the index the last pass rebuilt
-        while i < len(occupied) and not coloured(sites[occupied[i]]):
+        while i < len(occupied) and not coloured(w.letters[i] if basic else w.sites[occupied[i]]):
             i += 1
         if i == len(occupied):  # no colour left
             mono = _frozen(w)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import boxball.isomorphisms
 import boxball.verify
 from boxball.cli import (
+    MAX_TABLE_STEPS,
     _print_table,
     main,
     parse_state,
@@ -564,6 +565,7 @@ BAD_INPUTS = {
     "decomposition-reads-no-count": (["verify", "decomposition", "--count", "5"], {}),
     "steps-negative": (["evolve", "--steps", "-3"], {}),
     "steps-past-ssize-t": (["evolve", "--steps", "99999999999999999999"], {}),
+    "steps-over-the-table-cap": (["evolve", "--steps", "1000000000000000000"], {}),
     "operator-capacity-zero": (["evolve", "--operator", "Tl:0"], {}),
     "operator-capacity-not-int": (["evolve", "--operator", "Tl:x"], {}),
     "count-negative": (["verify", "theorem", "--count", "-5"], {}),
@@ -739,6 +741,23 @@ def test_an_alphabet_over_the_cap_exits_2_with_its_message(tmp_path, monkeypatch
     (tmp_path / "n-over-cap.json").write_text(json.dumps(BAD_DOCUMENTS["n-over-cap.json"]))
     code, out, err = run_cli(monkeypatch, capsys, BAD_INPUTS[name][0], ".2.\n")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_text_table_over_its_cap_exits_2_before_any_step(monkeypatch, capsys):
+    """A text table is aligned to its widest row, so `evolve` holds it whole: past
+    `MAX_TABLE_STEPS` it refuses before it reads its input; `--json` streams on."""
+    monkeypatch.setattr("boxball.cli._read_input", lambda args: pytest.fail("read the input"))
+    over = str(MAX_TABLE_STEPS + 1)
+    code, out, err = run_cli(monkeypatch, capsys, ["evolve", "--steps", over], ".2.\n")
+    assert (code, out, err) == (2, "", f"error: a text table takes at most {MAX_TABLE_STEPS} "
+                                       f"steps, got {over}; --json streams any number\n")
+    past = str(sys.maxsize + 1)  # the `itertools.repeat` bound keeps its message, table or not
+    for argv in (["evolve", "--steps", past], ["evolve", "--steps", past, "--json"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv, ".2.\n")
+        assert (code, out, err) == (2, "", f"error: --steps must be <= {sys.maxsize}, got {past}\n")
+    monkeypatch.undo()
+    code, out, err = run_cli(monkeypatch, capsys, ["evolve", "--steps", over, "--json"], ".2.\n")
+    assert (code, err) == (0, "") and len(json.loads(out)["rows"]) == MAX_TABLE_STEPS + 2
 
 
 def test_the_largest_alphabet_is_taken(monkeypatch, capsys):

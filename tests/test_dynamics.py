@@ -844,11 +844,37 @@ def test_sweeps_keep_the_input_index_and_index_the_output(case):
     held = {id(p): dict(vars(p))}  # each input's vars() as it was before its sweeps
     for before, q in _sweep_outputs(p):
         assert vars(before) == held[id(before)]  # the input is unchanged, index included
-        held[id(q)] = dict(vars(q))
         assert "occupied" in vars(q)  # set by the sweep, not scanned on first use
         assert q.occupied == _fresh_scan(q)
         assert front(q) == max((k + 1 for k in _fresh_scan(q)), default=0)
         assert dyn.ball_count(q) == _fresh_balls(q)
+        held[id(q)] = dict(vars(q))  # after the reads above: a swept path keeps the boxes read
+
+
+def test_an_untraced_chain_returns_basic_paths_without_their_boxes():
+    """A basic path that an untraced call returns holds its balls alone: its boxes are made
+    on first read and kept, so a chain of steps on a long sparse path copies O(B) a step."""
+    p = seeded_basic_path(8, 10_000, 100, 6)
+
+    def unboxed(q):
+        assert "sites" not in vars(q) and type(q.occupied) is tuple, q.occupied
+        return q
+
+    for capacity in (1, 3, None):
+        q = p
+        for _ in range(20):
+            q = unboxed(dyn.carrier_evolution(q, capacity))
+    q, removed = p, []
+    for _ in range(20):
+        q, carrier = dyn.decoding_pass(q)
+        unboxed(q)
+        removed.append(carrier.bottom)
+    for letter in reversed(removed):
+        q = unboxed(dyn.encoding_pass(q, letter))
+    for _ in range(20):
+        rec = sep.separate(q)
+        q = unboxed(sep.combine(unboxed(rec.monochrome), rec.word))
+    assert q == p and q.sites == p.sites and "sites" in vars(q)
 
 
 def test_constructed_paths_index_lazily():
@@ -947,6 +973,9 @@ def test_a_returned_path_is_its_working_copy_frozen_in_place(case):
                     assert "colourless" not in vars(p), name
                     assert type(p.sites) is tuple and type(p.occupied) is tuple, name
                     assert p == twin and p.occupied == twin.occupied, name
+                    assert hash(p) == hash(twin) and p.render() == twin.render(), name
+                    assert len(p.sites) == len(twin.sites), name
+                    assert sep.is_monochrome(p) == sep.is_monochrome(twin), name
                     if p.mode == "inhom":
                         assert p.vacuum == (p.tail_capacity,) + (0,) * (p.n - 1), name
                     assert dyn.decoding_pass(p) == dyn.decoding_pass(twin), name

@@ -528,8 +528,11 @@ def test_steps_replay_the_decoding():
     assert rec.steps == tuple(kept)
     assert [s.index for s in kept] == list(range(rec.n_passes + 1))
     assert kept[-1].state == rec.monochrome
-    # each pass moves the occupied index on, so a kept table holds one
-    assert ["occupied" in vars(s.state) for s in kept] == [False] * rec.n_passes + [True]
+    # each pass rewrites the working copy's balls in place, so a kept row holds its own copy
+    held = [vars(s.state) for s in kept]
+    assert [set(v) for v in held] == [{"n", "occupied", "letters"}] * (rec.n_passes + 1)
+    assert all(type(v["occupied"]) is tuple and type(v["letters"]) is tuple for v in held)
+    assert len({id(v["letters"]) for v in held}) == len(held)
 
 
 def test_check_commutation_rejects_a_record_of_another_path():
@@ -593,10 +596,13 @@ def test_sweeps_leave_their_input_and_return_kept_paths():
 
 
 def test_returned_paths_hold_no_per_pass_state():
-    """Each path a sweep returns holds a freshly built path's attributes and its index,
-    and a step row the attributes alone: no working copy's `colourless` count leaks."""
+    """Each path a sweep returns holds a freshly built path's attributes and its index, a
+    basic one its balls in place of its boxes, and an inhomogeneous step row the attributes
+    alone: no working copy's `colourless` count leaks."""
     for p in _seeded_paths(44):
         fields = set(vars(_rebuilt(p)))
+        if p.mode == "basic":
+            fields = fields - {"sites"} | {"letters"}
         rows = []
         rec = sep.separate(p, rows)
         decoded, carrier = dyn.decoding_pass(p)
@@ -609,7 +615,8 @@ def test_returned_paths_hold_no_per_pass_state():
             returned.append(dyn.time_evolution(p))
         for q in returned:
             assert set(vars(q)) == fields | {"occupied"}, q
-        assert [set(vars(row.state)) for row in rows[:-1]] == [fields] * rec.n_passes
+        kept = fields | {"occupied"} if p.mode == "basic" else fields
+        assert [set(vars(row.state)) for row in rows[:-1]] == [kept] * rec.n_passes
 
 
 def test_a_pass_makes_no_whole_path_copy(monkeypatch):
@@ -624,8 +631,8 @@ def test_a_pass_makes_no_whole_path_copy(monkeypatch):
         copies.append("out" if indexed else "row")
         return frozen(w, indexed)
 
-    def watched_pass(w):
-        passed.append(w.sites)
+    def watched_pass(w):  # the list a pass rewrites: a basic copy's letters, else its boxes
+        passed.append(w.letters if w.mode == "basic" else w.sites)
         return decoding_pass(w)
 
     for module in (dyn, sep):

@@ -675,11 +675,11 @@ def test_a_planted_row_core_fault_fails_both_theorem_checks(
 
 # one-line faults of the inline row kernel: (old, new) in `dynamics._basic_row_sweep`
 ROW_SWEEP_FAULTS = {
-    "bump-takes-the-smallest": ("out[k], row[i - 1] = row[i - 1], beta",
-                                "out[k], row[lo] = row[lo], beta"),
+    "bump-takes-the-smallest": ("letters[m], row[i - 1] = row[i - 1], beta",
+                                "letters[m], row[lo] = row[lo], beta"),
     "full-one-early": ("hi - lo < capacity", "hi - lo < capacity - 1"),
-    "busy-drops-the-smallest": ("hi -= 1\n            out[j] = row[hi]",
-                                "out[j] = row[lo]\n            lo += 1"),
+    "busy-drops-the-smallest": ("hi -= 1\n            index[m], letters[m] = j, row[hi]",
+                                "index[m], letters[m] = j, row[lo]\n            lo += 1"),
     "tail-unloads-smallest-first": ("reversed(row[lo:hi])", "row[lo:hi]"),
 }
 
