@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from operator import add, attrgetter
+from operator import add, attrgetter, getitem
 
 Weight = tuple[int, ...]
 CountVector = tuple[int, ...]
@@ -83,9 +83,9 @@ class RowTableau(Value):
         _check_alphabet(n)
         if not entries:
             raise ValueError("row must have at least one entry")
-        if any(type(v) is not int or not 1 <= v <= n for v in entries):
+        if {*map(type, entries)} != {int} or min(entries) < 1 or max(entries) > n:
             raise ValueError(f"entries must be ints in 1..{n}: {entries}")
-        if any(a > b for a, b in zip(entries, entries[1:])):
+        if entries != tuple(sorted(entries)):
             raise ValueError(f"entries must be weakly increasing: {entries}")
         _set(self, "entries", entries)
         _set(self, "n", n)
@@ -204,7 +204,7 @@ def entries_to_counts(entries: tuple[int, ...], n: int) -> CountVector:
 
 def counts_to_row(counts: CountVector) -> RowTableau:
     """Inverse of `RowTableau.counts`; the vector length fixes the alphabet."""
-    if any(c < 0 for c in counts):
+    if counts and min(counts) < 0:
         raise ValueError(f"counts must be non-negative: {counts}")
     return RowTableau(counts_to_entries(counts), len(counts))
 
@@ -352,7 +352,9 @@ def iter_tensor(shapes, n: int) -> Iterator[TensorElement]:
 
 # The integer kernel: a product element is a tuple of indices, one into each factor's table,
 # which lists element k of `iter_crystal`, its (epsilon_i, phi_i) and the index of f_i(k)
-# (None for 0) at [k][i - 1], and its weight.
+# (None for 0) at [k][i - 1], and its weight.  The tables are made per call.  The oracle
+# lowers index pairs on them and builds elements (`tensors_at`) only for the table it returns;
+# its check compares factors, and builds an element only for a counterexample it reports.
 FactorTable = namedtuple("FactorTable", "elements eps_phi lowered weights")
 
 
@@ -372,15 +374,16 @@ def factor_tables(shapes, n: int) -> list[FactorTable]:
     return tables
 
 
+def tensors_at(tables: list[FactorTable], index_tuples) -> Iterator[TensorElement]:
+    """Each index tuple's element, unchecked: the tables hold checked factors of one alphabet."""
+    elements = [table.elements for table in tables]
+    for ks in index_tuples:
+        _set(t := object.__new__(TensorElement), "factors", tuple(map(getitem, elements, ks)))
+        yield t
+
+
 def tensor_at(tables: list[FactorTable], ks: tuple[int, ...]) -> TensorElement:
-    return TensorElement(tuple(table.elements[k] for table, k in zip(tables, ks)))
-
-
-def lowered_at(tables: list[FactorTable], ks: tuple[int, ...], i: int):
-    """f_i on the index tuple `ks` (None for 0), by the signature rule of `lowering`."""
-    k = _signature([table.eps_phi[j][i - 1] for table, j in zip(tables, ks)])[3]
-    j = None if k is None else tables[k].lowered[ks[k]][i - 1]
-    return None if j is None else ks[:k] + (j,) + ks[k + 1 :]
+    return next(tensors_at(tables, [ks]))
 
 
 def highest_weight_indices(tables: list[FactorTable], n: int) -> list[tuple[tuple, Weight]]:

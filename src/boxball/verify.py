@@ -1,23 +1,26 @@
 """Brute-force oracles and fixture checks for the algebraic identities.
 
-The master oracle builds each pair isomorphism independently of the closed forms:
-match highest weight elements by weight, then propagate along lowering edges.  It runs on
-the integer tables `crystals.factor_tables` makes anew per call and calls no `isomorphisms`
-function, so it shares no code with the swaps it checks.  The rest scan exhaustive or
-seeded-random domains and report the first counterexample instead of raising; a path suite
-runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) -> mismatch or None,
-on seeded paths of a `PATH_KINDS` row, and `check_image` on every small path of
-a `PATH_DOMAINS` row.  The symmetric-group and composition checks run each swap word on the
-run of factors its letters touch, as ids interned by value per call, swapping each distinct
-pair of ids once by `swap_pair`: the memo lives for one call, so it sees a fault planted before
-the call, `isomorphisms` stays uncached, and far commutation (disjoint swaps) holds by design.
+The master oracle builds each pair isomorphism independently of the closed forms: match
+highest weight elements by weight, then propagate along lowering edges.  It runs on index
+pairs into the lowering tables `crystals.factor_tables` makes anew per call, and calls no
+`isomorphisms` function, so it shares no code with the swaps it checks; it builds crystal
+elements only for the table it returns.  The oracle check compares the swap's two factors
+with the table's, and builds an element only for a counterexample it reports.  The rest scan
+exhaustive or seeded-random domains and report the first counterexample instead of raising;
+a path suite runs a `PATH_RELATIONS` row, check(path, `separate` record, capacity) ->
+mismatch or None, on seeded paths of a `PATH_KINDS` row, and `check_image` on every small
+path of a `PATH_DOMAINS` row.  The symmetric-group and composition checks run each swap word
+on the run of factors its letters touch, as ids interned by value per call, swapping each
+distinct pair of ids once by `swap_pair`: the memo lives for one call, so it sees a fault
+planted before the call, `isomorphisms` stays uncached, and far commutation (disjoint swaps)
+holds by design.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from itertools import chain, product
 
 from .crystals import (
     MAX_DOMAIN,
@@ -29,6 +32,7 @@ from .crystals import (
     Value,
     _cap_alphabet,
     _check_alphabet,
+    _signature,
     col,
     counts_to_row,
     crystal_size,
@@ -39,9 +43,9 @@ from .crystals import (
     is_highest_weight,
     iter_crystal,
     iter_tensor,
-    lowered_at,
     tensor,
     tensor_at,
+    tensors_at,
     tensor_size,
 )
 from .dynamics import BasicPath, InhomPath, InvalidWordError, ball_count
@@ -287,7 +291,7 @@ def isomorphism_table(
     """Construct the pair isomorphism from crystal structure alone.
 
     Highest weight elements of equal weight are matched (weights must be multiplicity free
-    on both sides), then images propagate along lowering edges, on index tuples into
+    on both sides), then images propagate along lowering edges, on index pairs into
     `factor_tables`, until the whole domain is covered."""
     left = factor_tables([shape_a, shape_b], n)
     right = left[::-1]
@@ -298,6 +302,16 @@ def isomorphism_table(
     hw_left = highest_weight_indices(left, n)
     if len(hw_left) != len(hw_right):
         raise ValueError("highest weight counts differ; pair is unsupported")
+    # the factor f_i acts on, per pair of the two factors' (epsilon_i, phi_i) pairs
+    signs = [{pair for pairs in table.eps_phi for pair in pairs} for table in left]
+    rule = {key: _signature(key)[3] for key in chain(product(*signs), product(*signs[::-1]))}
+
+    def lowerings(tables, ks):  # f_1..f_{n-1} on the index pair `ks`, None for 0
+        (ta, tb), (a, b) = tables, ks
+        acts = map(rule.__getitem__, zip(ta.eps_phi[a], tb.eps_phi[b]))
+        return [(ja, b) if k == 0 else (a, jb) if k == 1 else None
+                for k, ja, jb in zip(acts, ta.lowered[a], tb.lowered[b])]
+
     mapping: dict[tuple, tuple] = {}
     stack = []
     for u, w in hw_left:
@@ -308,9 +322,7 @@ def isomorphism_table(
     while stack:
         t = stack.pop()
         img = mapping[t]
-        for i in range(1, n):
-            a = lowered_at(left, t, i)
-            b = lowered_at(right, img, i)
+        for i, a, b in zip(range(1, n), lowerings(left, t), lowerings(right, img)):
             if (a is None) != (b is None):
                 at = f"{tensor_at(left, t)} / {tensor_at(right, img)}"
                 raise ValueError(f"lowering mismatch at {at}, index {i}")
@@ -324,7 +336,7 @@ def isomorphism_table(
                 stack.append(a)
     if len(mapping) != len(left[0].elements) * len(left[1].elements):
         raise ValueError("domain not covered from highest weight elements")
-    return {tensor_at(left, t): tensor_at(right, img) for t, img in mapping.items()}
+    return dict(zip(tensors_at(left, mapping), tensors_at(right, mapping.values())))
 
 
 def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> RelationReport:
@@ -336,10 +348,9 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
 
     def counterexamples():
         for t, expected in isomorphism_table(shape_a, shape_b, n).items():
-            res = swap_pair(t.factors[0], t.factors[1])
-            got = TensorElement((res.left, res.right))
-            if got != expected:
-                yield f"{t} -> {got}, oracle says {expected}"
+            res = swap_pair(*t.factors)
+            if (res.left, res.right) != expected.factors:
+                yield f"{t} -> {TensorElement((res.left, res.right))}, oracle says {expected}"
 
     return _report(f"oracle[{shape_a}x{shape_b}, n={n}]", size, counterexamples(), t0)
 

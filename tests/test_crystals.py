@@ -23,6 +23,27 @@ def test_row_validation():
         cr.RowTableau((1,), 1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: cr.RowTableau((1, 2.0), 3), "entries must be ints in 1..3: (1, 2.0)"),
+        (lambda: cr.RowTableau((True, 2), 3), "entries must be ints in 1..3: (True, 2)"),
+        (lambda: cr.RowTableau((0, 1), 3), "entries must be ints in 1..3: (0, 1)"),
+        (lambda: cr.RowTableau((1, 4), 3), "entries must be ints in 1..3: (1, 4)"),
+        (lambda: cr.RowTableau((2, 1), 3), "entries must be weakly increasing: (2, 1)"),
+        # out of range and unsorted: the range is named
+        (lambda: cr.RowTableau((4, 1), 3), "entries must be ints in 1..3: (4, 1)"),
+        (lambda: cr.RowTableau((), 3), "row must have at least one entry"),
+        (lambda: cr.counts_to_row((1, -1, 2)), "counts must be non-negative: (1, -1, 2)"),
+        (lambda: cr.counts_to_row(()), "alphabet size must be an int >= 2, got 0"),
+    ],
+)
+def test_a_bad_row_names_the_first_rule_it_breaks(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_a_row_stores_its_entries_as_a_tuple():
     """Any iterable of letters builds a row that hashes like the tuple-built one."""
     r = cr.RowTableau([1, 2], 3)

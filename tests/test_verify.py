@@ -101,6 +101,18 @@ def test_the_oracle_calls_no_swap_function(monkeypatch):
     assert list(table.items()) == list(reference_isomorphism_table((3,), (1, 1), 4).items())
 
 
+def test_the_signature_rule_runs_per_signature_pair_not_per_element(monkeypatch):
+    """Propagation reads the rule from a per-call table of (epsilon_i, phi_i) pairs: the
+    calls beyond those of the factor tables stay below one per element of the domain."""
+    calls = _counted(monkeypatch, cr, "_signature")
+    monkeypatch.setattr(verify, "_signature", cr._signature)
+    cr.factor_tables([(3,), (1, 1)], 5)
+    in_tables = len(calls)
+    table = verify.isomorphism_table((3,), (1, 1), 5)
+    assert (in_tables, len(table)) == (180, 350)
+    assert len(calls) - 2 * in_tables < len(table)
+
+
 REAL_LOWERED = cr._lowered
 
 
