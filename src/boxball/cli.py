@@ -12,9 +12,10 @@ State documents are either a bare ASCII path on one line ('.'=empty, digits
 
 `evolve` and `separate` keep each row only as its output text (its table line or
 JSON fragment) and write row by row: O(L) memory per row of text, never the rows
-as paths.  A text table is aligned to its widest row, so it is held whole: `evolve`
-takes at most `MAX_TABLE_STEPS` steps without `--json`, which streams any number.  A
-closed output pipe ends a command quietly, with exit code 1.
+as paths.  A table row is its text, and its width is read from that text.  A text
+table is aligned to its widest row, so it is held whole: `evolve` takes at most
+`MAX_TABLE_STEPS` steps without `--json`, which streams any number.  A closed
+output pipe ends a command quietly, with exit code 1.
 """
 
 from __future__ import annotations
@@ -202,21 +203,15 @@ def _write_json(doc: dict, key: str, fragments) -> None:
     sys.stdout.writelines(chain([f'{head}"{key}": ['], body, [f"]{tail}\n"]))
 
 
-def _box_count(p) -> int:
-    """The stored boxes of `p`, a basic path's read off its last ball."""
-    if p.mode == "basic":
-        return p.occupied[-1] + 1 if p.occupied else 0
-    return len(p.sites)
-
-
 def _print_table(state, text: str, rows) -> None:
-    """Print rows `(line, cells, boxes)`, `line` holding `{}` for the state's `cells`
-    padded as `render(width)` pads, to the widest row and the ASCII input `text`."""
+    """Print rows `(line, cells)`, `line` holding `{}` for the state's `cells` padded as
+    `render(width)` pads, to the widest row and the ASCII input `text`.  A basic row's boxes
+    are read off its cells: a character each, or comma-separated when n > 9."""
     text = text.strip()  # rows align with an ASCII input, its trailing dots included
-    ascii_width = 0 if text.startswith("{") else len(text.splitlines()[0])
-    width = max(ascii_width, *(r[2] for r in rows))
     sep = "" if state.n <= 9 else ","
-    for line, cells, boxes in rows:
+    counts = [cells.count(sep) + 1 if sep and cells else len(cells) for _, cells in rows]
+    width = max(0 if text.startswith("{") else len(text.splitlines()[0]), *counts)
+    for (line, cells), boxes in zip(rows, counts):
         if state.mode == "basic":  # an empty n > 9 row pads to '.,.', with no leading comma
             cells = sep.join([cells] * (boxes > 0) + ["."] * (width - boxes))
         print(line.format(cells or "."))  # a vacuum row is one empty box, of either kind
@@ -231,8 +226,7 @@ def cmd_evolve(args) -> int:
         docs = (json.dumps(state_document(r)) for r in rows)
         _write_json({"steps": args.steps, "rows": []}, "rows", docs)
     else:
-        _print_table(state, text, [(f"t={t:<4} {{}}", r.render(), _box_count(r))
-                                   for t, r in enumerate(rows)])
+        _print_table(state, text, [(f"t={t:<4} {{}}", r.render()) for t, r in enumerate(rows)])
     return 0
 
 
@@ -246,7 +240,7 @@ def cmd_separate(args) -> int:
             rows.append(json.dumps(_step_json(step)))
             return
         line = f"s={step.index:<4} {{}}" + ("" if step.removed is None else f" {step.removed}")
-        rows.append((line, step.state.render(), _box_count(step.state)))
+        rows.append((line, step.state.render()))
         if args.trace and step.removed is not None:
             trace = []
             _, carrier = decoding_pass(step.state, trace)

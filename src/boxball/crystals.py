@@ -178,10 +178,6 @@ def col(top: int, bottom: int, n: int) -> ColumnPair:
     return ColumnPair(top, bottom, n)
 
 
-def vacuum_row(capacity: int, n: int) -> RowTableau:
-    return RowTableau((1,) * capacity, n)
-
-
 def tensor(*factors: Factor) -> TensorElement:
     return TensorElement(tuple(factors))
 

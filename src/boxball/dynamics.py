@@ -102,28 +102,20 @@ def _thawed(p):
     return w
 
 
-def _frozen(w, indexed: bool = True):
-    """The working path `w` made a kept path in place, with no `colourless`: a basic one its
+def _frozen(w, in_place: bool = True):
+    """The working path `w` made a kept path, indexed and with no `colourless`: a basic one its
     balls (tuple index and letters), an inhomogeneous one its boxes less trailing vacuum
-    (tuple sites and index).  Not `indexed`, a new path holding a copy of the balls of a basic
-    `w`, or of the boxes alone of an inhomogeneous one: `w` works on."""
+    (tuple sites and index).  In place, `w` becomes it; else it is a new path and `w` works on."""
     d = w.__dict__
+    q = w if in_place else object.__new__(type(w))
     if w.mode == "basic":  # any `sites` it holds are boxes read mid-walk
-        q = w if indexed else object.__new__(type(w))
         _set(q, "__dict__", {"n": w.n, "occupied": tuple(d["occupied"]),
                              "letters": tuple(d["letters"])})
         return q
-    sites = d["sites"]
-    while sites and sites[-1] == w.vacuum:
-        sites.pop()
-    if not indexed:
-        q = object.__new__(type(w))
-        q.__dict__.update(d, sites=tuple(sites))
-        del q.__dict__["occupied"], q.__dict__["colourless"]
-        return q
-    d.update(sites=tuple(sites), occupied=tuple(d["occupied"]))
-    d.pop("colourless", None)
-    return w
+    q.__dict__.update(d, occupied=tuple(d["occupied"]))
+    q.__dict__.pop("colourless", None)
+    _trim(q, tuple(d["sites"]))
+    return q
 
 
 def _scan_occupied(p) -> tuple[int, ...]:

@@ -53,12 +53,12 @@ def separate(p: Path, steps: list | None = None) -> SeparationRecord:
     """Decode a working copy of `p`, which becomes the monochrome part, in <= B passes, each
     from the first colour: one scan of the index finds them all, as a pass keeps the entries
     before it.  A list `steps` receives a `DecodeStep` per pass (its letter and a copy of the
-    state it began from: a basic path's balls, an inhomogeneous path's boxes without their
-    index), then the monochrome part's; without one, none is built."""
+    state it began from, of either kind indexed like every path a call returns), then the
+    monochrome part's; without one, none is built."""
     w = _thawed(p)
     coloured, removed, basic = w.holds_colour, [], w.mode == "basic"
     i = 0  # the leading index entries known to hold no colour
-    for index in range(ball_count(w) + 2):  # bound: test_minimal_passes_within_window_bound
+    for index in range(ball_count(w) + 1):  # <= B passes: test_minimal_passes_within_window_bound
         occupied = w.occupied  # the index the last pass rebuilt
         while i < len(occupied) and not coloured(w.letters[i] if basic else w.sites[occupied[i]]):
             i += 1
@@ -68,7 +68,7 @@ def separate(p: Path, steps: list | None = None) -> SeparationRecord:
                 steps.append(DecodeStep(index, mono, None))
             return SeparationRecord(p, mono, tuple(reversed(removed)))
         w.__dict__["colourless"] = i
-        row = None if steps is None else _frozen(w, indexed=False)
+        row = None if steps is None else _frozen(w, in_place=False)
         bottom = decoding_pass(w)[1].bottom  # rewrites w in place
         if steps is not None:
             steps.append(DecodeStep(index, row, bottom))

@@ -224,7 +224,7 @@ def test_operators_are_partial_inverses(case):
 
 
 def test_vacuum_elements_are_highest_weight():
-    assert cr.is_highest_weight(cr.vacuum_row(4, 3))
+    assert cr.is_highest_weight(cr.row("1111", 3))
     assert cr.is_highest_weight(cr.col(1, 2, 5))
     assert not cr.is_highest_weight(cr.row("22", 3))
 

@@ -96,16 +96,21 @@ def test_box_col_examples():
     assert (res.left, res.right) == (cr.col(1, 2, n), cr.box(5, n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_col_box_round_trips(n):
+    """Every (top, bottom, g): each swap inverts the other, and the inverse names the case of
+    the forward swap, both as a core and through `swap_pair`."""
     for d in cr.iter_crystal((1, 1), n):
         for c in cr.iter_crystal((1,), n):
             res = iso.swap_pair(d, c)
             back = iso.swap_pair(res.left, res.right)
-            assert (back.left, back.right) == (d, c)
+            assert (back.left, back.right, back.case_tag) == (d, c, res.case_tag)
+            g = c.entries[0]
+            emitted, top, bottom, tag = iso.col_box_core(d.top, d.bottom, g)
+            assert iso.box_col_core(emitted, top, bottom) == (d.top, d.bottom, g, tag)
             res = iso.swap_pair(c, d)
             back = iso.swap_pair(res.left, res.right)
-            assert (back.left, back.right) == (c, d)
+            assert (back.left, back.right, back.case_tag) == (c, d, res.case_tag)
 
 
 # --- row x column ----------------------------------------------------------

@@ -168,7 +168,7 @@ def test_minimal_passes_within_window_bound():
     [random_basic_path(random.Random(4), 6, 400, 100), random_inhom_path(random.Random(4), 5)],
     ids=["basic", "inhom"],
 )
-def test_a_sweep_that_removes_no_colour_stops_within_b_plus_2_passes(monkeypatch, path):
+def test_a_sweep_that_removes_no_colour_stops_within_b_plus_1_passes(monkeypatch, path):
     sweeps = []
 
     def planted(w):  # leaves the path as it is and removes a 2
@@ -179,7 +179,7 @@ def test_a_sweep_that_removes_no_colour_stops_within_b_plus_2_passes(monkeypatch
     assert not sep.is_monochrome(path)
     with pytest.raises(RuntimeError, match="decoding failed to terminate"):
         sep.separate(path)
-    assert 0 < len(sweeps) <= dyn.ball_count(path) + 2
+    assert len(sweeps) == dyn.ball_count(path) + 1  # B passes, and one to find no colour
 
 
 def test_ladder_basic():
@@ -596,9 +596,9 @@ def test_sweeps_leave_their_input_and_return_kept_paths():
 
 
 def test_returned_paths_hold_no_per_pass_state():
-    """Each path a sweep returns holds a freshly built path's attributes and its index, a
-    basic one its balls in place of its boxes, and an inhomogeneous step row the attributes
-    alone: no working copy's `colourless` count leaks."""
+    """Each path a sweep returns, step rows of either kind included, holds a freshly built
+    path's attributes and its index, a basic one its balls in place of its boxes: no working
+    copy's `colourless` count leaks."""
     for p in _seeded_paths(44):
         fields = set(vars(_rebuilt(p)))
         if p.mode == "basic":
@@ -615,7 +615,7 @@ def test_returned_paths_hold_no_per_pass_state():
             returned.append(dyn.time_evolution(p))
         for q in returned:
             assert set(vars(q)) == fields | {"occupied"}, q
-        kept = fields | {"occupied"} if p.mode == "basic" else fields
+        kept = fields | {"occupied"}
         assert [set(vars(row.state)) for row in rows[:-1]] == [kept] * rec.n_passes
 
 
@@ -627,9 +627,9 @@ def test_a_pass_makes_no_whole_path_copy(monkeypatch):
         copies.append("in")
         return thawed(p)
 
-    def counted_frozen(w, indexed=True):
-        copies.append("out" if indexed else "row")
-        return frozen(w, indexed)
+    def counted_frozen(w, in_place=True):
+        copies.append("out" if in_place else "row")
+        return frozen(w, in_place)
 
     def watched_pass(w):  # the list a pass rewrites: a basic copy's letters, else its boxes
         passed.append(w.letters if w.mode == "basic" else w.sites)
