@@ -7,9 +7,9 @@ the decoding pass that removes one letter per sweep.  One forward walker, `_swee
 both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier
 is idle when its first entry is back at its start, and past the last ball a busy one needs
 at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
-swap cores of its boxes and its untraced sweeps: basic ones run the rules of `row_box_core`,
-`col_box_core` and `box_col_core` inline, inhomogeneous ones call the cores.  Both row cores
-are `combinatorial_r`, a basic path's (`_row_box_counts`) on a one-letter row.
+swap cores of its boxes and its untraced sweeps: basic ones run `row_box_core`, `col_box_core`
+and `box_col_core` inline (no inverse core), inhomogeneous ones call the cores.  Both row
+cores are `combinatorial_r`, a basic path's (`_row_box_counts`) on a one-letter row.
 Given a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
 named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
 untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
@@ -31,8 +31,9 @@ capacities are not vacuum).  A public call copies in, and its working copy, froz
 becomes the path it returns.  So on a basic path a sweep made, the untraced
 `carrier_evolution`, `decoding_pass` and `encoding_pass`, each pass of `separate` and
 `combine`, `is_monochrome` and `ball_count` cost O(B) steps and copies, and `render` O(B)
-steps into an O(L) row; reading `sites`, a traced sweep (it spreads the balls over a list of
-boxes and gathers them back), T and every call on an inhomogeneous path cost O(L).
+steps into an O(L) row; reading `sites`, a traced sweep (the one walk over a basic path's
+boxes: it spreads the balls over a list of its own and gathers them back), T and every call
+on an inhomogeneous path cost O(L).  No working copy holds boxes of a basic path.
 `separate` and `combine` thaw once for all passes, and their copy counts its leading index
 entries known to hold no colour (`colourless`; `separate` scans for it).  No column pass
 changes those or moves the first colour left, so there a pass walks the index from the first
@@ -48,9 +49,9 @@ path: 2,600-3,400 `row_core` calls at 660-860 distinct arguments under T_2, 1,06
 T_inf), so the path classes' `row_core`s (a basic path's serves traced sweeps only) and
 `InhomPath`'s `col_core` / `inv_col_core` are memoised, each in a 1024-entry LRU cache (a
 bound keeps memory flat), as is a decoding pass's outgoing carrier, a shared frozen value;
-`col_box_core` / `box_col_core`, whose int case splits cost about a lookup, and the
-`isomorphisms` functions are not.  As `2 == 2.0 == True` hash alike, states hold ints only,
-and so must word letters, capacities and `move_letter` letters.
+a basic path's `col_core`, whose int case split costs about a lookup, and the `isomorphisms`
+functions are not.  As `2 == 2.0 == True` hash alike, states hold ints only, and so must
+word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .crystals import (
     entries_to_counts,
 )
 from .isomorphisms import (
-    box_col_core,
     col_box_core,
     col_row_core,
     combinatorial_r,
@@ -108,7 +108,7 @@ def _frozen(w, in_place: bool = True):
     (tuple sites and index).  In place, `w` becomes it; else it is a new path and `w` works on."""
     d = w.__dict__
     q = w if in_place else object.__new__(type(w))
-    if w.mode == "basic":  # any `sites` it holds are boxes read mid-walk
+    if w.mode == "basic":  # its balls: any `sites` read off a working copy are stale
         _set(q, "__dict__", {"n": w.n, "occupied": tuple(d["occupied"]),
                              "letters": tuple(d["letters"])})
         return q
@@ -142,18 +142,6 @@ def _boxes(p) -> list[int]:
     for k, v in zip(index, p.letters):
         sites[k] = v
     return sites
-
-
-def _spread(w) -> list:
-    """A basic working copy's boxes as the list a walk over boxes rewrites, O(L), held until
-    `_gather` collects its balls back into its index and letters."""
-    sites = w.__dict__["sites"] = _boxes(w)
-    return sites
-
-
-def _gather(w) -> None:
-    sites = w.__dict__.pop("sites")
-    w.__dict__["letters"] = list(map(sites.__getitem__, w.occupied))
 
 
 # adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier, tag)
@@ -202,7 +190,6 @@ def _basic_column_sweep(w) -> tuple[int, int]:
     (g <= bottom: the seeded (1,2) passes a colourless box so) or the box empties, which
     starts a busy spell."""
     index, letters, m = w.occupied, w.letters, w.__dict__.get("colourless", 0)  # m: next slot
-    w.__dict__.pop("sites", None)  # boxes read between passes go stale
     top, bottom, j = 1, 2, 0  # j: the box after the last one visited
     for k in index[m:]:
         if top != 1:
@@ -265,11 +252,10 @@ def _basic_row_sweep(w, capacity: int) -> None:
 
 
 def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
-    """`_inv_column_sweep` of a basic path, `box_col_core` inline, its slots written from the
-    right.  An empty top empties a box c < bottom, else exchanges bottom and c; a busy carrier
-    settles in the next empty box."""
+    """The untraced encoding pass of a basic path, `box_col_core` inline, its slots written from
+    the right.  An empty top empties a box c < bottom, else exchanges bottom and c; a busy
+    carrier settles in the next empty box."""
     index, letters, i = w.occupied, w.letters, w.__dict__.get("colourless", 0)
-    w.__dict__.pop("sites", None)  # boxes read between passes go stale
     top, bottom, last = 1, letter, index[i - 1] if i else -1  # the last box known without colour
     m = len(index) - 1  # the next slot
     for k in reversed(index):
@@ -307,10 +293,9 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
     return top, bottom
 
 
-def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
+def _inv_column_sweep(w, letter: int) -> tuple[int, int]:  # an inhomogeneous path's
     core, holds = w.inv_col_core, w.holds_ball
-    basic = w.mode == "basic"  # a basic copy's balls are spread over boxes and gathered back
-    out, occupied, i = _spread(w) if basic else w.sites, [], w.__dict__.get("colourless", 0)
+    out, occupied, i = w.sites, [], w.__dict__.get("colourless", 0)
     index = w.occupied
     top, bottom, last = 1, letter, index[i - 1] if i else -1
     j = len(out) - 1
@@ -331,8 +316,6 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:
     occupied.reverse()
     i = w.__dict__["colourless"] = bisect(index, k)
     index[i:] = occupied
-    if basic:
-        _gather(w)
     return top, bottom
 
 
@@ -353,8 +336,7 @@ class BasicPath(Value):
     mode = "basic"
     vacuum = 1
     row_core = staticmethod(_memo(_row_box_counts))
-    col_core = staticmethod(_col_box_pair)  # traced pass; core-driven reference sweeps
-    inv_col_core = staticmethod(box_col_core)
+    col_core = staticmethod(_col_box_pair)  # the traced decoding pass only
     row_sweep = staticmethod(_basic_row_sweep)  # the untraced passes, swaps inline
     col_sweep = staticmethod(_basic_column_sweep)
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
@@ -501,13 +483,13 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # ---------------------------------------------------------------------------
 # carrier sweeps
 #
-# `_sweep`, the one forward walk, rewrites the boxes of a working path (see `_spread`) in
-# place, visiting them in `order` (every stored box when None, as traced sweeps do, else the
-# occupied ones).  A carrier is idle when its first entry is back at its start (a row's
-# capacity, a column's top 1); a busy one passes the skipped empty boxes until it is idle.
-# The walk starts at index entry `colourless`, which only `separate` and `combine` set on
-# their copies and `_frozen` drops: no row sweep and no traced one, whose `order` it must
-# not slice, sees it.  The visited boxes holding a ball form the index.
+# `_sweep`, the one forward walk, rewrites the boxes of a working path in place (a basic
+# one's in a local list), visiting them in `order` (every stored box when None, as traced
+# sweeps do, else the occupied ones).  A carrier is idle when its first entry is back at its
+# start (a row's capacity, a column's top 1); a busy one passes the skipped empty boxes until
+# it is idle.  The walk starts at index entry `colourless`, which only `separate` and
+# `combine` set on their copies and `_frozen` drops: no row sweep and no traced one, whose
+# `order` it must not slice, sees it.  The visited boxes holding a ball form the index.
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
@@ -520,8 +502,8 @@ def _traced_core(core, trace, base, carrier, site):
 
 def _sweep(w, carrier: tuple, core, order=None) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
-    basic = w.mode == "basic"  # a basic copy's balls are spread over boxes and gathered back
-    idle, out, holds, occupied = carrier[0], _spread(w) if basic else w.sites, w.holds_ball, []
+    basic = w.mode == "basic"  # a basic copy's balls are spread over a local list of boxes
+    idle, out, holds, occupied = carrier[0], _boxes(w) if basic else w.sites, w.holds_ball, []
     if order is None:
         order = range(len(out))
     j = 0  # the box after the last one visited
@@ -547,8 +529,8 @@ def _sweep(w, carrier: tuple, core, order=None) -> tuple:
         if carrier[0] != idle:
             raise RuntimeError("carrier sweep failed to unload; this is a bug")
     w.__dict__["occupied"] = occupied
-    if basic:
-        _gather(w)
+    if basic:  # the balls gathered back from the boxes
+        w.__dict__["letters"] = list(map(out.__getitem__, occupied))
     return carrier
 
 

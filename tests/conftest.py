@@ -13,7 +13,7 @@ MEMOISED_CORES = tuple(
     getattr(cls, name)
     for cls in (dyn.BasicPath, dyn.InhomPath)
     for name in ("row_core", "col_core", "inv_col_core")
-    if hasattr(getattr(cls, name), "cache_clear")
+    if hasattr(getattr(cls, name, None), "cache_clear")
 )
 
 

@@ -1,7 +1,7 @@
 import random
 import re
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import chain, product, repeat
 from types import SimpleNamespace
@@ -435,11 +435,12 @@ def _dense_decoding_pass(p):
 def _dense_encoding_pass(p, letter):
     """(the encoded path, or None when the carrier does not emerge as (1,2);
     the (site, top, bottom) of each step, right to left)."""
+    core = iso.box_col_core if p.mode == "basic" else p.inv_col_core
     top, bottom = 1, letter
     out, steps = [], []
     for site in reversed(p.sites):
         steps.append((site, top, bottom))
-        top, bottom, orig, _ = p.inv_col_core(site, top, bottom)
+        top, bottom, orig, _ = core(site, top, bottom)
         out.append(orig)
     encoded = _with_sites(p, tuple(reversed(out))) if (top, bottom) == (1, 2) else None
     return encoded, steps
@@ -592,23 +593,29 @@ def test_column_sweeps_call_the_core_once_per_busy_step(case):
     per step of the dense reference, in order and with its arguments, but for
     the idle steps at empty boxes: at every box holding a ball, and at every
     empty box a busy carrier reaches.  Untraced basic passes run the swaps
-    inline: they call neither core.  Both give the dense reference's output."""
+    inline: a decoding pass calls no core, and a basic path has no inverse one.
+    Both give the dense reference's output."""
     p, letter = case
     basic = p.mode == "basic"
+    assert hasattr(type(p), "inv_col_core") != basic
+
+    def inverse_calls():  # nothing to record on a basic path
+        return nullcontext([]) if basic else _recorded(type(p), "inv_col_core")
+
     q, outgoing, _, steps = _dense_decoding_pass(p)
     expected = [
         (s.carrier_before, s.site_before)
         for s in steps
         if not _skipped(p, s.carrier_before[0], s.site_before)
     ]
-    with _recorded(type(p), "col_core") as calls, _recorded(type(p), "inv_col_core") as inv:
+    with _recorded(type(p), "col_core") as calls, inverse_calls() as inv:
         assert dyn.decoding_pass(p) == (q, outgoing)
     assert calls == ([] if basic else expected) and inv == []
     for path, word_letter in ((q, outgoing.bottom), (p, letter)):
         encoded, steps = _dense_encoding_pass(path, word_letter)
         expected = [(site, top, bottom) for site, top, bottom in steps
                     if not _skipped(p, top, site)]
-        with _recorded(type(p), "inv_col_core") as calls, _recorded(type(p), "col_core") as col:
+        with inverse_calls() as calls, _recorded(type(p), "col_core") as col:
             if encoded is None:
                 with pytest.raises(dyn.InvalidWordError):
                     dyn.encoding_pass(path, word_letter)
@@ -680,10 +687,10 @@ def test_inline_basic_passes_match_the_crystal_maps():
 
 
 def _core_driven_sweeps():
-    """Give basic paths `InhomPath`'s untraced sweeps, which call the path's cores."""
+    """Give basic paths `InhomPath`'s untraced forward sweeps, which call the path's cores."""
     inhom = vars(dyn.InhomPath)
     return mock.patch.multiple(
-        dyn.BasicPath, **{name: inhom[name] for name in ("row_sweep", "col_sweep", "inv_col_sweep")}
+        dyn.BasicPath, **{name: inhom[name] for name in ("row_sweep", "col_sweep")}
     )
 
 
@@ -693,36 +700,49 @@ def _row_swept(p, capacities):
 
 
 def _decoded(p):
-    """(hash of every row, monochrome part, its index, word, recombined path, its index)."""
+    """(hash of every row, monochrome part, its index, word)."""
     rows = []
     rec = sep.separate(p, SimpleNamespace(append=lambda step: rows.append(hash(step.state.sites))))
-    back = sep.combine(rec.monochrome, rec.word)
-    return rows, rec.monochrome, rec.monochrome.occupied, rec.word, back, back.occupied
+    return rows, rec.monochrome, rec.monochrome.occupied, rec.word
+
+
+def _combined(mono, word):
+    """(`combine(mono, word)`, its index), or None on an InvalidWordError."""
+    try:
+        q = sep.combine(mono, word)
+    except dyn.InvalidWordError:
+        return None
+    return q, q.occupied
+
+
+def _unit_capacity_combined(mono, word):
+    """`_combined` of a basic `mono` through its unit-capacity image, whose encoding passes
+    call `row_col_core`: no core the inline basic kernel mirrors."""
+    got = _combined(_as_inhom(mono), word)
+    return got and (_as_basic(got[0]), got[1])
 
 
 def test_chained_basic_passes_match_the_core_driven_sweeps_on_every_small_path():
     """`separate` and `combine` carry one working copy and its `colourless` count from pass
     to pass, which a standalone pass on a fresh copy never does.  On every basic path with
     n <= 4 and L <= 6: `_decoded` inline against the core-driven sweeps, and the monochrome
-    part combined with every word over 2..n of at most 2 letters, the same path and index
-    or an InvalidWordError on both sides."""
-    def chained(p):
-        decoded, combined = _decoded(p), []
-        for word in (w for k in range(3) for w in product(range(2, p.n + 1), repeat=k)):
-            try:
-                q = sep.combine(decoded[1], word)
-            except dyn.InvalidWordError:
-                combined.append(None)
-                continue
-            combined.append((q, q.occupied))
-        return decoded, combined
-
+    part combined with its word and with every word over 2..n of at most 2 letters against
+    the unit-capacity image, the same path and index or an InvalidWordError on both sides."""
     paths = [p for n in (2, 3, 4) for p in basic_paths(n, 6)]
-    got = [chained(p) for p in paths]
+    got = [_decoded(p) for p in paths]
     with _core_driven_sweeps():
-        want = [chained(p) for p in paths]
+        want = [_decoded(p) for p in paths]
     assert got == want and len(got) == 2**6 + 3**6 + 4**6
-    outcomes = Counter(q is None for _, combined in got for q in combined)
+    reference, outcomes = {}, Counter()
+    for p, (_, mono, _, word) in zip(paths, got):
+        words = [word, *(w for k in range(3) for w in product(range(2, p.n + 1), repeat=k))]
+        for y in words:
+            combined = _combined(mono, y)
+            if (mono, y) not in reference:
+                reference[mono, y] = _unit_capacity_combined(mono, y)
+            assert combined == reference[mono, y], (p, y)
+            outcomes[combined is None] += 1
+        assert _combined(mono, word)[0] == p
     assert outcomes[True] and outcomes[False]
 
 
@@ -739,7 +759,10 @@ def test_inline_basic_passes_match_the_core_driven_sweep_on_long_paths(length, b
     with _core_driven_sweeps():
         want = swept()
     assert got == want
-    assert got[0][4] == p and len(got[0][3]) > balls // 2
+    _, mono, _, word = got[0]
+    combined = _combined(mono, word)
+    assert combined == _unit_capacity_combined(mono, word)
+    assert combined[0] == p and len(word) > balls // 2
 
 
 def test_the_inline_row_sweep_matches_the_core_driven_sweep_on_every_small_path():
@@ -1049,8 +1072,7 @@ def test_memos_are_bounded_and_isomorphisms_uncached():
     for core in MEMOISED_CORES:
         assert isinstance(core.cache_info().maxsize, int)
     assert not [name for name, f in vars(iso).items() if hasattr(f, "cache_info")]
-    for core in (dyn.BasicPath.col_core, dyn.BasicPath.inv_col_core):
-        assert not hasattr(core, "cache_info")
+    assert not hasattr(dyn.BasicPath.col_core, "cache_info")
 
 
 def _traced_evolution(p, capacity):

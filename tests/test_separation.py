@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -438,6 +439,24 @@ def test_a_planted_empty_top_fault_fails_the_domain_test(monkeypatch, fresh_core
     assert rep.passed is not suite_fails
 
 
+def test_a_combine_fault_past_the_domain_fails_the_image_round_trip(monkeypatch):
+    """`check_image`'s second loop: decoding moves balls right, so a path's monochrome part
+    may be longer than `size`, and only that loop gives `combine` such a part (51 of the 81
+    basic paths at n = 3, size 4 decode to one).  A `combine` that adds a 2 past the last
+    ball of such a part passes the first loop and fails the second."""
+    n, size, real = 3, 4, sep.combine
+
+    def planted(m, w):
+        p = real(m, w)
+        return dyn.BasicPath(p.sites + (2,), n) if len(m.sites) > size else p
+
+    longer = [p for p in basic_paths(n, size) if len(sep.separate(p).monochrome.sites) > size]
+    assert len(longer) == 51 and len(list(basic_paths(n, size))) == 81
+    monkeypatch.setattr(verify, "combine", planted)
+    rep = check_image("basic", n, size)
+    assert (rep.domain, rep.counterexample) == (30, "combine(separate(...3)) gives ...32")
+
+
 @pytest.mark.parametrize("case", ["2", "3", "4"])
 def test_a_planted_inverse_core_fault_fails_the_domain_test(monkeypatch, fresh_cores, case):
     """`row_col_core` leaves the row as it was in one case; `InhomPath.inv_col_core`
@@ -492,10 +511,11 @@ def test_separate_starts_each_pass_at_the_first_colour(monkeypatch):
     entry holds one."""
     starts, real = [], sep.decoding_pass
 
-    def watched_pass(w):
+    def watched_pass(w):  # the balls: a basic copy's letters, else its boxes at the index
         i, index = w.colourless, w.occupied
-        assert not any(w.holds_colour(w.sites[k]) for k in index[:i])
-        assert w.holds_colour(w.sites[index[i]])
+        balls = w.letters if w.mode == "basic" else [w.sites[k] for k in index]
+        assert not any(map(w.holds_colour, balls[:i]))
+        assert w.holds_colour(balls[i])
         starts.append(i)
         return real(w)
 
@@ -507,6 +527,44 @@ def test_separate_starts_each_pass_at_the_first_colour(monkeypatch):
         passes, rec = len(starts), sep.separate(p)
         assert rec.n_passes == len(starts) - passes and sep.is_monochrome(rec.monochrome)
     assert len(starts) > 10_000 and sum(i > 0 for i in starts) > len(starts) // 4
+
+
+def test_no_working_copy_holds_a_basic_paths_boxes(monkeypatch):
+    """Only a traced sweep walks a basic path's boxes, and it keeps them in a list of its
+    own: at every swap its working copy holds balls and no `sites`.  No pass of `separate`
+    or `combine` starts or ends with `sites` on its working copy."""
+    copies, held, thawed = [], [], dyn._thawed
+
+    def kept_thawed(p):
+        copies.append(thawed(p))
+        return copies[-1]
+
+    class Watched(list):  # a trace that looks at the working copy at every swap
+        def append(self, step):
+            held.append("sites" in vars(copies[-1]))
+            super().append(step)
+
+    def checked(run):
+        def pass_(w, *args):
+            held.append("sites" in vars(w))
+            out = run(w, *args)
+            held.append("sites" in vars(w))
+            return out
+        return pass_
+
+    monkeypatch.setattr(dyn, "_thawed", kept_thawed)
+    p = seeded_basic_path(45, 300, 40, 6)
+    for run in (partial(dyn.carrier_evolution, p, 2), partial(dyn.carrier_evolution, p, None),
+                partial(dyn.decoding_pass, p)):
+        trace = Watched()
+        run(trace=trace)
+        assert len(trace) >= len(p.sites) and held and not any(held)
+    held.clear()
+    monkeypatch.setattr(sep, "decoding_pass", checked(dyn.decoding_pass))
+    monkeypatch.setattr(sep, "encoding_pass", checked(dyn.encoding_pass))
+    rec = sep.separate(p)
+    assert sep.combine(rec.monochrome, rec.word) == p
+    assert len(held) == 4 * rec.n_passes > 0 and not any(held)
 
 
 def test_separate_holds_only_the_live_state():
