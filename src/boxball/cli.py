@@ -288,6 +288,17 @@ def _path_suite(args) -> list:  # the runner of every `verify.PATH_RELATIONS` ro
     return [verify.check_path_suite(args.check, args.mode, args.n, args.count, args.seed, caps)]
 
 
+def _oracle(args) -> list:  # one pair from --shapes and --n, else `verify.ORACLE_PAIRS`
+    if args.shapes is None:
+        if args.n is not None:
+            raise CliError("--n needs --shapes; the default pairs name their own alphabets")
+        return [verify.check_swap_against_oracle(*pair) for pair in verify.ORACLE_PAIRS]
+    shapes = _parse_shapes(args.shapes)
+    if len(shapes) != 2:
+        raise CliError(f"--shapes {args.shapes!r} names {len(shapes)} shapes; the oracle takes 2")
+    return [verify.check_swap_against_oracle(*shapes, 3 if args.n is None else args.n)]
+
+
 def cmd_verify(args) -> int:
     reports = args.run(args)  # the runner its parser row names
     for rep in reports:
@@ -374,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--n", type=int, default=3)
     image.add_argument("--size", type=int, default=4, help="most boxes (basic) or sites (inhom)")
     image.set_defaults(run=lambda a: [verify.check_image(a.mode, a.n, a.size)])
+    oracle = checks.add_parser("oracle", parents=[json_flag])
+    oracle.add_argument("--shapes", default=None,
+                        help="two shapes, e.g. 3,c (default: the verify workload's pairs)")
+    oracle.add_argument("--n", type=int, default=None, help="default: 3 with --shapes")
+    oracle.set_defaults(run=_oracle)
     checks.add_parser("chains", parents=[json_flag]).set_defaults(
         run=lambda a: [verify.check_highest_weight_chains()])
     checks.add_parser("decomposition", parents=[json_flag]).set_defaults(

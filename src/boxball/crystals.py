@@ -199,10 +199,18 @@ def entries_to_counts(entries: tuple[int, ...], n: int) -> CountVector:
 
 
 def counts_to_row(counts: CountVector) -> RowTableau:
-    """Inverse of `RowTableau.counts`; the vector length fixes the alphabet."""
+    """Inverse of `RowTableau.counts`; the vector length fixes the alphabet.  The entries
+    are ints in 1..n in order by construction, so only the checks that can fail here run."""
     if counts and min(counts) < 0:
         raise ValueError(f"counts must be non-negative: {counts}")
-    return RowTableau(counts_to_entries(counts), len(counts))
+    entries, n = counts_to_entries(counts), len(counts)
+    _check_alphabet(n)
+    if not entries:
+        raise ValueError("row must have at least one entry")
+    row = object.__new__(RowTableau)
+    _set(row, "entries", entries)
+    _set(row, "n", n)
+    return row
 
 
 def weight_of(x: Factor | TensorElement) -> Weight:

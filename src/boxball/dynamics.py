@@ -4,12 +4,15 @@ A state is a half-infinite array of boxes holding letters; only a finite prefix 
 and the implicit tail is vacuum.  Evolutions are carrier sweeps: a row carrier of some
 capacity gives the time evolution, and the two-slot column carrier (seeded with a 2) gives
 the decoding pass that removes one letter per sweep.  One forward walker, `_sweep`, runs
-both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag): a carrier
-is idle when its first entry is back at its start, and past the last ball a busy one needs
-at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum box, the
-swap cores of its boxes and its untraced sweeps: basic ones run `row_box_core`, `col_box_core`
-and `box_col_core` inline (no inverse core), inhomogeneous ones call the cores.  Both row
-cores are `combinatorial_r`, a basic path's (`_row_box_counts`) on a one-letter row.
+both through cores of one shape, core(carrier, site) -> (emitted, carrier, tag, held),
+`held` whether the emitted box holds a ball (the inverse core returns (top, bottom, box,
+tag, held)), so a walk indexes the boxes it visits from its cores and tests none itself.
+A carrier is idle when its first entry is back at its start, and past the last ball a busy
+one needs at most sum(carrier) - carrier[0] vacuum boxes.  Each path class names its vacuum
+box, the swap cores of its boxes and its untraced sweeps: basic ones run `row_box_core`,
+`col_box_core` and `box_col_core` inline (no inverse core), inhomogeneous ones call the
+cores.  Both row cores are `combinatorial_r`, a basic path's (`_row_box_counts`) on a
+one-letter row.
 Given a `trace` list, a sweep calls the cores at every stored site and appends a `TraceStep`
 named tuple per swap.  A row carrier the cores drive is a count vector, O(n) a site; the
 untraced basic one is a sorted window of its letters, O(log load) a box; both at any capacity.
@@ -50,8 +53,10 @@ T_inf), so the path classes' `row_core`s (a basic path's serves traced sweeps on
 `InhomPath`'s `col_core` / `inv_col_core` are memoised, each in a 1024-entry LRU cache (a
 bound keeps memory flat), as is a decoding pass's outgoing carrier, a shared frozen value;
 a basic path's `col_core`, whose int case split costs about a lookup, and the `isomorphisms`
-functions are not.  As `2 == 2.0 == True` hash alike, states hold ints only, and so must
-word letters, capacities and `move_letter` letters.
+functions are not.  A memoised core works out `held` once per distinct argument pair, so a
+memo hit also answers whether the box holds a ball, and `InhomPath.holds_ball` serves only
+the first-use index scan of a constructed path.  As `2 == 2.0 == True` hash alike, states
+hold ints only, and so must word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from bisect import bisect, bisect_left
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from itertools import chain
-from operator import attrgetter, lt, ne
+from operator import attrgetter, lt
 
 from .crystals import (
     ColumnPair,
@@ -144,14 +149,16 @@ def _boxes(p) -> list[int]:
     return sites
 
 
-# adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier, tag)
+# adapters giving every forward core the call shape core(carrier, site) -> (emitted, carrier,
+# tag, held), `held` whether the emitted box holds a ball; the inverse core returns (top,
+# bottom, box, tag, held)
 def _row_box_counts(carrier: CountVector, beta: int):
     """`row_box_core` on a count vector: R on a one-letter row, O(n) at any capacity."""
     box = [0] * len(carrier)
     box[beta - 1] = 1
     emitted, new = combinatorial_r(carrier, tuple(box))
     letter = emitted.index(1) + 1
-    return letter, new, "bump" if letter < beta else "head"
+    return letter, new, "bump" if letter < beta else "head", letter != 1
 
 
 def _empty_row(p, capacity: int) -> CountVector:
@@ -161,22 +168,24 @@ def _empty_row(p, capacity: int) -> CountVector:
 
 def _r_core(carrier: CountVector, site: CountVector):
     new_site, new_carrier = combinatorial_r(carrier, site)
-    return new_site, new_carrier, "R"
+    return new_site, new_carrier, "R", new_site[0] != sum(new_site)
 
 
 def _col_box_pair(carrier: tuple[int, int], g: int):
     emitted, top, bottom, tag = col_box_core(*carrier, g)
-    return emitted, (top, bottom), tag
+    return emitted, (top, bottom), tag, emitted != 1
 
 
 def _col_row_counts(carrier: tuple[int, int], counts: CountVector):
     new, top, bottom, tag = col_row_core(*carrier, counts_to_entries(counts))
-    return entries_to_counts(new, len(counts)), (top, bottom), tag
+    box = entries_to_counts(new, len(counts))
+    return box, (top, bottom), tag, box[0] != len(new)
 
 
 def _row_col_counts(counts: CountVector, top: int, bottom: int):
     top, bottom, orig, tag = row_col_core(counts_to_entries(counts), top, bottom)
-    return top, bottom, entries_to_counts(orig, len(counts)), tag
+    box = entries_to_counts(orig, len(counts))
+    return top, bottom, box, tag, box[0] != len(orig)
 
 
 # The basic kernels rewrite a working copy's index and letters lists in place: a ball only
@@ -294,8 +303,7 @@ def _basic_inv_column_sweep(w, letter: int) -> tuple[int, int]:
 
 
 def _inv_column_sweep(w, letter: int) -> tuple[int, int]:  # an inhomogeneous path's
-    core, holds = w.inv_col_core, w.holds_ball
-    out, occupied, i = w.sites, [], w.__dict__.get("colourless", 0)
+    core, out, occupied, i = w.inv_col_core, w.sites, [], w.__dict__.get("colourless", 0)
     index = w.occupied
     top, bottom, last = 1, letter, index[i - 1] if i else -1
     j = len(out) - 1
@@ -309,8 +317,8 @@ def _inv_column_sweep(w, letter: int) -> tuple[int, int]:  # an inhomogeneous pa
                 j = k  # an idle carrier passes the empty boxes after k
             elif j < 0:
                 break
-            top, bottom, out[j], _ = core(out[j], top, bottom)
-            if holds(out[j]):
+            top, bottom, out[j], _, held = core(out[j], top, bottom)
+            if held:
                 occupied.append(j)
             j -= 1
     occupied.reverse()
@@ -340,7 +348,6 @@ class BasicPath(Value):
     row_sweep = staticmethod(_basic_row_sweep)  # the untraced passes, swaps inline
     col_sweep = staticmethod(_basic_column_sweep)
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
-    holds_ball = staticmethod(partial(ne, 1))  # 1 != v, with no Python frame per call
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
     sites = cached_property(lambda p: tuple(_boxes(p)))
     occupied = cached_property(_scan_occupied)
@@ -489,21 +496,23 @@ def time_evolution(p: BasicPath) -> BasicPath:
 # start (a row's capacity, a column's top 1); a busy one passes the skipped empty boxes until
 # it is idle.  The walk starts at index entry `colourless`, which only `separate` and
 # `combine` set on their copies and `_frozen` drops: no row sweep and no traced one, whose
-# `order` it must not slice, sees it.  The visited boxes holding a ball form the index.
+# `order` it must not slice, sees it.  The visited boxes holding a ball form the index: the
+# core's `held` field says which, so no visit tests its box (a memoised core answers it once
+# per distinct argument pair).
 
 
 # A traced sweep's core appends a `TraceStep` per swap, numbered from 1 after `base` (the
 # length of `trace` before); bound with `partial`, it leaves untraced frames free of cells.
 def _traced_core(core, trace, base, carrier, site):
-    emitted, new, tag = core(carrier, site)
+    swap = emitted, new, tag, _ = core(carrier, site)
     trace.append(TraceStep(len(trace) - base, tag, carrier, new, site, emitted))
-    return emitted, new, tag
+    return swap
 
 
 def _sweep(w, carrier: tuple, core, order=None) -> tuple:
     """Push `carrier` through the working path `w` in `order`; returns it, idle."""
     basic = w.mode == "basic"  # a basic copy's balls are spread over a local list of boxes
-    idle, out, holds, occupied = carrier[0], _boxes(w) if basic else w.sites, w.holds_ball, []
+    idle, out, occupied = carrier[0], _boxes(w) if basic else w.sites, []
     if order is None:
         order = range(len(out))
     j = 0  # the box after the last one visited
@@ -513,8 +522,8 @@ def _sweep(w, carrier: tuple, core, order=None) -> tuple:
         while j <= k:
             if carrier[0] == idle:
                 j = k  # an idle carrier passes the empty boxes before k
-            out[j], carrier, _ = core(carrier, out[j])
-            if holds(out[j]):
+            out[j], carrier, _, held = core(carrier, out[j])
+            if held:
                 occupied.append(j)
             j += 1
     if carrier[0] != idle:
@@ -522,8 +531,8 @@ def _sweep(w, carrier: tuple, core, order=None) -> tuple:
         # most sum(carrier) - carrier[0]: a row's balls, a column's bottom (it settles in one)
         out += (w.vacuum,) * (j + sum(carrier) - carrier[0] - len(out))
         while carrier[0] != idle and j < len(out):
-            out[j], carrier, _ = core(carrier, out[j])
-            if holds(out[j]):
+            out[j], carrier, _, held = core(carrier, out[j])
+            if held:
                 occupied.append(j)
             j += 1
         if carrier[0] != idle:

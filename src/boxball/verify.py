@@ -355,6 +355,11 @@ def check_swap_against_oracle(shape_a: Shape, shape_b: Shape, n: int) -> Relatio
     return _report(f"oracle[{shape_a}x{shape_b}, n={n}]", size, counterexamples(), t0)
 
 
+# the (shape, shape, n) pairs `boxball verify oracle` checks by default: the verify workload's
+ORACLE_PAIRS = (((3,), (1,), 4), ((1, 1), (1,), 4), ((3,), (1, 1), 5), ((1, 1), (3,), 5),
+                ((4,), (1,), 5), ((4,), (2,), 4), ((2,), (4,), 4))
+
+
 # ---------------------------------------------------------------------------
 # symmetric group relations
 

@@ -50,7 +50,7 @@ def first_row_core_disagreement():
             for row in cr.iter_crystal((capacity,), n):
                 for beta in range(1, n + 1):
                     tried += 1
-                    emitted, new, tag = dyn.BasicPath.row_core(row.counts(), beta)
+                    emitted, new, tag, _ = dyn.BasicPath.row_core(row.counts(), beta)
                     got = emitted, cr.counts_to_entries(new), tag
                     if got != iso.row_box_core(row.entries, beta):
                         return (row, beta), tried
@@ -93,14 +93,14 @@ def bump_sends_the_smallest_letter(monkeypatch):
     real = dyn._row_box_counts
 
     def planted(carrier, beta):
-        letter, new, tag = real(carrier, beta)
+        letter, new, tag, held = real(carrier, beta)
         if tag != "bump":
-            return letter, new, tag
+            return letter, new, tag, held
         k = next(k for k in range(beta - 1) if carrier[k])
         new = list(carrier)
         new[k] -= 1
         new[beta - 1] += 1
-        return k + 1, tuple(new), tag
+        return k + 1, tuple(new), tag, k + 1 != 1
 
     monkeypatch.setattr(dyn.BasicPath, "row_core", staticmethod(planted))
     monkeypatch.setattr(dyn.BasicPath, "row_sweep", vars(dyn.InhomPath)["row_sweep"])

@@ -438,6 +438,49 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     assert "fail" in out and "boom" in out
 
 
+def test_verify_oracle_checks_one_pair_or_the_default_pairs(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["verify", "oracle", "--json"])
+    assert (code, err) == (0, "")
+    assert [(d["relation"], d["result"]) for d in map(json.loads, out.splitlines())] == [
+        (f"oracle[{a}x{b}, n={n}]", "pass") for a, b, n in boxball.verify.ORACLE_PAIRS]
+    assert len(boxball.verify.ORACLE_PAIRS) == 7
+    code, out, _ = run_cli(monkeypatch, capsys,
+                           ["verify", "oracle", "--shapes", "3,c", "--n", "4"])
+    assert code == 0 and out.startswith("pass  oracle[(3,)x(1, 1), n=4] (domain 120, ")
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify", "oracle", "--shapes", "2,1"])
+    assert code == 0 and out.startswith("pass  oracle[(2,)x(1,), n=3] (domain 18, ")
+    for flags, message in [
+        ("--n 4", "--n needs --shapes; the default pairs name their own alphabets"),
+        ("--shapes 3,c,1", "--shapes '3,c,1' names 3 shapes; the oracle takes 2"),
+    ]:
+        assert run_cli(monkeypatch, capsys, ["verify", "oracle", *flags.split()]) == (
+            2, "", f"error: {message}\n")
+
+
+def test_a_planted_swap_pair_fault_fails_verify_oracle(monkeypatch, capsys):
+    """A `swap_pair` that swaps a row and a box plainly in the bump case: `verify oracle`
+    exits 1 and names one counterexample line under each pair it breaks."""
+    real = boxball.verify.swap_pair
+
+    def planted(left, right):
+        res = real(left, right)
+        plain = boxball.isomorphisms.SwapResult(right, left, res.case_tag)
+        return plain if res.case_tag == "bump" else res
+
+    monkeypatch.setattr(boxball.verify, "swap_pair", planted)
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["verify", "oracle", "--shapes", "3,1", "--n", "4"])
+    assert (code, err) == (1, "")
+    head, counterexample = out.splitlines()
+    assert head.startswith("fail  oracle[(3,)x(1,), n=4] (domain 80, ")
+    assert counterexample == "      <111>*<2> -> <2>*<111>, oracle says <1>*<112>"
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify", "oracle"])
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    assert [line[:4] for line in lines if not line.startswith(" ")] == [
+        "fail", "pass", "pass", "pass", "fail", "pass", "pass"]
+
+
 def test_a_path_relation_is_a_subcommand(monkeypatch, capsys):
     def planted(p, record, cap):  # fails on paths of more than 5 boxes
         return f"{len(p.sites)} boxes" if len(p.sites) > 5 else None

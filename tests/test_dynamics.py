@@ -391,7 +391,7 @@ def _dense_row_sweep(p, capacity):
         if k >= len(p.sites) and carrier == empty:
             break
         assert k <= len(p.sites) + balls + 2, "carrier failed to unload"
-        emitted, new, tag = p.row_core(carrier, site)
+        emitted, new, tag, _ = p.row_core(carrier, site)
         steps.append(dyn.TraceStep(k + 1, tag, carrier, new, site, emitted))
         out.append(emitted)
         carrier = new
@@ -424,7 +424,7 @@ def _dense_decoding_pass(p):
         if k >= len(p.sites) and top == 1:
             break
         assert k <= len(p.sites), "decoding carrier failed to settle"
-        emitted, (t2, b2), tag = p.col_core((top, bottom), site)
+        emitted, (t2, b2), tag, _ = p.col_core((top, bottom), site)
         steps.append(dyn.TraceStep(k + 1, tag, (top, bottom), (t2, b2), site, emitted))
         out.append(emitted)
         top, bottom = t2, b2
@@ -440,7 +440,7 @@ def _dense_encoding_pass(p, letter):
     out, steps = [], []
     for site in reversed(p.sites):
         steps.append((site, top, bottom))
-        top, bottom, orig, _ = core(site, top, bottom)
+        top, bottom, orig = core(site, top, bottom)[:3]
         out.append(orig)
     encoded = _with_sites(p, tuple(reversed(out))) if (top, bottom) == (1, 2) else None
     return encoded, steps
@@ -1064,8 +1064,35 @@ def test_memoised_cores_match_their_plain_functions_cold_and_warm(fresh_cores):
             want = plain(*args)
             assert core(*args) == want, (plain.__name__, args)  # cold: a miss
             assert core(*args) == want, (plain.__name__, args)  # warm: a hit
+            box, held = (want[2], want[4]) if len(want) == 5 else (want[0], want[3])
+            ball = box != 1 if type(box) is int else box[0] != sum(box)
+            assert held is ball, (plain.__name__, args)  # the emitted box's occupancy
         assert core.cache_info().hits == len(domain)
     assert seen == set(MEMOISED_CORES) and len(seen) == 4
+
+
+def test_untraced_inhom_walks_test_no_box_once_the_index_is_built():
+    """An untraced walk of an inhomogeneous path takes each visited box's occupancy from its
+    core's `held` field: once the path's index is built, `InhomPath.holds_ball` is called by
+    the first-use scan of a constructed path and by nothing else."""
+    rng, sites = random.Random(46), []
+    for _ in range(30):
+        counts = [0] * 5
+        for _ in range(rng.randint(1, 2)):
+            counts[rng.randint(2, 5) - 1 if rng.random() < 0.5 else 0] += 1
+        sites.append(tuple(counts))
+    p = dyn.InhomPath(sites, 5, 2)
+    assert p.occupied and dyn.ball_count(p) > 5  # the index, built before the count
+    record = sep.separate(p)
+    with _recorded(dyn.InhomPath, "holds_ball") as calls:
+        walks = [dyn.carrier_evolution(p, 2), dyn.carrier_evolution(p, None)]
+        q, outgoing = dyn.decoding_pass(p)
+        walks += [q, dyn.encoding_pass(q, outgoing.bottom), sep.separate(p).monochrome,
+                  sep.combine(record.monochrome, record.word)]
+        assert calls == []
+        fresh = dyn.InhomPath(sites, 5, 2)
+        assert fresh.occupied == p.occupied and len(calls) == len(fresh.sites)  # the scan
+    assert walks[3] == walks[5] == p and walks[4] == record.monochrome
 
 
 def test_memos_are_bounded_and_isomorphisms_uncached():

@@ -655,7 +655,8 @@ def test_a_column_carrier_that_never_settles_fails_the_suite(monkeypatch, fresh_
     real = dyn.InhomPath.col_core
 
     def planted(carrier, site):
-        return real(carrier, site) if carrier[0] == 1 else (site, carrier, "stuck")
+        return real(carrier, site) if carrier[0] == 1 else (site, carrier, "stuck",
+                                                            site[0] != sum(site))
 
     monkeypatch.setattr(dyn.InhomPath, "col_core", staticmethod(planted))
     bug = "carrier sweep failed to unload; this is a bug"
