@@ -48,15 +48,19 @@ O(B + n) steps, and keeps the moved balls; its C-level searches for empty boxes 
 twice in a letter's round: O(L) per round.
 
 A count-vector swap is a pure map a sweep meets again and again (20 steps of a 150-site n = 5
-path: 2,600-3,400 `row_core` calls at 660-860 distinct arguments under T_2, 1,060-1,670 under
-T_inf), so the path classes' `row_core`s (a basic path's serves traced sweeps only) and
-`InhomPath`'s `col_core` / `inv_col_core` are memoised, each in a 1024-entry LRU cache (a
-bound keeps memory flat), as is a decoding pass's outgoing carrier, a shared frozen value;
-a basic path's `col_core`, whose int case split costs about a lookup, and the `isomorphisms`
-functions are not.  A memoised core works out `held` once per distinct argument pair, so a
-memo hit also answers whether the box holds a ball, and `InhomPath.holds_ball` serves only
-the first-use index scan of a constructed path.  As `2 == 2.0 == True` hash alike, states
-hold ints only, and so must word letters, capacities and `move_letter` letters.
+path: 2,500-3,300 R calls at 670-880 distinct arguments under T_2, 1,160-1,690 under T_inf), so
+the path classes' `row_core`s (a basic path's, also its `inf_row_core`, serves traced sweeps
+only) and `InhomPath`'s `inf_row_core`, `col_core` and `inv_col_core` are memoised, each in a
+1024-entry LRU cache (a bound keeps memory flat), as is a decoding pass's outgoing carrier, a
+shared frozen value; a basic path's `col_core`, whose int case split costs about a lookup, and
+the `isomorphisms` functions are not.  Unbounded row sweeps of an inhomogeneous path call
+`inf_row_core`, the same R in a memo of its own.  A T_inf carrier's capacity is its path's ball
+count, so its swaps seldom recur on another path, while a finite capacity's do: of three such
+paths, the second and third reuse 450-630 of their T_2 arguments.  In one memo T_inf's would
+evict them.  A memoised core works out `held` once per distinct argument pair, so a memo hit
+also answers whether the box holds a ball, and `InhomPath.holds_ball` serves only the first-use
+index scan of a constructed path.  As `2 == 2.0 == True` hash alike, states hold ints only, and
+so must word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
@@ -228,11 +232,11 @@ def _basic_column_sweep(w) -> tuple[int, int]:
     return top, bottom
 
 
-def _basic_row_sweep(w, capacity: int) -> None:
-    """The untraced row `_sweep` of a basic path, `row_box_core` inline.  The carrier's
-    balls lie sorted in row[lo:hi]: a letter replaces the largest one below it in place or
-    enters at lo - 1, and the largest leaves from hi - 1, so lo falls at most once per ball,
-    hi never rises and no letter moves in memory: O(log load) a ball at any capacity."""
+def _basic_row_sweep(w, capacity: int, core) -> None:
+    """The untraced row `_sweep` of a basic path, `row_box_core` inline: no `core` call.  The
+    carrier's balls lie sorted in row[lo:hi]: a letter replaces the largest one below it in
+    place or enters at lo - 1, and the largest leaves from hi - 1, so lo falls at most once per
+    ball, hi never rises and no letter moves in memory: O(log load) a ball at any capacity."""
     index, letters = w.occupied, w.letters
     lo = hi = len(index)
     row = [0] * hi  # 0: no letter
@@ -343,7 +347,7 @@ class BasicPath(Value):
 
     mode = "basic"
     vacuum = 1
-    row_core = staticmethod(_memo(_row_box_counts))
+    row_core = inf_row_core = staticmethod(_memo(_row_box_counts))  # traced sweeps only
     col_core = staticmethod(_col_box_pair)  # the traced decoding pass only
     row_sweep = staticmethod(_basic_row_sweep)  # the untraced passes, swaps inline
     col_sweep = staticmethod(_basic_column_sweep)
@@ -401,9 +405,10 @@ class InhomPath(Value):
 
     mode = "inhom"
     row_core = staticmethod(_memo(_r_core))
+    inf_row_core = staticmethod(_memo(_r_core))  # T_inf's own: see the module docstring
     col_core = staticmethod(_memo(_col_row_counts))
     inv_col_core = staticmethod(_memo(_row_col_counts))
-    row_sweep = staticmethod(lambda w, cap: _sweep(w, _empty_row(w, cap), w.row_core, w.occupied))
+    row_sweep = staticmethod(lambda w, cap, core: _sweep(w, _empty_row(w, cap), core, w.occupied))
     col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied))
     inv_col_sweep = staticmethod(_inv_column_sweep)
     holds_ball = staticmethod(lambda c: c[0] != sum(c))
@@ -551,13 +556,14 @@ def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None =
     visits every stored site and appends one `TraceStep` per swap, numbered from 1."""
     if capacity is not None and (type(capacity) is not int or capacity < 1):
         raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
+    core = p.row_core
     if capacity is None:
-        capacity = max(1, ball_count(p))
+        capacity, core = max(1, ball_count(p)), p.inf_row_core
     w = _thawed(p)
     if trace is None:
-        p.row_sweep(w, capacity)
+        p.row_sweep(w, capacity, core)
     else:
-        _sweep(w, _empty_row(p, capacity), partial(_traced_core, p.row_core, trace, len(trace) - 1))
+        _sweep(w, _empty_row(p, capacity), partial(_traced_core, core, trace, len(trace) - 1))
     return _frozen(w)
 
 

@@ -8,13 +8,14 @@ from boxball import crystals as cr
 from boxball import dynamics as dyn
 from boxball import isomorphisms as iso
 
-# the swap cores the path classes memoise (see the `dynamics` module docstring)
-MEMOISED_CORES = tuple(
+# the swap cores the path classes memoise (see the `dynamics` module docstring), each once: a
+# basic path's T_inf sweeps share its `row_core`
+MEMOISED_CORES = tuple(dict.fromkeys(
     getattr(cls, name)
     for cls in (dyn.BasicPath, dyn.InhomPath)
-    for name in ("row_core", "col_core", "inv_col_core")
+    for name in ("row_core", "inf_row_core", "col_core", "inv_col_core")
     if hasattr(getattr(cls, name, None), "cache_clear")
-)
+))
 
 
 def front(p) -> int:
@@ -29,6 +30,19 @@ def seeded_basic_path(seed, length, balls, n):
     for k in rng.sample(range(length), balls):
         sites[k] = rng.randint(2, n)
     return dyn.BasicPath(tuple(sites), n)
+
+
+def seeded_inhom_path(seed, length, n):
+    """`length` boxes of capacities 1..4, each holding a random number of balls, and a tail
+    capacity in 1..4, drawn from `random.Random(seed)` as the benchmark draws its paths."""
+    rng, sites = random.Random(seed), []
+    for _ in range(length):
+        counts = [rng.randint(1, 4)] + [0] * (n - 1)
+        for _ in range(rng.randint(0, counts[0])):
+            counts[0] -= 1
+            counts[rng.randint(2, n) - 1] += 1
+        sites.append(tuple(counts))
+    return dyn.InhomPath(tuple(sites), n, rng.randint(1, 4))
 
 
 def recompiled(fn, old, new):

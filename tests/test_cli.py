@@ -891,6 +891,7 @@ COMMAND_FLAGS = {
     "verify theorem": {**_SEEDED, "--mode": _MODES, "--capacities": _LISTS | st.just("1,inf"),
                        "--json": None},
     "verify image": {"--n": _ALPHABETS, "--mode": _MODES, "--size": _NUMBERS, "--json": None},
+    "verify oracle": {"--shapes": _LISTS, "--n": _ALPHABETS, "--json": None},
     "verify chains": {"--json": None},
     "verify decomposition": {"--json": None},
 }

@@ -16,7 +16,7 @@ from boxball import isomorphisms as iso
 from boxball import separation as sep
 from boxball.verify import basic_paths, random_basic_path, random_inhom_path
 from conftest import (MEMOISED_CORES, clear_memoised_cores, first_row_core_disagreement, front,
-                      seeded_basic_path)
+                      seeded_basic_path, seeded_inhom_path)
 from fixtures_data import COLOURED_ROWS, MONO_ROWS, S_TABLES, WIDTH
 
 
@@ -1048,6 +1048,7 @@ def _core_domains():
         yield dyn.BasicPath.row_core, dyn._row_box_counts, [
             (c, beta) for c in rows for beta in range(1, n + 1)]
         yield dyn.InhomPath.row_core, dyn._r_core, list(product(rows, rows))
+        yield dyn.InhomPath.inf_row_core, dyn._r_core, list(product(rows, rows))
         yield dyn.InhomPath.col_core, dyn._col_row_counts, [
             ((t, b), c) for t, b in _columns(n) for c in rows]
         yield dyn.InhomPath.inv_col_core, dyn._row_col_counts, [
@@ -1068,7 +1069,27 @@ def test_memoised_cores_match_their_plain_functions_cold_and_warm(fresh_cores):
             ball = box != 1 if type(box) is int else box[0] != sum(box)
             assert held is ball, (plain.__name__, args)  # the emitted box's occupancy
         assert core.cache_info().hits == len(domain)
-    assert seen == set(MEMOISED_CORES) and len(seen) == 4
+    assert seen == set(MEMOISED_CORES) and len(seen) == 5
+
+
+def test_t_inf_sweeps_leave_the_finite_capacity_memo_to_other_paths(fresh_cores):
+    """Unbounded row sweeps of an inhomogeneous path, traced or not, call `inf_row_core` and
+    never `row_core`: T_inf on a path with more distinct swaps than a memo holds evicts none
+    of the T_2 swaps of another path, which a second T_2 sweep then finds, all of them."""
+    p, q = seeded_inhom_path(47, 30, 5), seeded_inhom_path(48, 150, 5)
+    row = dyn.InhomPath.row_core
+    t2 = dyn.carrier_evolution(p, 2)
+    warm = row.cache_info()
+    assert warm.misses > 10
+    unbounded = partial(dyn.carrier_evolution, capacity=None)
+    for sweep in (dyn.InhomPath.time_step, unbounded, partial(unbounded, trace=[])) * 7:
+        q = sweep(q)
+    assert row.cache_info() == warm  # T_inf made no finite-capacity call
+    assert dyn.carrier_evolution(p, 2) == t2
+    again = row.cache_info()
+    assert again.misses == warm.misses and again.hits == warm.hits + warm.hits + warm.misses
+    inf = dyn.InhomPath.inf_row_core.cache_info()
+    assert inf.misses > 1024 and inf.currsize == 1024  # more keys than the memo holds
 
 
 def test_untraced_inhom_walks_test_no_box_once_the_index_is_built():
@@ -1116,7 +1137,8 @@ def test_traced_sweeps_agree_cold_warm_and_uncached(capacity, fresh_cores, monke
         cold = _traced_evolution(p, capacity)
         warm = _traced_evolution(p, capacity)
         with monkeypatch.context() as m:
-            m.setattr(type(p), "row_core", staticmethod(type(p).row_core.__wrapped__))
+            for name in ("row_core", "inf_row_core"):
+                m.setattr(type(p), name, staticmethod(getattr(type(p), name).__wrapped__))
             plain = _traced_evolution(p, capacity)
         assert cold == warm == plain
         assert [s.tag for s in cold[1]] == [s.tag for s in plain[1]]
