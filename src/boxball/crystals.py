@@ -225,8 +225,8 @@ def weight_of(x: Factor | TensorElement) -> Weight:
 
 
 def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"operator index must lie in 1..{n - 1}, got {i}")
+    if type(i) is not int or not 1 <= i <= n - 1:
+        raise ValueError(f"operator index must lie in 1..{n - 1}, got {i!r}")
 
 
 def _lowered(i: int, f: Factor) -> Factor:
@@ -316,8 +316,9 @@ def is_highest_weight(x: Factor | TensorElement) -> bool:
 
 
 def is_column(shape: Shape) -> bool:
-    """True for the column (1, 1), False for a row (k,), k >= 1; any other shape raises."""
-    if (shape := tuple(shape)) != (1, 1) and (len(shape) != 1 or shape[0] < 1):
+    """True for the column (1, 1), False for a row (k,), k >= 1 (ints); any other shape raises."""
+    shape = tuple(shape)
+    if {*map(type, shape)} != {int} or shape != (1, 1) and (len(shape) != 1 or shape[0] < 1):
         raise ValueError(f"unsupported shape {shape}")
     return shape == (1, 1)
 

@@ -22,21 +22,21 @@ swap (a core or an inline case split): a row pass makes O(occupied + unloaded) s
 column pass O(occupied + busy boxes), not O(L); traced ones visit all sites.  A column with
 an empty top meets a ball in two cases, an exchange with its bottom or an emptied box: the
 seeded (1,2) exchanges a 2 for a 2 (`col_row_core` I-III, `row_col_core` 3-5), no skip.
-Untraced sweeps read a path's `occupied` index of boxes holding a ball: a path scans for it
-once, on first use, and keeps it, and a sweep gives its output a new one.  No public
-function changes a path it is given; constructors store any iterable of ints as a tuple.
+Untraced sweeps read a path's `occupied` index of boxes holding a ball: a constructor builds it
+in the loop that checks the boxes, and a sweep gives its output a new one.  No public function
+changes a path it is given, and reading one caches only a basic path's boxes; constructors store
+any iterable of ints as a tuple.
 
-A basic path is its balls: a sweep's output stores only its index and their `letters`; its
-boxes (`sites`) are made from them on first read, O(L), as a constructed path's balls are
-scanned from its boxes.  A sweep rewrites a working copy in place: a basic one's index and
-letters lists, an inhomogeneous one's list sites and index (its empty boxes of other
-capacities are not vacuum).  A public call copies in, and its working copy, frozen in place,
-becomes the path it returns.  So on a basic path a sweep made, the untraced
+A basic path is its balls, whatever made it: it stores only its index and their `letters`; its
+boxes (`sites`) are made from them on first read, O(L), and kept.  A sweep rewrites a working
+copy in place: a basic one's index and letters lists, an inhomogeneous one's list sites and
+index (its empty boxes of other capacities are not vacuum).  A public call copies in, and its
+working copy, frozen in place, becomes the path it returns.  So on a basic path the untraced
 `carrier_evolution`, `decoding_pass` and `encoding_pass`, each pass of `separate` and
 `combine`, `is_monochrome` and `ball_count` cost O(B) steps and copies, and `render` O(B)
-steps into an O(L) row; reading `sites`, a traced sweep (the one walk over a basic path's
-boxes: it spreads the balls over a list of its own and gathers them back), T and every call
-on an inhomogeneous path cost O(L).  No working copy holds boxes of a basic path.
+steps into an O(L) row; constructing one, reading `sites`, a traced sweep (the one walk over a
+basic path's boxes: it spreads the balls over a list of its own and gathers them back), T and
+every call on an inhomogeneous path cost O(L).  No working copy holds boxes of a basic path.
 `separate` and `combine` thaw once for all passes, and their copy counts its leading index
 entries known to hold no colour (`colourless`; `separate` scans for it).  No column pass
 changes those or moves the first colour left, so there a pass walks the index from the first
@@ -58,9 +58,8 @@ the `isomorphisms` functions are not.  Unbounded row sweeps of an inhomogeneous 
 count, so its swaps seldom recur on another path, while a finite capacity's do: of three such
 paths, the second and third reuse 450-630 of their T_2 arguments.  In one memo T_inf's would
 evict them.  A memoised core works out `held` once per distinct argument pair, so a memo hit
-also answers whether the box holds a ball, and `InhomPath.holds_ball` serves only the first-use
-index scan of a constructed path.  As `2 == 2.0 == True` hash alike, states hold ints only, and
-so must word letters, capacities and `move_letter` letters.
+also answers whether the box holds a ball.  As `2 == 2.0 == True` hash alike, states hold ints
+only, and so must word letters, capacities and `move_letter` letters.
 """
 
 from __future__ import annotations
@@ -125,23 +124,6 @@ def _frozen(w, in_place: bool = True):
     q.__dict__.pop("colourless", None)
     _trim(q, tuple(d["sites"]))
     return q
-
-
-def _scan_occupied(p) -> tuple[int, ...]:
-    """The sorted indices of the boxes of `p` holding a ball; a basic path keeps their
-    letters from the same scan, so it scans once whichever of the two it reads first."""
-    sites = p.sites
-    if p.mode == "inhom":
-        return tuple(k for k, c in enumerate(sites) if p.holds_ball(c))
-    index = [k for k, v in enumerate(sites) if v != 1]
-    _set(p, "letters", tuple(map(sites.__getitem__, index)))
-    return tuple(index)
-
-
-def _scan_letters(p) -> tuple[int, ...]:
-    """The letters of a basic path's balls in index order, scanned with its index."""
-    _set(p, "occupied", _scan_occupied(p))
-    return p.__dict__["letters"]
 
 
 def _boxes(p) -> list[int]:
@@ -340,10 +322,10 @@ _NOT_CELLS = str.maketrans("", "", _CELL_ALPHABET)  # deletes every cell: what i
 
 
 class BasicPath(Value):
-    """Capacity-one boxes; letter 1 is empty.  Trailing vacuum is trimmed.  A constructed path
-    holds its boxes (`sites`), a swept one its balls (`occupied` and `letters`); either gives
-    the other on first read and keeps it.  The balls are canonical: equality and hash read
-    them, so two swept paths compare without their boxes."""
+    """Capacity-one boxes; letter 1 is empty.  A path holds only its balls (`occupied` and
+    `letters`), which its constructor scans from the boxes it is given and a sweep writes; its
+    boxes (`sites`, trailing vacuum trimmed) are made from them on first read and kept.  Equality
+    and hash read the balls, so two paths compare without their boxes."""
 
     mode = "basic"
     vacuum = 1
@@ -354,16 +336,15 @@ class BasicPath(Value):
     inv_col_sweep = staticmethod(_basic_inv_column_sweep)
     holds_colour = staticmethod(partial(lt, 2))  # 2 < v
     sites = cached_property(lambda p: tuple(_boxes(p)))
-    occupied = cached_property(_scan_occupied)
-    letters = cached_property(_scan_letters)
 
     def __init__(self, sites: tuple[int, ...], n: int) -> None:
         _check_alphabet(n)
         sites = tuple(sites)
         if sites and not ({*map(type, sites)} == {int} and min(sites) >= 1 and max(sites) <= n):
             raise ValueError(f"letters must be ints in 1..{n}: {sites}")
-        _trim(self, sites)
-        _set(self, "n", n)
+        index = [k for k, v in enumerate(sites) if v != 1]  # the balls, as `_frozen` keeps them
+        _set(self, "__dict__", {"n": n, "occupied": tuple(index),
+                                "letters": tuple(map(sites.__getitem__, index))})
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "BasicPath":
@@ -411,25 +392,26 @@ class InhomPath(Value):
     row_sweep = staticmethod(lambda w, cap, core: _sweep(w, _empty_row(w, cap), core, w.occupied))
     col_sweep = staticmethod(lambda w: _sweep(w, (1, 2), w.col_core, w.occupied))
     inv_col_sweep = staticmethod(_inv_column_sweep)
-    holds_ball = staticmethod(lambda c: c[0] != sum(c))
     holds_colour = staticmethod(lambda c: sum(c) - c[0] - c[1])  # how many letters >= 3
-    occupied = cached_property(_scan_occupied)
 
     def __init__(self, sites: tuple[CountVector, ...], n: int, tail_capacity: int = 1) -> None:
         _check_alphabet(n)
         if type(tail_capacity) is not int or tail_capacity < 1:
             raise ValueError(f"tail capacity must be an int >= 1, got {tail_capacity!r}")
-        sites = tuple(map(tuple, sites))
+        sites, occupied = tuple(map(tuple, sites)), []
         for k, c in enumerate(sites):
-            if len(c) != n or any(type(v) is not int or v < 0 for v in c) or sum(c) < 1:
+            if len(c) != n or any(type(v) is not int or v < 0 for v in c) or (size := sum(c)) < 1:
                 raise ValueError(f"bad count vector at site {k + 1}: {c}")
+            if c[0] != size:  # the box holds a ball
+                occupied.append(k)
         _set(self, "n", n)
         _set(self, "tail_capacity", tail_capacity)
         _set(self, "vacuum", _empty_row(self, tail_capacity))
+        _set(self, "occupied", tuple(occupied))
         _trim(self, sites)  # reads the vacuum box, so after it
 
     def time_step(self) -> "InhomPath":
-        """Boxes of mixed capacity have no letter-moving rule; T is T_inf."""
+        """T is T_inf: the library moves no letters on boxes of mixed capacity."""
         return carrier_evolution(self, None)
 
     def render(self) -> str:
@@ -548,14 +530,19 @@ def _sweep(w, carrier: tuple, core, order=None) -> tuple:
     return carrier
 
 
+def _check_capacity(capacity) -> None:
+    """The carrier capacity check of `carrier_evolution` and the path suites."""
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
+
+
 def carrier_evolution(p: Path, capacity: int | None = None, trace: list | None = None) -> Path:
     """Sweep a row carrier of the given capacity across the path.
 
     `capacity=None` means unbounded, realized as the total ball count
     (beyond which the evolution is stable).  Given a list `trace`, the sweep
     visits every stored site and appends one `TraceStep` per swap, numbered from 1."""
-    if capacity is not None and (type(capacity) is not int or capacity < 1):
-        raise ValueError(f"carrier capacity must be an int >= 1 or None, got {capacity!r}")
+    _check_capacity(capacity)
     core = p.row_core
     if capacity is None:
         capacity, core = max(1, ball_count(p)), p.inf_row_core
@@ -571,9 +558,9 @@ def decoding_pass(p: Path, trace: list | None = None) -> tuple[Path, ColumnPair]
     """One pass of the decoding carrier; returns (path, outgoing carrier).
 
     The carrier starts as (1,2), deposits its 2 somewhere, and leaves with
-    the removed letter in its bottom slot.  Beyond the front the carrier
-    is inert, so the sweep stops at most one box past it.  A `trace` list
-    is filled as by `carrier_evolution`.
+    the removed letter in its bottom slot.  Past the last ball a busy carrier
+    settles in the next box, so the sweep stops at most one box past that ball.
+    A `trace` list is filled as by `carrier_evolution`.
     """
     w = p if type(p.occupied) is list else _thawed(p)  # a working copy passes in place
     if trace is None:

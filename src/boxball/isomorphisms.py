@@ -209,7 +209,7 @@ def swap_pair(left: Factor, right: Factor) -> SwapResult:
 def swap_adjacent(t: TensorElement, i: int) -> TensorElement:
     """Swap factors i and i+1 (1-based) by the unique isomorphism."""
     fs = t.factors
-    if not 1 <= i <= len(fs) - 1:
-        raise ValueError(f"position must lie in 1..{len(fs) - 1}, got {i}")
+    if type(i) is not int or not 1 <= i <= len(fs) - 1:
+        raise ValueError(f"position must lie in 1..{len(fs) - 1}, got {i!r}")
     res = swap_pair(fs[i - 1], fs[i])
     return TensorElement(fs[: i - 1] + (res.left, res.right) + fs[i + 1 :])

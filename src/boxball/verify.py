@@ -48,7 +48,7 @@ from .crystals import (
     tensors_at,
     tensor_size,
 )
-from .dynamics import BasicPath, InhomPath, InvalidWordError, ball_count
+from .dynamics import BasicPath, InhomPath, InvalidWordError, _check_capacity, ball_count
 from .isomorphisms import swap_adjacent, swap_pair
 from .separation import check_commutation, combine, separate
 
@@ -260,6 +260,8 @@ def check_path_suite(
     that decoding or the check raises on a path is its counterexample."""
     if count < 1 or not capacities:
         raise ValueError(f"need >= 1 path and capacity, got {count} and {capacities}")
+    for cap in capacities:
+        _check_capacity(cap)
     _check_path_args(n, (relation, PATH_RELATIONS), (mode, PATH_KINDS))
     _cap_alphabet(n)
     if (domain := count * len(capacities)) > MAX_DOMAIN:

@@ -45,6 +45,19 @@ def seeded_inhom_path(seed, length, n):
     return dyn.InhomPath(tuple(sites), n, rng.randint(1, 4))
 
 
+@pytest.fixture
+def constructed(monkeypatch):
+    """The paths that either path class constructs during the test, in order of construction."""
+    made = []
+    for cls in (dyn.BasicPath, dyn.InhomPath):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
 def recompiled(fn, old, new):
     """`fn` compiled anew from its source with `old`, found once, replaced by `new`."""
     source = textwrap.dedent(inspect.getsource(fn))

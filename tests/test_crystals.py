@@ -126,6 +126,20 @@ def test_operator_index_contract():
         cr.eps_phi(5, cr.tensor(cr.box(1, 4)))
 
 
+@pytest.mark.parametrize("i", [1.5, 1.0, True, "1"])
+@pytest.mark.parametrize("op", [cr.lowering, cr.raising, cr.eps_phi])
+def test_an_operator_index_is_an_int(op, i):
+    """A float index would act as no operator and a bool as index 1: both are refused."""
+    with pytest.raises(ValueError, match=rf"^operator index must lie in 1\.\.2, got {i!r}$"):
+        op(i, cr.row("112", 3))
+
+
+@pytest.mark.parametrize("shape", [(2.0,), (True,), ("2",), (1.0, 1), (1, True)])
+def test_a_shape_holds_ints_only(shape):
+    with pytest.raises(ValueError, match=r"^unsupported shape "):
+        cr.is_column(shape)
+
+
 def test_tensor_lowering_dispatch():
     n = 3
     t = cr.tensor(cr.row("11", n), cr.col(1, 2, n))

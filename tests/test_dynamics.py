@@ -130,20 +130,18 @@ def test_time_evolution_matches_the_literal_rule():
             assert p == expected
 
 
-def test_a_time_step_chain_scans_once(monkeypatch):
-    scans = []
-
-    def counted_scan(p):
-        scans.append(p)
-        return dyn._scan_occupied(p)
-
-    monkeypatch.setattr(vars(dyn.BasicPath)["occupied"], "func", counted_scan)
+def test_a_time_step_chain_scans_once(constructed):
+    """Only a constructor scans boxes for balls, and T constructs no path: along a chain of 20
+    steps, the only paths constructed are the seeded one and each step's twin, the path its
+    rendering makes."""
     p = seeded_basic_path(20, 2000, 300, 6)
     for _ in range(20):
+        made = len(constructed)
         p = dyn.time_evolution(p)
+        assert len(constructed) == made
         twin = dyn.BasicPath.from_string(p.render(), p.n)
         assert type(p.sites) is tuple and p == twin and hash(p) == hash(twin)
-    assert len(scans) == 1
+    assert len(constructed) == 1 + 20  # the seeded path and the twins
 
 
 def test_small_capacity_carriers():
@@ -863,11 +861,10 @@ def _sweep_outputs(p):
 @given(st.one_of(sparse_basic_paths(), dense_basic_paths(), inhom_paths()))
 def test_sweeps_keep_the_input_index_and_index_the_output(case):
     p, _ = case
-    p.occupied  # a constructed path scans for its index on first use
     held = {id(p): dict(vars(p))}  # each input's vars() as it was before its sweeps
     for before, q in _sweep_outputs(p):
         assert vars(before) == held[id(before)]  # the input is unchanged, index included
-        assert "occupied" in vars(q)  # set by the sweep, not scanned on first use
+        assert "occupied" in vars(q)  # set by the sweep
         assert q.occupied == _fresh_scan(q)
         assert front(q) == max((k + 1 for k in _fresh_scan(q)), default=0)
         assert dyn.ball_count(q) == _fresh_balls(q)
@@ -900,16 +897,24 @@ def test_an_untraced_chain_returns_basic_paths_without_their_boxes():
     assert q == p and q.sites == p.sites and "sites" in vars(q)
 
 
-def test_constructed_paths_index_lazily():
-    p = dyn.BasicPath.from_string("..2.3")
-    assert "occupied" not in vars(p)
-    assert p.occupied == (2, 4) and vars(p)["occupied"] == (2, 4)
-    q = dyn.carrier_evolution(p, 1)
-    assert vars(p)["occupied"] == (2, 4) and p.occupied == (2, 4)  # swept: kept
-    r = dyn.BasicPath((2, 1, 1), q.n)
-    assert "occupied" not in vars(r) and r.occupied == (0,)
-    ip = dyn.InhomPath(((2, 0), (1, 1), (3, 0)), 2, 1)
-    assert "occupied" not in vars(ip) and ip.occupied == (1,)
+def test_constructors_index_their_path():
+    """A constructor builds its path's index; a basic path holds only its balls, and makes its
+    boxes on first read."""
+    basic = [dyn.BasicPath.from_string("..2.3"), dyn.BasicPath([2, 1, 1], 3),
+             dyn.BasicPath.from_string("..."), seeded_basic_path(48, 300, 40, 6)]
+    for p in basic:
+        index = vars(p)["occupied"]
+        assert vars(p).keys() == {"n", "occupied", "letters"}  # no boxes until they are read
+        assert index == _fresh_scan(p) and "sites" in vars(p)
+        assert vars(p)["letters"] == tuple(p.sites[k] for k in index)
+    assert basic[0].occupied == (2, 4) and basic[1].sites == (2,) and basic[2].sites == ()
+    q = dyn.carrier_evolution(basic[0], 1)
+    assert vars(basic[0])["occupied"] == (2, 4) and basic[0].occupied == (2, 4)  # swept: kept
+    assert q.occupied == (3, 5)
+    inhom = [dyn.InhomPath(((2, 0), (1, 1), (3, 0), (1, 0)), 2, 1), seeded_inhom_path(48, 30, 5)]
+    for p in inhom:
+        assert vars(p)["occupied"] == _fresh_scan(p)
+    assert inhom[0].occupied == (1,) and len(inhom[0].sites) == 3  # the trailing vacuum trimmed
 
 
 def _path_calls(n, word):
@@ -1092,10 +1097,10 @@ def test_t_inf_sweeps_leave_the_finite_capacity_memo_to_other_paths(fresh_cores)
     assert inf.misses > 1024 and inf.currsize == 1024  # more keys than the memo holds
 
 
-def test_untraced_inhom_walks_test_no_box_once_the_index_is_built():
+def test_untraced_inhom_walks_test_no_box_once_the_index_is_built(constructed):
     """An untraced walk of an inhomogeneous path takes each visited box's occupancy from its
-    core's `held` field: once the path's index is built, `InhomPath.holds_ball` is called by
-    the first-use scan of a constructed path and by nothing else."""
+    core's `held` field: the walks construct no path, and each index they build is the boxes
+    holding a ball."""
     rng, sites = random.Random(46), []
     for _ in range(30):
         counts = [0] * 5
@@ -1103,17 +1108,16 @@ def test_untraced_inhom_walks_test_no_box_once_the_index_is_built():
             counts[rng.randint(2, 5) - 1 if rng.random() < 0.5 else 0] += 1
         sites.append(tuple(counts))
     p = dyn.InhomPath(sites, 5, 2)
-    assert p.occupied and dyn.ball_count(p) > 5  # the index, built before the count
+    assert p.occupied and dyn.ball_count(p) > 5
     record = sep.separate(p)
-    with _recorded(dyn.InhomPath, "holds_ball") as calls:
-        walks = [dyn.carrier_evolution(p, 2), dyn.carrier_evolution(p, None)]
-        q, outgoing = dyn.decoding_pass(p)
-        walks += [q, dyn.encoding_pass(q, outgoing.bottom), sep.separate(p).monochrome,
-                  sep.combine(record.monochrome, record.word)]
-        assert calls == []
-        fresh = dyn.InhomPath(sites, 5, 2)
-        assert fresh.occupied == p.occupied and len(calls) == len(fresh.sites)  # the scan
+    walks = [dyn.carrier_evolution(p, 2), dyn.carrier_evolution(p, None)]
+    q, outgoing = dyn.decoding_pass(p)
+    walks += [q, dyn.encoding_pass(q, outgoing.bottom), sep.separate(p).monochrome,
+              sep.combine(record.monochrome, record.word)]
+    assert constructed == [p]
     assert walks[3] == walks[5] == p and walks[4] == record.monochrome
+    for q in walks:
+        assert q.occupied == _fresh_scan(q), q
 
 
 def test_memos_are_bounded_and_isomorphisms_uncached():

@@ -459,6 +459,13 @@ def test_swap_adjacent_position_contract():
         iso.swap_adjacent(t, 0)
 
 
+@pytest.mark.parametrize("i", [1.0, True, "1"])
+def test_swap_adjacent_takes_an_int_position(i):
+    t = cr.tensor(cr.box(1, 3), cr.box(2, 3))
+    with pytest.raises(ValueError, match=rf"^position must lie in 1\.\.1, got {i!r}$"):
+        iso.swap_adjacent(t, i)
+
+
 def test_swap_adjacent_is_involution():
     rng = random.Random(42)
     for _ in range(500):

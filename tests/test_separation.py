@@ -505,6 +505,44 @@ def test_a_planted_prefix_fault_fails_the_domain_test(monkeypatch, fresh_cores, 
             "raised RuntimeError: decoding failed to terminate; this is a bug")
 
 
+@pytest.mark.parametrize("mode", ["basic", "inhom"])
+def test_combine_stops_each_pass_at_the_seeded_carrier_left_of_the_first_colour(
+    monkeypatch, mode
+):
+    """Inside `combine` an encoding pass ends once its carrier is back at (1,2) at or left of
+    the last entry known without colour, and counts the entries it left unvisited as
+    `colourless`.  Ten 2s, an empty box and a 2, recombined with the word 3: the carrier (1,3)
+    empties the last box and settles the 3 in the empty one, and the pass stops with the ten
+    2s unvisited (the inhomogeneous walker, which tests for the stop at a ball, first passes
+    the tenth, a 2 for a 2), where a walk to the left end would exchange each of them."""
+
+    def path(text):
+        p = dyn.BasicPath.from_string(text, 3)
+        if mode == "basic":
+            return p
+        return dyn.InhomPath([cr.entries_to_counts((v,), 3) for v in p.sites], 3)
+
+    cls, left, cores = type(path("")), [], []
+    sweep = cls.inv_col_sweep
+
+    def watched_sweep(w, letter):
+        carrier = sweep(w, letter)
+        left.append(w.colourless)
+        return carrier
+
+    monkeypatch.setattr(cls, "inv_col_sweep", staticmethod(watched_sweep))
+    if mode == "inhom":
+        core = cls.inv_col_core
+
+        def counted_core(*args):
+            cores.append(args)
+            return core(*args)
+
+        monkeypatch.setattr(cls, "inv_col_core", staticmethod(counted_core))
+    assert sep.combine(path("2222222222.2"), (3,)) == path("22222222223")
+    assert (left, len(cores)) == (([10], 0) if mode == "basic" else ([9], 3))
+
+
 def test_separate_starts_each_pass_at_the_first_colour(monkeypatch):
     """The contract between `separate` and the forward walkers: each pass is told to start
     at index entry `colourless`, the first to hold a colour, and `separate` stops when no

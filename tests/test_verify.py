@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -513,6 +514,17 @@ def test_an_empty_row_or_a_one_letter_alphabet_raises_before_any_element_is_made
         cr.is_column((0,))
 
 
+@pytest.mark.parametrize("check", [
+    lambda: verify.check_carrier_composition(2.0, 1, 1, 3),
+    lambda: verify.check_carrier_composition(2.0, 1, 1, 3, count=5),
+    lambda: verify.check_symmetric_group([(2,), (1.0,)], 3),
+    lambda: verify.check_symmetric_group([(2,), (True,)], 3, count=5),
+])
+def test_a_shape_of_a_non_int_length_is_refused(check):
+    with pytest.raises(ValueError, match=r"^unsupported shape \((2\.0|1\.0|True),\)$"):
+        check()
+
+
 def test_decomposition_fixtures_pass():
     for fixture in verify.standard_decomposition_fixtures():
         rep = verify.check_decomposition(fixture)
@@ -728,27 +740,32 @@ def test_an_unknown_relation_or_mode_names_the_known_ones():
 
 @pytest.mark.parametrize("mode", ["basic", "inhom"])
 @pytest.mark.parametrize("relation", list(verify.PATH_RELATIONS))
-def test_a_path_suite_scans_each_path_once(monkeypatch, relation, mode):
-    """A path computes its index once and keeps it, so however many times the
-    suite sweeps a generated path, only the path itself is scanned: its sweeps'
-    outputs are indexed as they are made."""
-    generated, scans = [], []
+def test_a_path_suite_scans_each_path_once(constructed, monkeypatch, relation, mode):
+    """A constructor scans its boxes for the path's index and a sweep indexes its output as it
+    makes it, so however many times the suite sweeps a generated path, the only paths it
+    constructs, and so scans, are the ones it generates, each once."""
+    generated = []
     make = verify.PATH_KINDS[mode]
-
-    def counted_scan(p):
-        scans.append(p)
-        return dyn._scan_occupied(p)
 
     def kept(rng, n):
         generated.append(make(rng, n))
         return generated[-1]
 
-    for cls in (dyn.BasicPath, dyn.InhomPath):
-        monkeypatch.setattr(vars(cls)["occupied"], "func", counted_scan)
     monkeypatch.setitem(verify.PATH_KINDS, mode, kept)
     rep = verify.check_path_suite(relation, mode, 3, 20, 0, [1, 2, 3, None])
     assert rep.passed and len(generated) == 20
-    assert len(scans) == 20 and all(s is p for s, p in zip(scans, generated))
+    assert len(constructed) == 20 and all(c is p for c, p in zip(constructed, generated))
+
+
+@pytest.mark.parametrize("capacity", [0, -1, 2.5, True, "2"])
+def test_a_path_suite_refuses_a_bad_capacity_before_drawing_a_path(monkeypatch, capacity):
+    """A bad capacity is the caller's error, not a theorem counterexample."""
+    drawn = []
+    monkeypatch.setitem(verify.PATH_KINDS, "basic", lambda rng, n: drawn.append(n))
+    message = f"^carrier capacity must be an int >= 1 or None, got {re.escape(repr(capacity))}$"
+    with pytest.raises(ValueError, match=message):
+        verify.check_path_suite("theorem", "basic", 3, 5, 0, [1, capacity])
+    assert drawn == []
 
 
 @pytest.mark.parametrize("mode, n, size, count", [
